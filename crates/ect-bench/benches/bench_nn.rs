@@ -23,13 +23,23 @@ fn bench_matmul(c: &mut Criterion) {
     let mut rng = EctRng::seed_from(1);
     let a = rand_matrix(64, 128, &mut rng);
     let b = rand_matrix(128, 64, &mut rng);
+    let grad = rand_matrix(64, 64, &mut rng);
     c.bench_function("matmul_64x128x64", |bench| {
         bench.iter(|| std::hint::black_box(a.matmul(&b)))
     });
     c.bench_function("transpose_matmul_64x128x64", |bench| {
-        bench.iter(|| {
-            std::hint::black_box(a.transpose_matmul(&rand_matrix(64, 64, &mut rng.clone())))
-        })
+        bench.iter(|| std::hint::black_box(a.transpose_matmul(&grad)))
+    });
+    // The PPO trunk's input-gradient shape: dY (64 × 64) · Wᵀ, W 121 × 64.
+    let weight = rand_matrix(121, 64, &mut rng);
+    c.bench_function("matmul_transpose_64x64x121", |bench| {
+        bench.iter(|| std::hint::black_box(grad.matmul_transpose(&weight)))
+    });
+    // Single-state inference through the trunk: the row-axpy path.
+    let state = rand_matrix(1, 121, &mut rng);
+    let trunk = rand_matrix(121, 64, &mut rng);
+    c.bench_function("matmul_1x121x64", |bench| {
+        bench.iter(|| std::hint::black_box(state.matmul(&trunk)))
     });
 }
 

@@ -5,7 +5,7 @@
 //! three battery actions, the critic head a scalar state value.
 
 use ect_env::battery::BpAction;
-use ect_nn::layers::{softmax_backward, softmax_rows, ActivationKind};
+use ect_nn::layers::{softmax_backward_into, softmax_rows, softmax_rows_into, ActivationKind};
 use ect_nn::matrix::Matrix;
 use ect_nn::mlp::Mlp;
 use ect_nn::param::{Param, Parameterized};
@@ -47,7 +47,21 @@ pub struct ActorCritic {
     critic: Mlp,
     state_dim: usize,
     #[serde(skip)]
-    cached_probs: Option<Matrix>,
+    work: Workspace,
+}
+
+/// Buffers reused across training passes of an [`ActorCritic`].
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Action probabilities of the last training forward pass.
+    probs: Matrix,
+    /// `true` between a training forward pass and its backward pass.
+    forward_pending: bool,
+    /// `dL/dlogits`; once the actor has consumed it, the critic's share of
+    /// `dL/dfeatures`.
+    grad_head: Matrix,
+    /// `dL/dfeatures`, summed over both heads.
+    grad_features: Matrix,
 }
 
 impl ActorCritic {
@@ -88,7 +102,7 @@ impl ActorCritic {
             actor,
             critic: Mlp::new(&critic_widths, ActivationKind::Tanh, rng),
             state_dim,
-            cached_probs: None,
+            work: Workspace::default(),
         }
     }
 
@@ -103,13 +117,24 @@ impl ActorCritic {
     ///
     /// Panics if the state width mismatches.
     pub fn forward(&mut self, states: &Matrix) -> (Matrix, Matrix) {
+        let (probs, values) = self.forward_ref(states);
+        (probs.clone(), values.clone())
+    }
+
+    /// [`ActorCritic::forward`] computed in the network's reused buffers;
+    /// returns views of `(action probs, values)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state width mismatches.
+    pub fn forward_ref(&mut self, states: &Matrix) -> (&Matrix, &Matrix) {
         assert_eq!(states.cols(), self.state_dim, "state width mismatch");
-        let features = self.trunk.forward(states);
-        let logits = self.actor.forward(&features);
-        let probs = softmax_rows(&logits);
-        let values = self.critic.forward(&features);
-        self.cached_probs = Some(probs.clone());
-        (probs, values)
+        let features = self.trunk.forward_ref(states);
+        let logits = self.actor.forward_ref(features);
+        softmax_rows_into(logits, &mut self.work.probs);
+        let values = self.critic.forward_ref(features);
+        self.work.forward_pending = true;
+        (&self.work.probs, values)
     }
 
     /// Inference-mode forward pass.
@@ -126,6 +151,9 @@ impl ActorCritic {
     }
 
     /// Action probabilities and value for one state.
+    ///
+    /// The state is copied once into a `1 × d` row; the layers then pass
+    /// their activations along without further copies of the input.
     pub fn evaluate_one(&self, state: &[f64]) -> ([f64; 3], f64) {
         let m = Matrix::row_vector(state);
         let (p, v) = self.infer(&m);
@@ -155,11 +183,18 @@ impl ActorCritic {
     ///
     /// Panics if called before [`ActorCritic::forward`].
     pub fn backward(&mut self, grad_probs: &Matrix, grad_values: &Matrix) {
-        let probs = self.cached_probs.take().expect("backward before forward");
-        let grad_logits = softmax_backward(&probs, grad_probs);
-        let grad_feat_actor = self.actor.backward(&grad_logits);
-        let grad_feat_critic = self.critic.backward(grad_values);
-        self.trunk.backward(&grad_feat_actor.add(&grad_feat_critic));
+        let work = &mut self.work;
+        assert!(
+            std::mem::take(&mut work.forward_pending),
+            "backward before forward"
+        );
+        softmax_backward_into(&work.probs, grad_probs, &mut work.grad_head);
+        self.actor
+            .backward_into(&work.grad_head, &mut work.grad_features);
+        self.critic.backward_into(grad_values, &mut work.grad_head);
+        work.grad_features.add_assign(&work.grad_head);
+        // Nothing reads dL/dstates, so the trunk skips its input gradient.
+        self.trunk.backward_params(&work.grad_features);
     }
 }
 

@@ -17,12 +17,6 @@
 //! amortises the network forward pass over the whole batch: one
 //! `(lanes × state_dim)` matrix through the actor-critic per slot instead of
 //! `lanes` single-row passes.
-//!
-//! [`train_fleet_overlapped`] additionally offers an
-//! [`UpdateOverlap::DoubleBuffered`] schedule that runs the PPO updates of
-//! window `k` on a background thread while the lanes collect window `k+1`
-//! into a second buffer set — deterministic, but one policy window staler
-//! than the default [`UpdateOverlap::Lockstep`] path.
 
 use crate::actor_critic::ActorCritic;
 use crate::ppo::Ppo;
@@ -178,36 +172,6 @@ pub fn collect_shared_policy_episode(
     returns
 }
 
-/// How rollout collection and PPO updates interleave across update windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateOverlap {
-    /// Collect a window, then update, strictly alternating — the legacy
-    /// path, bit-identical per lane to [`crate::trainer::train`].
-    #[default]
-    Lockstep,
-    /// Double-buffered: a background thread runs window `k`'s PPO updates
-    /// while the lanes collect window `k+1` into a second buffer set, using
-    /// the policy snapshot from update `k-1` (one window of staleness).
-    /// Updates draw from forked per-lane RNG streams so the run is fully
-    /// deterministic — but deliberately *not* bit-identical to
-    /// [`UpdateOverlap::Lockstep`], which consumes the lane streams in a
-    /// different order and trains on fresher policies.
-    DoubleBuffered,
-}
-
-/// RNG sub-stream id for the double-buffered optimiser's minibatch
-/// shuffles, keeping the lane streams collection-only.
-const UPDATE_RNG_STREAM: u64 = 0x0DB1_E5ED;
-
-/// The optimiser's exclusive state, shipped to the update thread and back.
-struct OptimiserState {
-    policies: Vec<ActorCritic>,
-    learners: Vec<Ppo>,
-    rngs: Vec<EctRng>,
-}
-
-type UpdateOutcome = ect_types::Result<(OptimiserState, Vec<crate::ppo::UpdateStats>)>;
-
 /// Trains one PPO policy **per lane** over lockstep fleet episodes.
 ///
 /// Mirrors [`crate::trainer::train`] applied independently to every lane:
@@ -216,8 +180,9 @@ type UpdateOutcome = ect_types::Result<(OptimiserState, Vec<crate::ppo::UpdateSt
 /// same order the sequential trainer consumes them. All configs must agree
 /// on `episodes` and `episodes_per_update` (lanes advance in lockstep).
 ///
-/// Equivalent to [`train_fleet_overlapped`] with
-/// [`UpdateOverlap::Lockstep`].
+/// Collection and updates strictly alternate: each window of
+/// `episodes_per_update` episodes is collected, then every lane's PPO
+/// update runs inline.
 ///
 /// # Errors
 ///
@@ -225,22 +190,7 @@ type UpdateOutcome = ect_types::Result<(OptimiserState, Vec<crate::ppo::UpdateSt
 /// lane budgets or an empty fleet.
 pub fn train_fleet<F: FleetFactory>(
     configs: &[TrainerConfig],
-    factory: F,
-) -> ect_types::Result<Vec<(ActorCritic, TrainingHistory)>> {
-    train_fleet_overlapped(configs, factory, UpdateOverlap::Lockstep)
-}
-
-/// [`train_fleet`] with an explicit collection/update [`UpdateOverlap`]
-/// schedule.
-///
-/// # Errors
-///
-/// Propagates factory, environment and PPO errors, and rejects inconsistent
-/// lane budgets or an empty fleet.
-pub fn train_fleet_overlapped<F: FleetFactory>(
-    configs: &[TrainerConfig],
     mut factory: F,
-    overlap: UpdateOverlap,
 ) -> ect_types::Result<Vec<(ActorCritic, TrainingHistory)>> {
     let Some(first) = configs.first() else {
         return Err(ect_types::EctError::InvalidConfig(
@@ -291,178 +241,54 @@ pub fn train_fleet_overlapped<F: FleetFactory>(
     let episodes = first.episodes;
     let per_update = first.episodes_per_update.max(1);
 
-    match overlap {
-        UpdateOverlap::Lockstep => {
-            // One `ppo.collect` span per episode window, closed around each
-            // inline `ppo.update` — the per-window collect/update split.
-            let mut collect_span = Some(ect_obs::span("ppo.collect"));
-            for episode in 0..episodes {
-                let mut fleet = factory.make(episode, &mut rngs)?;
-                if fleet.num_lanes() != n {
-                    return Err(ect_types::EctError::ShapeMismatch {
-                        context: "train_fleet lanes",
-                        expected: n,
-                        actual: fleet.num_lanes(),
-                    });
-                }
-                for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
-                    *soc = rng.uniform(); // the paper randomises episode SoC
-                }
-                let returns = collect_fleet_episode(
-                    &mut fleet,
-                    &policies,
-                    &mut rngs,
-                    &mut buffers,
-                    &initial_soc,
-                );
-                for (history, ret) in histories.iter_mut().zip(&returns) {
-                    history.episode_returns.push(*ret);
-                }
-
-                if (episode + 1) % per_update == 0 {
-                    collect_span.take();
-                    let update_span = ect_obs::span("ppo.update");
-                    for lane in 0..n {
-                        let stats = learners[lane].update(
-                            &mut policies[lane],
-                            &buffers[lane],
-                            &mut rngs[lane],
-                        )?;
-                        histories[lane].update_stats.push(stats);
-                        buffers[lane].clear();
-                    }
-                    drop(update_span);
-                    if episode + 1 < episodes {
-                        collect_span = Some(ect_obs::span("ppo.collect"));
-                    }
-                }
-            }
-            drop(collect_span);
-            if buffers.iter().any(|buffer| !buffer.is_empty()) {
-                let _update_span = ect_obs::span("ppo.update");
-                for lane in 0..n {
-                    if !buffers[lane].is_empty() {
-                        let stats = learners[lane].update(
-                            &mut policies[lane],
-                            &buffers[lane],
-                            &mut rngs[lane],
-                        )?;
-                        histories[lane].update_stats.push(stats);
-                    }
-                }
-            }
-            Ok(policies.into_iter().zip(histories).collect())
-        }
-        UpdateOverlap::DoubleBuffered => {
-            // The optimiser owns the canonical policies/learners and a forked
-            // RNG per lane; collection keeps the lane streams to itself and
-            // works off a policy snapshot, so the two can run concurrently.
-            let update_rngs: Vec<EctRng> = rngs.iter().map(|r| r.fork(UPDATE_RNG_STREAM)).collect();
-            let mut collect_policies = policies.clone();
-            let mut opt = Some(OptimiserState {
-                policies,
-                learners,
-                rngs: update_rngs,
+    // One `ppo.collect` span per episode window, closed around each
+    // inline `ppo.update` — the per-window collect/update split.
+    let mut collect_span = Some(ect_obs::span("ppo.collect"));
+    for episode in 0..episodes {
+        let mut fleet = factory.make(episode, &mut rngs)?;
+        if fleet.num_lanes() != n {
+            return Err(ect_types::EctError::ShapeMismatch {
+                context: "train_fleet lanes",
+                expected: n,
+                actual: fleet.num_lanes(),
             });
-            let mut pending: Option<std::thread::JoinHandle<UpdateOutcome>> = None;
-            // Stall accounting: time the collection side spends blocked on
-            // `join()` is overlap that did NOT happen (counter
-            // `ppo.overlap_stall_us`); the update itself is spanned inside
-            // the background thread.
-            let join_pending = |handle: std::thread::JoinHandle<UpdateOutcome>| -> UpdateOutcome {
-                let t0 = ect_obs::enabled().then(std::time::Instant::now);
-                let outcome = handle.join().expect("PPO update thread panicked");
-                if let Some(t0) = t0 {
-                    ect_obs::counter_add("ppo.overlap_stall_us", t0.elapsed().as_micros() as u64);
-                }
-                outcome
-            };
+        }
+        for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
+            *soc = rng.uniform(); // the paper randomises episode SoC
+        }
+        let returns =
+            collect_fleet_episode(&mut fleet, &policies, &mut rngs, &mut buffers, &initial_soc);
+        for (history, ret) in histories.iter_mut().zip(&returns) {
+            history.episode_returns.push(*ret);
+        }
 
-            let mut collect_span = Some(ect_obs::span("ppo.collect"));
-            for episode in 0..episodes {
-                let mut fleet = factory.make(episode, &mut rngs)?;
-                if fleet.num_lanes() != n {
-                    return Err(ect_types::EctError::ShapeMismatch {
-                        context: "train_fleet lanes",
-                        expected: n,
-                        actual: fleet.num_lanes(),
-                    });
-                }
-                for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
-                    *soc = rng.uniform();
-                }
-                let returns = collect_fleet_episode(
-                    &mut fleet,
-                    &collect_policies,
-                    &mut rngs,
-                    &mut buffers,
-                    &initial_soc,
-                );
-                for (history, ret) in histories.iter_mut().zip(&returns) {
-                    history.episode_returns.push(*ret);
-                }
-
-                if (episode + 1) % per_update == 0 {
-                    collect_span.take();
-                    // Join the in-flight update of window k-1 (if any),
-                    // refresh the collection snapshot to its output …
-                    if let Some(handle) = pending.take() {
-                        let (state, stats) = join_pending(handle)?;
-                        for (history, s) in histories.iter_mut().zip(stats) {
-                            history.update_stats.push(s);
-                        }
-                        collect_policies.clone_from(&state.policies);
-                        opt = Some(state);
-                    }
-                    // … then hand window k's filled buffers to a fresh
-                    // update thread and keep collecting into empty ones.
-                    let mut state = opt.take().expect("optimiser state is accounted for");
-                    let filled = std::mem::replace(&mut buffers, vec![RolloutBuffer::new(); n]);
-                    pending = Some(std::thread::spawn(move || {
-                        let _update_span = ect_obs::span("ppo.update");
-                        let mut stats = Vec::with_capacity(filled.len());
-                        for (lane, buffer) in filled.iter().enumerate() {
-                            stats.push(state.learners[lane].update(
-                                &mut state.policies[lane],
-                                buffer,
-                                &mut state.rngs[lane],
-                            )?);
-                        }
-                        Ok((state, stats))
-                    }));
-                    if episode + 1 < episodes {
-                        collect_span = Some(ect_obs::span("ppo.collect"));
-                    }
-                }
+        if (episode + 1) % per_update == 0 {
+            collect_span.take();
+            let update_span = ect_obs::span("ppo.update");
+            for lane in 0..n {
+                let stats =
+                    learners[lane].update(&mut policies[lane], &buffers[lane], &mut rngs[lane])?;
+                histories[lane].update_stats.push(stats);
+                buffers[lane].clear();
             }
-            drop(collect_span);
-
-            // Drain: join the last in-flight window, then flush any partial
-            // tail window inline.
-            if let Some(handle) = pending.take() {
-                let (state, stats) = join_pending(handle)?;
-                for (history, s) in histories.iter_mut().zip(stats) {
-                    history.update_stats.push(s);
-                }
-                opt = Some(state);
+            drop(update_span);
+            if episode + 1 < episodes {
+                collect_span = Some(ect_obs::span("ppo.collect"));
             }
-            let mut state = opt.take().expect("optimiser state is accounted for");
-            if buffers.iter().any(|buffer| !buffer.is_empty()) {
-                let _update_span = ect_obs::span("ppo.update");
-                for lane in 0..n {
-                    if !buffers[lane].is_empty() {
-                        let stats = state.learners[lane].update(
-                            &mut state.policies[lane],
-                            &buffers[lane],
-                            &mut state.rngs[lane],
-                        )?;
-                        histories[lane].update_stats.push(stats);
-                    }
-                }
-            }
-            Ok(state.policies.into_iter().zip(histories).collect())
         }
     }
+    drop(collect_span);
+    if buffers.iter().any(|buffer| !buffer.is_empty()) {
+        let _update_span = ect_obs::span("ppo.update");
+        for lane in 0..n {
+            if !buffers[lane].is_empty() {
+                let stats =
+                    learners[lane].update(&mut policies[lane], &buffers[lane], &mut rngs[lane])?;
+                histories[lane].update_stats.push(stats);
+            }
+        }
+    }
+    Ok(policies.into_iter().zip(histories).collect())
 }
 
 /// Evaluates per-lane policies greedily over lockstep test episodes,
@@ -693,103 +519,6 @@ mod tests {
         assert_eq!(ret_a, ret_b);
         for lane in 0..lanes {
             assert_eq!(bufs_a[lane].transitions(), bufs_b[lane].transitions());
-        }
-    }
-
-    fn probe_weights(policy: &ActorCritic) -> ([f64; 3], f64) {
-        let probe: Vec<f64> = (0..policy.state_dim())
-            .map(|i| (i as f64) / 31.0 - 0.5)
-            .collect();
-        policy.evaluate_one(&probe)
-    }
-
-    #[test]
-    fn lockstep_overlap_is_the_default_path() {
-        let lanes = 2;
-        let configs = lane_configs(lanes, 4);
-        let default = train_fleet(&configs, fleet_factory(48, lanes)).unwrap();
-        let lockstep =
-            train_fleet_overlapped(&configs, fleet_factory(48, lanes), UpdateOverlap::Lockstep)
-                .unwrap();
-        for lane in 0..lanes {
-            assert_eq!(
-                default[lane].1.episode_returns,
-                lockstep[lane].1.episode_returns
-            );
-            let (dp, dv) = probe_weights(&default[lane].0);
-            let (lp, lv) = probe_weights(&lockstep[lane].0);
-            assert_eq!(dv.to_bits(), lv.to_bits());
-            for (a, b) in dp.iter().zip(&lp) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn double_buffered_training_is_deterministic() {
-        // The update thread races the collection loop, but every data
-        // dependency joins at a fixed point — two runs must agree bitwise.
-        let lanes = 3;
-        let configs = lane_configs(lanes, 5);
-        let run = || {
-            train_fleet_overlapped(
-                &configs,
-                fleet_factory(48, lanes),
-                UpdateOverlap::DoubleBuffered,
-            )
-            .unwrap()
-        };
-        let a = run();
-        let b = run();
-        for lane in 0..lanes {
-            assert_eq!(
-                a[lane].1.episode_returns, b[lane].1.episode_returns,
-                "lane {lane} returns"
-            );
-            assert_eq!(a[lane].1.update_stats.len(), b[lane].1.update_stats.len());
-            let (pa, va) = probe_weights(&a[lane].0);
-            let (pb, vb) = probe_weights(&b[lane].0);
-            assert_eq!(va.to_bits(), vb.to_bits(), "lane {lane} value");
-            for (x, y) in pa.iter().zip(&pb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "lane {lane} probs");
-            }
-        }
-    }
-
-    #[test]
-    fn double_buffered_first_window_matches_lockstep() {
-        // Until the first update lands, both schedules collect with the
-        // initial policy off identical lane streams, so the first update
-        // window's returns are bit-identical; update counts agree too.
-        let lanes = 2;
-        let episodes = 5;
-        let configs = lane_configs(lanes, episodes);
-        let per_update = configs[0].episodes_per_update.max(1);
-        let lockstep =
-            train_fleet_overlapped(&configs, fleet_factory(48, lanes), UpdateOverlap::Lockstep)
-                .unwrap();
-        let buffered = train_fleet_overlapped(
-            &configs,
-            fleet_factory(48, lanes),
-            UpdateOverlap::DoubleBuffered,
-        )
-        .unwrap();
-        for lane in 0..lanes {
-            let window = per_update.min(episodes);
-            assert_eq!(
-                lockstep[lane].1.episode_returns[..window],
-                buffered[lane].1.episode_returns[..window],
-                "lane {lane} first window"
-            );
-            assert_eq!(
-                lockstep[lane].1.update_stats.len(),
-                buffered[lane].1.update_stats.len(),
-                "lane {lane} update count"
-            );
-            assert_eq!(
-                lockstep[lane].1.episode_returns.len(),
-                buffered[lane].1.episode_returns.len()
-            );
         }
     }
 

@@ -66,7 +66,7 @@ pub use checkpoint::{
 };
 pub use collector::{
     collect_fleet_episode, collect_shared_policy_episode, evaluate_fleet_greedy, train_fleet,
-    train_fleet_overlapped, FleetFactory, UpdateOverlap,
+    FleetFactory,
 };
 pub use generalist::{
     evaluate_generalist, train_generalist, train_generalist_source, train_holdout_split,

@@ -10,7 +10,7 @@
 
 use crate::actor_critic::ActorCritic;
 use crate::rollout::RolloutBuffer;
-use ect_nn::loss::mse;
+use ect_nn::loss::mse_into;
 use ect_nn::matrix::Matrix;
 use ect_nn::optim::{Adam, AdamConfig};
 use ect_nn::param::Parameterized;
@@ -106,6 +106,16 @@ pub struct UpdateStats {
 pub struct Ppo {
     config: PpoConfig,
     optimizer: Adam,
+    work: Workspace,
+}
+
+/// Minibatch buffers reused across the minibatches of every update.
+#[derive(Debug, Default)]
+struct Workspace {
+    states: Matrix,
+    grad_probs: Matrix,
+    target: Matrix,
+    grad_values: Matrix,
 }
 
 impl Ppo {
@@ -117,7 +127,11 @@ impl Ppo {
     pub fn new(config: PpoConfig) -> ect_types::Result<Self> {
         config.validate()?;
         let optimizer = Adam::new(config.adam.clone());
-        Ok(Self { config, optimizer })
+        Ok(Self {
+            config,
+            optimizer,
+            work: Workspace::default(),
+        })
     }
 
     /// Configuration.
@@ -143,6 +157,7 @@ impl Ppo {
             ));
         }
         let cfg = &self.config;
+        let work = &mut self.work;
         let (mut advantages, returns) = buffer.gae(cfg.gamma, cfg.gae_lambda);
         RolloutBuffer::normalise(&mut advantages);
         let transitions = buffer.transitions();
@@ -156,14 +171,17 @@ impl Ppo {
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.minibatch_size) {
                 let b = chunk.len();
-                let mut states = Matrix::zeros(b, policy.state_dim());
+                let states = &mut work.states;
+                states.resize(b, policy.state_dim());
                 for (row, &i) in chunk.iter().enumerate() {
                     states.row_mut(row).copy_from_slice(&transitions[i].state);
                 }
-                let (probs, values) = policy.forward(&states);
+                let (probs, values) = policy.forward_ref(states);
 
                 // Policy gradient through the clipped surrogate.
-                let mut grad_probs = Matrix::zeros(b, 3);
+                let grad_probs = &mut work.grad_probs;
+                grad_probs.resize(b, 3);
+                grad_probs.fill_zero();
                 let mut objective = 0.0;
                 let mut entropy = 0.0;
                 let mut clipped = 0usize;
@@ -195,11 +213,15 @@ impl Ppo {
                 }
 
                 // Critic regression toward GAE returns (Eq. 27's MSE term).
-                let target = Matrix::from_vec(b, 1, chunk.iter().map(|&i| returns[i]).collect());
-                let (value_loss, mut grad_values) = mse(&values, &target);
-                grad_values.scale(cfg.value_coef);
+                let target = &mut work.target;
+                target.resize(b, 1);
+                for (t, &i) in target.as_mut_slice().iter_mut().zip(chunk) {
+                    *t = returns[i];
+                }
+                let value_loss = mse_into(values, target, &mut work.grad_values);
+                work.grad_values.scale(cfg.value_coef);
 
-                policy.backward(&grad_probs, &grad_values);
+                policy.backward(&work.grad_probs, &work.grad_values);
                 policy.clip_grad_norm(cfg.max_grad_norm);
                 self.optimizer.step(policy);
 
@@ -320,6 +342,25 @@ mod tests {
         assert!(stats.entropy > 0.0 && stats.entropy <= (3.0f64).ln() + 1e-9);
         assert!((0.0..=1.0).contains(&stats.clip_fraction));
         assert!(stats.value_loss >= 0.0);
+    }
+
+    #[test]
+    fn non_finite_states_are_reported_as_divergence() {
+        // An infinite feature reaches the weights through the kernels even
+        // where it meets a zero (0·∞ is NaN, never skipped), so the
+        // post-step check must flag the update.
+        let mut rng = EctRng::seed_from(11);
+        let mut policy = tiny_policy(&mut rng);
+        let mut ppo = Ppo::new(PpoConfig::default()).unwrap();
+        let mut buf = bandit_buffer(&policy, &mut rng, 16);
+        let mut poisoned = buf.transitions()[0].clone();
+        poisoned.state = vec![f64::INFINITY, 0.0];
+        buf.push(poisoned);
+        let err = ppo.update(&mut policy, &buf, &mut rng).unwrap_err();
+        assert!(
+            matches!(err, ect_types::EctError::Diverged(_)),
+            "unexpected error {err:?}"
+        );
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! ECT-Price network and the PPO actor-critic); all are compositions of
 //! [`Linear`], [`Activation`] and [`Embedding`] layers. Each layer caches
 //! what its backward pass needs, so the calling convention is always
-//! `forward(...)` then at most one `backward(...)`.
+//! `forward(...)` then at most one `backward(...)`. Caches and scratch
+//! buffers keep their allocations from one call to the next, so a training
+//! loop over same-sized minibatches stops allocating after its first step.
 
 use crate::matrix::Matrix;
 use crate::param::{Param, Parameterized};
 use ect_types::rng::EctRng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Fully connected layer `y = x W + b`.
 ///
@@ -20,6 +23,13 @@ pub struct Linear {
     bias: Param,
     #[serde(skip)]
     cached_input: Option<Matrix>,
+}
+
+thread_local! {
+    /// A backward pass's `dW` and `db` before they are accumulated: one
+    /// buffer per thread, so backward passes allocate nothing once it has
+    /// grown.
+    static GRAD_SCRATCH: RefCell<Matrix> = const { RefCell::new(Matrix::empty()) };
 }
 
 impl Linear {
@@ -67,19 +77,27 @@ impl Linear {
         self.bias.value[(0, output)] = value;
     }
 
-    /// Forward pass; caches the input for the backward pass.
+    /// Forward pass; caches the input for the backward pass (the cache
+    /// keeps its allocation across calls).
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weight.value);
-        out.add_row_broadcast(&self.bias.value);
-        self.cached_input = Some(input.clone());
+        let out = self.infer(input);
+        self.cached_input
+            .get_or_insert_with(Matrix::empty)
+            .copy_from(input);
         out
     }
 
     /// Forward pass without caching (inference only).
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weight.value);
-        out.add_row_broadcast(&self.bias.value);
+        let mut out = Matrix::empty();
+        self.infer_into(input, &mut out);
         out
+    }
+
+    /// [`Linear::infer`] written into `out`, reusing its allocation.
+    pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        input.matmul_into(&self.weight.value, out);
+        out.add_row_broadcast(&self.bias.value);
     }
 
     /// Backward pass: accumulates `dW`, `db` and returns `dL/dx`.
@@ -90,16 +108,42 @@ impl Linear {
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let input = self
             .cached_input
-            .as_ref()
+            .take()
             .expect("Linear::backward before forward");
-        // dW = xᵀ · dY
-        self.weight
-            .grad
-            .add_assign(&input.transpose_matmul(grad_out));
-        // db = column sums of dY
-        self.bias.grad.add_assign(&grad_out.col_sum());
+        let mut grad_in = Matrix::empty();
+        self.backward_with(&input, grad_out, &mut grad_in);
+        self.cached_input = Some(input);
+        grad_in
+    }
+
+    /// Backward pass against an explicitly supplied forward `input`, for
+    /// containers that keep the activations themselves (such as
+    /// [`crate::mlp::Mlp`]): accumulates `dW`, `db` and writes `dL/dx` into
+    /// `grad_in`, reusing its allocation.
+    pub(crate) fn backward_with(
+        &mut self,
+        input: &Matrix,
+        grad_out: &Matrix,
+        grad_in: &mut Matrix,
+    ) {
+        self.backward_params_with(input, grad_out);
         // dX = dY · Wᵀ
-        grad_out.matmul_transpose(&self.weight.value)
+        grad_out.matmul_transpose_into(&self.weight.value, grad_in);
+    }
+
+    /// Parameters-only [`Linear::backward_with`]: accumulates `dW` and `db`
+    /// bit for bit as the full pass does, but skips `dL/dx`. For a
+    /// network's first layer, whose input gradient nobody reads, this drops
+    /// the costliest product of the backward pass.
+    pub(crate) fn backward_params_with(&mut self, input: &Matrix, grad_out: &Matrix) {
+        GRAD_SCRATCH.with_borrow_mut(|scratch| {
+            // dW = xᵀ · dY
+            input.transpose_matmul_into(grad_out, scratch);
+            self.weight.grad.add_assign(scratch);
+            // db = column sums of dY
+            grad_out.col_sum_into(scratch);
+            self.bias.grad.add_assign(scratch);
+        });
     }
 }
 
@@ -166,16 +210,34 @@ impl Activation {
         }
     }
 
-    /// Forward pass; caches the output.
+    /// Forward pass; caches the output (the cache keeps its allocation
+    /// across calls).
     pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = input.map(|x| Self::apply(self.kind, x));
-        self.cached_output = Some(out.clone());
+        let out = self.infer(input);
+        self.cached_output
+            .get_or_insert_with(Matrix::empty)
+            .copy_from(&out);
         out
     }
 
     /// Forward pass without caching (inference only).
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        input.map(|x| Self::apply(self.kind, x))
+        let mut out = Matrix::empty();
+        self.infer_into(input, &mut out);
+        out
+    }
+
+    /// [`Activation::infer`] written into `out`, reusing its allocation.
+    pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        out.resize(input.rows(), input.cols());
+        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = Self::apply(self.kind, x);
+        }
+    }
+
+    /// Applies the nonlinearity to `values` in place (inference only).
+    pub(crate) fn apply_in_place(&self, values: &mut Matrix) {
+        values.map_inplace(|x| Self::apply(self.kind, x));
     }
 
     /// Backward pass.
@@ -188,7 +250,28 @@ impl Activation {
             .cached_output
             .as_ref()
             .expect("Activation::backward before forward");
-        grad_out.zip_with(out, |g, y| g * Self::derivative_from_output(self.kind, y))
+        let mut grad_in = Matrix::empty();
+        self.backward_with(out, grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// Backward pass against an explicitly supplied forward `output`,
+    /// written into `grad_in` (reusing its allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch.
+    pub(crate) fn backward_with(&self, output: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+        assert_eq!(
+            grad_out.shape(),
+            output.shape(),
+            "activation gradient shape"
+        );
+        grad_in.resize(output.rows(), output.cols());
+        let g_y = grad_out.as_slice().iter().zip(output.as_slice());
+        for (gi, (&g, &y)) in grad_in.as_mut_slice().iter_mut().zip(g_y) {
+            *gi = g * Self::derivative_from_output(self.kind, y);
+        }
     }
 }
 
@@ -299,7 +382,14 @@ impl Parameterized for Embedding {
 ///
 /// Numerically stabilised by subtracting the row max before exponentiation.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
+    let mut out = Matrix::empty();
+    softmax_rows_into(logits, &mut out);
+    out
+}
+
+/// [`softmax_rows`] written into `out`, reusing its allocation.
+pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
+    out.resize(logits.rows(), logits.cols());
     for r in 0..logits.rows() {
         let row = logits.row(r);
         let max = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
@@ -314,7 +404,6 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
             *o /= sum;
         }
     }
-    out
 }
 
 /// Backward pass through a row-wise softmax.
@@ -326,8 +415,19 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
 ///
 /// Panics on shape mismatch.
 pub fn softmax_backward(probs: &Matrix, grad_probs: &Matrix) -> Matrix {
+    let mut out = Matrix::empty();
+    softmax_backward_into(probs, grad_probs, &mut out);
+    out
+}
+
+/// [`softmax_backward`] written into `out`, reusing its allocation.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn softmax_backward_into(probs: &Matrix, grad_probs: &Matrix, out: &mut Matrix) {
     assert_eq!(probs.shape(), grad_probs.shape(), "softmax_backward shapes");
-    let mut out = Matrix::zeros(probs.rows(), probs.cols());
+    out.resize(probs.rows(), probs.cols());
     for r in 0..probs.rows() {
         let p = probs.row(r);
         let g = grad_probs.row(r);
@@ -336,7 +436,6 @@ pub fn softmax_backward(probs: &Matrix, grad_probs: &Matrix) -> Matrix {
             *o = pi * (gi - dot);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -11,13 +11,29 @@ use crate::matrix::Matrix;
 ///
 /// Panics on shape mismatch or empty inputs.
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = mse_into(pred, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse`] with `dL/dpred` written into `grad`, reusing its allocation;
+/// returns the loss.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or empty inputs.
+pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse shapes");
     assert!(!pred.is_empty(), "mse of empty matrices");
     let n = pred.len() as f64;
-    let diff = pred.sub(target);
-    let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = diff.map(|d| 2.0 * d / n);
-    (loss, grad)
+    grad.resize(pred.rows(), pred.cols());
+    let pairs = pred.as_slice().iter().zip(target.as_slice());
+    for (g, (&p, &t)) in grad.as_mut_slice().iter_mut().zip(pairs) {
+        *g = p - t;
+    }
+    let loss = grad.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
+    grad.map_inplace(|d| 2.0 * d / n);
+    loss
 }
 
 /// Binary cross-entropy on probabilities in `(0, 1)`.

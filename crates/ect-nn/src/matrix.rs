@@ -1,12 +1,49 @@
-//! Dense row-major `f64` matrix.
+//! Dense row-major `f64` matrix and its one product kernel.
 //!
 //! The networks in this workspace are tiny (≤ a few hundred units), so a
-//! straightforward `Vec<f64>`-backed matrix with cache-friendly row-major
-//! loops is all the linear algebra we need. Operations validate shapes
-//! (C-VALIDATE) and panic on mismatch — a shape error is always a programming
-//! bug, never a runtime condition.
+//! `Vec<f64>`-backed row-major matrix is all the storage we need.
+//! Operations validate shapes (C-VALIDATE) and panic on mismatch — a shape
+//! error is always a programming bug, never a runtime condition.
+//!
+//! # Products
+//!
+//! [`Matrix::matmul`], [`Matrix::transpose_matmul`] and
+//! [`Matrix::matmul_transpose`] (and the in-place forms the layers use to
+//! write into reused buffers) all run one register-tiled kernel. It walks the
+//! output in 4-row tiles of 8, 4, 2 or 1 columns, holds each tile in
+//! registers across the whole `k` loop, and reads the left operand through
+//! a (row, column) stride, so `selfᵀ` in `transpose_matmul` is never
+//! materialised. `matmul_transpose` transposes its (small, weight-sized)
+//! right operand and then runs the same kernel. Rows that do not fill a
+//! tile — notably the `1 × d` rows of single-state inference — take a
+//! row-axpy path that streams whole rows of the right operand.
+//!
+//! # Dispatch
+//!
+//! The kernel body is compiled twice: once for the baseline target and once
+//! under `#[target_feature(enable = "avx2")]`. Each product picks the AVX2
+//! copy when `is_x86_feature_detected!("avx2")` reports support and the
+//! portable copy otherwise. There is no build-time switch.
+//!
+//! # Bit-identity contract
+//!
+//! Every output element is `seed + a₀b₀ + a₁b₁ + … + a₍k₋₁₎b₍k₋₁₎`, with
+//! its `k` terms added in ascending order and each product rounded before
+//! its add (plain mul-then-add; Rust never contracts to FMA). That is the
+//! same sequence of roundings as the textbook triple loop, so tiling,
+//! vectorisation and the dispatch choice never change a bit of the result.
+//! The seed is `+0.0` for `matmul` and `transpose_matmul` and `-0.0` for
+//! `matmul_transpose`, the start value of `Iterator::<f64>::sum`, so the
+//! sign of an all-zero dot product is that of the plain loops too.
+//!
+//! Every term is added, including those with a zero multiplicand: a zero
+//! times `±∞` or NaN contributes NaN, so non-finite inputs always
+//! propagate to the product. (Skipping zero multiplicands would hide
+//! `0·∞`.) Divergence detectors such as `Parameterized::any_non_finite`
+//! therefore see every non-finite value that enters a product.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -20,7 +57,7 @@ use std::ops::{Index, IndexMut};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -28,6 +65,15 @@ pub struct Matrix {
 }
 
 impl Matrix {
+    /// The `0 × 0` matrix, which holds no allocation.
+    pub(crate) const fn empty() -> Self {
+        Self {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
     /// Creates a `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
@@ -174,28 +220,24 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] written into `out`, reusing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != rhs.rows`.
+    pub(crate) fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order: the inner loop walks both `rhs` and `out` rows
-        // contiguously.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ik * b_kj;
-                }
-            }
-        }
-        out
+        out.resize(self.rows, rhs.cols);
+        Gemm::product(self, rhs, 0.0).run(&mut out.data);
     }
 
     /// `selfᵀ × rhs` without materialising the transpose.
@@ -204,60 +246,92 @@ impl Matrix {
     ///
     /// Panics if `self.rows != rhs.rows`.
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        self.transpose_matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::transpose_matmul`] written into `out`, reusing its
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != rhs.rows`.
+    pub(crate) fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "transpose_matmul: {}x{} ᵀ× {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = rhs.row(r);
-            for (i, &a_ri) in a_row.iter().enumerate() {
-                if a_ri == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b_rj) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ri * b_rj;
-                }
-            }
-        }
-        out
+        out.resize(self.cols, rhs.cols);
+        Gemm::transposed_lhs(self, rhs).run(&mut out.data);
     }
 
-    /// `self × rhsᵀ` without materialising the transpose.
+    /// `self × rhsᵀ`.
+    ///
+    /// `rhs` is transposed into a per-thread scratch buffer first, so it
+    /// should be the smaller operand (in the layers, the weight matrix).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_transpose(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::empty();
+        self.matmul_transpose_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_transpose`] written into `out`, reusing its
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != rhs.cols`.
+    pub(crate) fn matmul_transpose_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_transpose: {}x{} × {}x{}ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let dot: f64 = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
-                out[(i, j)] = dot;
-            }
-        }
-        out
+        out.resize(self.rows, rhs.rows);
+        TRANSPOSED.with_borrow_mut(|rhs_t| {
+            rhs.transpose_into(rhs_t);
+            Gemm::product(self, rhs_t, -0.0).run(&mut out.data);
+        });
     }
 
     /// Materialised transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        let mut out = Matrix::empty();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] written into `out`, reusing its allocation.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
             }
         }
-        out
+    }
+
+    /// Reshapes to `rows × cols`, keeping the allocation. Elements that
+    /// survive keep their old values and new ones are zero, so callers
+    /// that need defined contents overwrite them.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Makes `self` an exact copy of `src`, reusing the allocation.
+    pub(crate) fn copy_from(&mut self, src: &Matrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Element-wise sum; returns a new matrix.
@@ -367,13 +441,20 @@ impl Matrix {
 
     /// Column-wise sum, producing a `1 × cols` row vector.
     pub fn col_sum(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = Matrix::empty();
+        self.col_sum_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::col_sum`] written into `out`, reusing its allocation.
+    pub(crate) fn col_sum_into(&self, out: &mut Matrix) {
+        out.resize(1, self.cols);
+        out.fill_zero();
         for r in 0..self.rows {
             for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -460,6 +541,155 @@ impl Matrix {
     }
 }
 
+thread_local! {
+    /// `matmul_transpose`'s transposed right operand: one buffer per
+    /// thread, so the product allocates nothing once it has grown.
+    static TRANSPOSED: RefCell<Matrix> = const { RefCell::new(Matrix::empty()) };
+}
+
+/// Rows per register tile.
+const MR: usize = 4;
+/// Widest tile, in columns; narrower tiles (4, 2, 1) cover the remainder.
+const NR: usize = 8;
+
+/// One product `out = seed + A·B` over borrowed operands.
+///
+/// `A` is `m × k`, read as `a[i * a_rs + p * a_cs]`; `B` is `k × n`
+/// row-major; `out` is `m × n` row-major and fully overwritten. See the
+/// module docs for the accumulation-order contract.
+#[derive(Clone, Copy)]
+struct Gemm<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &'a [f64],
+    a_rs: usize,
+    a_cs: usize,
+    b: &'a [f64],
+    seed: f64,
+}
+
+impl<'a> Gemm<'a> {
+    /// `seed + a × b`.
+    fn product(a: &'a Matrix, b: &'a Matrix, seed: f64) -> Self {
+        Self {
+            m: a.rows,
+            n: b.cols,
+            k: a.cols,
+            a: &a.data,
+            a_rs: a.cols,
+            a_cs: 1,
+            b: &b.data,
+            seed,
+        }
+    }
+
+    /// `+0.0 + aᵀ × b`, reading `a` through its strides.
+    fn transposed_lhs(a: &'a Matrix, b: &'a Matrix) -> Self {
+        Self {
+            m: a.cols,
+            n: b.cols,
+            k: a.rows,
+            a: &a.data,
+            a_rs: 1,
+            a_cs: a.cols,
+            b: &b.data,
+            seed: 0.0,
+        }
+    }
+
+    /// Runs the product on the best kernel copy the CPU supports.
+    fn run(self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.m * self.n, "gemm output size");
+        assert_eq!(self.b.len(), self.k * self.n, "gemm rhs size");
+        if self.m > 0 && self.k > 0 {
+            let last = (self.m - 1) * self.a_rs + (self.k - 1) * self.a_cs;
+            assert!(last < self.a.len(), "gemm lhs size");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2 (detected just above).
+            unsafe { self.run_avx2(out) };
+            return;
+        }
+        self.run_portable(out);
+    }
+
+    /// The kernel compiled for the baseline target.
+    fn run_portable(self, out: &mut [f64]) {
+        self.body(out);
+    }
+
+    /// The same kernel compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(self, out: &mut [f64]) {
+        self.body(out);
+    }
+
+    #[inline(always)]
+    fn body(self, out: &mut [f64]) {
+        let n = self.n;
+        let tiled_rows = self.m - self.m % MR;
+        for i0 in (0..tiled_rows).step_by(MR) {
+            let mut j0 = 0;
+            while j0 + NR <= n {
+                self.tile::<NR>(out, i0, j0);
+                j0 += NR;
+            }
+            if j0 + 4 <= n {
+                self.tile::<4>(out, i0, j0);
+                j0 += 4;
+            }
+            if j0 + 2 <= n {
+                self.tile::<2>(out, i0, j0);
+                j0 += 2;
+            }
+            if j0 < n {
+                self.tile::<1>(out, i0, j0);
+            }
+        }
+        for i in tiled_rows..self.m {
+            self.row_axpy(i, &mut out[i * n..(i + 1) * n]);
+        }
+    }
+
+    /// Output rows `i0..i0 + MR`, columns `j0..j0 + W`, accumulated in
+    /// registers over ascending `p`.
+    #[inline(always)]
+    fn tile<const W: usize>(self, out: &mut [f64], i0: usize, j0: usize) {
+        let mut acc = [[self.seed; W]; MR];
+        for p in 0..self.k {
+            let start = p * self.n + j0;
+            let b: &[f64; W] = self.b[start..start + W].try_into().expect("tile width");
+            let a_p = p * self.a_cs;
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let a = self.a[(i0 + r) * self.a_rs + a_p];
+                for (o, &b) in acc_row.iter_mut().zip(b) {
+                    *o += a * b;
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let start = (i0 + r) * self.n + j0;
+            out[start..start + W].copy_from_slice(acc_row);
+        }
+    }
+
+    /// One output row as `k` ascending axpys of `B`'s rows.
+    #[inline(always)]
+    fn row_axpy(self, i: usize, out_row: &mut [f64]) {
+        out_row.fill(self.seed);
+        for p in 0..self.k {
+            let a = self.a[i * self.a_rs + p * self.a_cs];
+            let b_row = &self.b[p * self.n..(p + 1) * self.n];
+            for (o, &b) in out_row.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -500,6 +730,7 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ect_types::rng::EctRng;
     use proptest::prelude::*;
 
     fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -605,6 +836,185 @@ mod tests {
         assert!(!a.all_finite());
     }
 
+    /// Operand entries for the bit-identity properties: exact zeros of both
+    /// signs, magnitudes whose products underflow to a signed zero, and
+    /// ordinary values.
+    fn edge_value(rng: &mut EctRng) -> f64 {
+        match rng.below(8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1e-170 * if rng.uniform() < 0.5 { -1.0 } else { 1.0 },
+            _ => rng.uniform_in(-2.0, 2.0),
+        }
+    }
+
+    fn edge_matrix(rows: usize, cols: usize, rng: &mut EctRng) -> Matrix {
+        let data = (0..rows * cols).map(|_| edge_value(rng)).collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// The original scalar loops, kept as the reference: `matmul` and
+    /// `transpose_matmul` accumulated from `+0.0` and skipped zero left
+    /// entries (which cannot change a finite sum), `matmul_transpose`
+    /// summed each dot product with `Iterator::sum`.
+    fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let a_ik = a[(i, k)];
+                if a_ik == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols {
+                    out[(i, j)] += a_ik * b[(k, j)];
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for r in 0..a.rows {
+            for i in 0..a.cols {
+                let a_ri = a[(r, i)];
+                if a_ri == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols {
+                    out[(i, j)] += a_ri * b[(r, j)];
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                out[(i, j)] = a.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum();
+            }
+        }
+        out
+    }
+
+    fn bits(m: &[f64]) -> Vec<u64> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs one product on both kernel copies directly, bypassing the
+    /// runtime dispatch; the AVX2 result is `None` on CPUs without AVX2.
+    fn both_kernels(gemm: Gemm<'_>) -> (Vec<f64>, Option<Vec<f64>>) {
+        let mut portable = vec![f64::NAN; gemm.m * gemm.n];
+        gemm.run_portable(&mut portable);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut avx2 = vec![f64::NAN; gemm.m * gemm.n];
+            // SAFETY: AVX2 support was just detected at runtime.
+            unsafe { gemm.run_avx2(&mut avx2) };
+            return (portable, Some(avx2));
+        }
+        (portable, None)
+    }
+
+    /// All three products of `a` (`m × k`) against `b_kn` (`k × n`),
+    /// `a_km` (`k × m`) and `b_nk` (`n × k`) match the reference loops bit
+    /// for bit, through the dispatching entry points and through each
+    /// kernel copy called directly.
+    fn assert_products_bit_identical(m: usize, n: usize, k: usize, seed: u64) {
+        let mut rng = EctRng::seed_from(seed);
+        let a = edge_matrix(m, k, &mut rng);
+        let a_km = edge_matrix(k, m, &mut rng);
+        let b_kn = edge_matrix(k, n, &mut rng);
+        let b_nk = edge_matrix(n, k, &mut rng);
+        let b_nk_t = b_nk.transpose();
+        let cases = [
+            (
+                "matmul",
+                a.matmul(&b_kn),
+                reference_matmul(&a, &b_kn),
+                Gemm::product(&a, &b_kn, 0.0),
+            ),
+            (
+                "transpose_matmul",
+                a_km.transpose_matmul(&b_kn),
+                reference_transpose_matmul(&a_km, &b_kn),
+                Gemm::transposed_lhs(&a_km, &b_kn),
+            ),
+            (
+                "matmul_transpose",
+                a.matmul_transpose(&b_nk),
+                reference_matmul_transpose(&a, &b_nk),
+                Gemm::product(&a, &b_nk_t, -0.0),
+            ),
+        ];
+        for (name, got, want, gemm) in cases {
+            let shape = format!("{name} m={m} n={n} k={k} seed={seed}");
+            assert_eq!(got.shape(), want.shape(), "{shape}");
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{shape}");
+            let (portable, avx2) = both_kernels(gemm);
+            assert_eq!(bits(&portable), bits(want.as_slice()), "{shape} portable");
+            if let Some(avx2) = avx2 {
+                assert_eq!(bits(&avx2), bits(&portable), "{shape} avx2 vs portable");
+            }
+        }
+    }
+
+    #[test]
+    fn products_cover_every_tile_shape() {
+        // Row counts below, at and past the 4-row tile; column counts that
+        // exercise every tile width (8, 4, 2, 1) and their remainders.
+        for m in [1, 3, 4, 5, 9] {
+            for n in 1..=19 {
+                for k in [0, 1, 121] {
+                    assert_products_bit_identical(m, n, k, (m * 100 + n) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_dot_products_keep_their_sign() {
+        // An all-`-0.0` product sum is `+0.0` from `matmul` but `-0.0` from
+        // `matmul_transpose`, whose loop started at `Iterator::sum`'s seed.
+        let a = Matrix::from_rows(&[&[0.0, -0.0]]);
+        let b = Matrix::from_rows(&[&[-1.0], &[1.0]]);
+        assert_eq!(a.matmul(&b)[(0, 0)].to_bits(), 0.0f64.to_bits());
+        let bt = b.transpose();
+        assert_eq!(
+            a.matmul_transpose(&bt)[(0, 0)].to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn zero_times_infinity_propagates() {
+        // Every term enters the sum, so a zero input cannot mask an
+        // infinite weight.
+        let x = Matrix::from_rows(&[&[0.0, 1.0]]);
+        let w = Matrix::from_rows(&[&[f64::INFINITY], &[2.0]]);
+        assert!(x.matmul(&w)[(0, 0)].is_nan());
+        assert!(x.transpose().transpose_matmul(&w)[(0, 0)].is_nan());
+        assert!(x.matmul_transpose(&w.transpose())[(0, 0)].is_nan());
+    }
+
+    #[test]
+    fn into_variants_reuse_and_reshape_buffers() {
+        let a = mat(5, 7, 11);
+        let b = mat(7, 3, 12);
+        let mut out = Matrix::filled(9, 9, f64::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        a.transpose_matmul_into(&mat(5, 2, 13), &mut out);
+        assert_eq!(out, a.transpose_matmul(&mat(5, 2, 13)));
+        a.matmul_transpose_into(&mat(4, 7, 14), &mut out);
+        assert_eq!(out, a.matmul_transpose(&mat(4, 7, 14)));
+        let mut t = Matrix::empty();
+        a.transpose_into(&mut t);
+        assert_eq!(t, a.transpose());
+    }
+
     #[test]
     #[should_panic(expected = "matmul")]
     fn matmul_rejects_bad_shapes() {
@@ -648,6 +1058,18 @@ mod tests {
             let mut x = a.clone();
             x.add_scaled(&b, 1.0);
             prop_assert!(x.sub(&a.add(&b)).max_abs() < 1e-12);
+        }
+
+        #[test]
+        fn products_are_bit_identical_to_the_reference(
+            mi in 0usize..5,
+            n in 1usize..70,
+            ki in 0usize..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let m = [1, 3, 4, 5, 9][mi];
+            let k = [1, 121][ki];
+            assert_products_bit_identical(m, n, k, seed);
         }
 
         #[test]
