@@ -2,12 +2,14 @@
 //! loop spends its time in.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ect_nn::layers::ActivationKind;
+use ect_drl::actor_critic::{ActorCritic, ActorCriticConfig};
+use ect_nn::layers::{Activation, ActivationKind};
 use ect_nn::loss::mse;
 use ect_nn::matrix::Matrix;
 use ect_nn::mlp::Mlp;
 use ect_nn::ncf::{Ncf, NcfConfig};
 use ect_nn::optim::{Adam, AdamConfig};
+use ect_nn::param::Parameterized;
 use ect_types::rng::EctRng;
 use std::time::Duration;
 
@@ -62,6 +64,40 @@ fn bench_mlp_train_step(c: &mut Criterion) {
     });
 }
 
+fn bench_tanh(c: &mut Criterion) {
+    let mut rng = EctRng::seed_from(4);
+    // Pre-activations of a 64-row minibatch through a 64-wide hidden layer.
+    let x = rand_matrix(64, 64, &mut rng);
+    let tanh = Activation::new(ActivationKind::Tanh);
+    c.bench_function("tanh_64x64", |bench| {
+        bench.iter(|| std::hint::black_box(tanh.infer(&x)))
+    });
+}
+
+/// One PPO minibatch step on the default actor-critic over 121-wide
+/// states, as `Ppo::update` runs it: forward, backward, gradient clipping,
+/// Adam and the divergence check. The surrogate-loss gradients are fixed
+/// inputs here.
+fn bench_ppo_minibatch_step(c: &mut Criterion) {
+    let mut rng = EctRng::seed_from(5);
+    let mut policy = ActorCritic::new(121, &ActorCriticConfig::default(), &mut rng);
+    let mut adam = Adam::new(AdamConfig::paper_drl());
+    let states = rand_matrix(64, 121, &mut rng);
+    let mut grad_probs = rand_matrix(64, 3, &mut rng);
+    grad_probs.scale(1.0 / 64.0);
+    let mut grad_values = rand_matrix(64, 1, &mut rng);
+    grad_values.scale(1.0 / 64.0);
+    c.bench_function("ppo_minibatch_step_64x121", |bench| {
+        bench.iter(|| {
+            let _ = policy.forward_ref(&states);
+            policy.backward(&grad_probs, &grad_values);
+            policy.clip_grad_norm(0.5);
+            adam.step(&mut policy);
+            std::hint::black_box(policy.any_non_finite())
+        })
+    });
+}
+
 fn bench_ncf_inference(c: &mut Criterion) {
     let mut rng = EctRng::seed_from(3);
     let ncf = Ncf::new(&NcfConfig::small(12, 48), &mut rng);
@@ -75,6 +111,6 @@ fn bench_ncf_inference(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
-    targets = bench_matmul, bench_mlp_train_step, bench_ncf_inference
+    targets = bench_matmul, bench_tanh, bench_mlp_train_step, bench_ppo_minibatch_step, bench_ncf_inference
 }
 criterion_main!(benches);

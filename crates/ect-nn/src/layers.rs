@@ -10,6 +10,7 @@
 
 use crate::matrix::Matrix;
 use crate::param::{Param, Parameterized};
+use crate::tanh::tanh_in_place;
 use ect_types::rng::EctRng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -187,14 +188,6 @@ impl Activation {
         self.kind
     }
 
-    fn apply(kind: ActivationKind, x: f64) -> f64 {
-        match kind {
-            ActivationKind::Relu => x.max(0.0),
-            ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            ActivationKind::Tanh => x.tanh(),
-        }
-    }
-
     /// Derivative expressed in terms of the *output* value `y`.
     fn derivative_from_output(kind: ActivationKind, y: f64) -> f64 {
         match kind {
@@ -229,15 +222,19 @@ impl Activation {
 
     /// [`Activation::infer`] written into `out`, reusing its allocation.
     pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
-        out.resize(input.rows(), input.cols());
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o = Self::apply(self.kind, x);
-        }
+        out.copy_from(input);
+        self.apply_in_place(out);
     }
 
     /// Applies the nonlinearity to `values` in place (inference only).
+    /// `Tanh` runs the vectorised port in [`crate::tanh`], bit-identical to
+    /// glibc's `tanh` on every CPU.
     pub(crate) fn apply_in_place(&self, values: &mut Matrix) {
-        values.map_inplace(|x| Self::apply(self.kind, x));
+        match self.kind {
+            ActivationKind::Relu => values.map_inplace(|x| x.max(0.0)),
+            ActivationKind::Sigmoid => values.map_inplace(|x| 1.0 / (1.0 + (-x).exp())),
+            ActivationKind::Tanh => tanh_in_place(values.as_mut_slice()),
+        }
     }
 
     /// Backward pass.
@@ -488,7 +485,7 @@ mod tests {
         assert!((s[(0, 1)] - 0.5).abs() < 1e-12);
         let mut tanh = Activation::new(ActivationKind::Tanh);
         let t = tanh.forward(&x);
-        assert!((t[(0, 2)] - 2.0f64.tanh()).abs() < 1e-12);
+        assert!((t[(0, 2)] - 0.964_027_580_075_816_9).abs() < 1e-15);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! required stack from scratch:
 //!
 //! * [`matrix`] — dense row-major `f64` matrices; their three products run
-//!   one register-tiled kernel (AVX2 picked at run time) that is
+//!   one register-tiled kernel (AVX-512 or AVX2 picked at run time) that is
 //!   bit-identical to the plain triple loop;
+//! * `tanh` (private) — the `Tanh` activation's vectorised port of glibc
+//!   2.36's `tanh`, bit-identical to it on every CPU, so results do not
+//!   depend on the linked libm;
 //! * [`param`] — trainable parameters, initialisers and the
 //!   [`param::Parameterized`] visitor trait optimizers operate on;
 //! * [`layers`] — [`layers::Linear`], [`layers::Activation`],
@@ -57,6 +60,7 @@ pub mod mlp;
 pub mod ncf;
 pub mod optim;
 pub mod param;
+mod tanh;
 
 pub use layers::{softmax_backward, softmax_rows, Activation, ActivationKind, Embedding, Linear};
 pub use matrix::Matrix;

@@ -10,20 +10,28 @@
 //! [`Matrix::matmul`], [`Matrix::transpose_matmul`] and
 //! [`Matrix::matmul_transpose`] (and the in-place forms the layers use to
 //! write into reused buffers) all run one register-tiled kernel. It walks the
-//! output in 4-row tiles of 8, 4, 2 or 1 columns, holds each tile in
-//! registers across the whole `k` loop, and reads the left operand through
-//! a (row, column) stride, so `selfᵀ` in `transpose_matmul` is never
-//! materialised. `matmul_transpose` transposes its (small, weight-sized)
-//! right operand and then runs the same kernel. Rows that do not fill a
+//! output in 4-row tiles of 16 (AVX-512 copy only), 8, 4, 2 or 1 columns,
+//! holds each tile in registers across the whole `k` loop, and reads the
+//! left operand through a (row, column) stride, so `selfᵀ` in
+//! `transpose_matmul` is never materialised. `matmul_transpose` transposes
+//! its (small, weight-sized) right operand and then runs the same kernel. Rows that do not fill a
 //! tile — notably the `1 × d` rows of single-state inference — take a
 //! row-axpy path that streams whole rows of the right operand.
 //!
 //! # Dispatch
 //!
-//! The kernel body is compiled twice: once for the baseline target and once
-//! under `#[target_feature(enable = "avx2")]`. Each product picks the AVX2
-//! copy when `is_x86_feature_detected!("avx2")` reports support and the
-//! portable copy otherwise. There is no build-time switch.
+//! The kernel body is compiled three times:
+//!
+//! * for the baseline target, with tiles up to 8 columns wide;
+//! * under `#[target_feature(enable = "avx2")]`, with the same tiles;
+//! * under `#[target_feature(enable = "avx512f")]`, with 16-column tiles
+//!   (`NR` is a const generic of the body) and 8/4/2/1-column tails.
+//!
+//! Each product picks the AVX-512 copy when
+//! `is_x86_feature_detected!("avx512f")` reports support, else the AVX2
+//! copy when `avx2` does, else the portable copy. There is no build-time
+//! switch. Tile widths change only which elements share registers, never
+//! an element's `k` order, so all three copies return the same bits.
 //!
 //! # Bit-identity contract
 //!
@@ -536,8 +544,23 @@ impl Matrix {
     }
 
     /// `true` if every element is finite.
+    ///
+    /// This runs on every PPO minibatch as the divergence check, so it
+    /// visits every element without stopping early, in a form the compiler
+    /// vectorises: `x · 0` is `±0` for every finite `x` and NaN for `±∞`
+    /// and NaN, and a NaN stays in a running sum. Each of `LANES`
+    /// accumulators sums one residue class of the elements; the tail that
+    /// does not fill a chunk is checked directly.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        const LANES: usize = 8;
+        let mut chunks = self.data.chunks_exact(LANES);
+        let mut acc = [0.0f64; LANES];
+        for chunk in &mut chunks {
+            for (a, &v) in acc.iter_mut().zip(chunk) {
+                *a += v * 0.0;
+            }
+        }
+        acc.iter().all(|&a| a == 0.0) && chunks.remainder().iter().all(|v| v.is_finite())
     }
 }
 
@@ -549,8 +572,13 @@ thread_local! {
 
 /// Rows per register tile.
 const MR: usize = 4;
-/// Widest tile, in columns; narrower tiles (4, 2, 1) cover the remainder.
-const NR: usize = 8;
+/// Widest tile, in columns, of the portable and AVX2 copies: a 4 × 8 tile
+/// fills half of AVX2's sixteen 256-bit registers.
+const NR_BASE: usize = 8;
+/// Widest tile of the AVX-512 copy: a 4 × 16 tile fills eight of its
+/// thirty-two 512-bit registers.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 16;
 
 /// One product `out = seed + A·B` over borrowed operands.
 ///
@@ -607,28 +635,45 @@ impl<'a> Gemm<'a> {
             assert!(last < self.a.len(), "gemm lhs size");
         }
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the running CPU supports AVX2 (detected just above).
-            unsafe { self.run_avx2(out) };
-            return;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the running CPU supports AVX-512F (detected just
+                // above).
+                unsafe { self.run_avx512(out) };
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the running CPU supports AVX2 (detected just above).
+                unsafe { self.run_avx2(out) };
+                return;
+            }
         }
         self.run_portable(out);
     }
 
     /// The kernel compiled for the baseline target.
     fn run_portable(self, out: &mut [f64]) {
-        self.body(out);
+        self.body::<NR_BASE>(out);
     }
 
     /// The same kernel compiled with AVX2 enabled.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn run_avx2(self, out: &mut [f64]) {
-        self.body(out);
+        self.body::<NR_BASE>(out);
     }
 
+    /// The same kernel compiled with AVX-512F enabled, on 16-column tiles.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn run_avx512(self, out: &mut [f64]) {
+        self.body::<NR_AVX512>(out);
+    }
+
+    /// Tiles of `NR` columns, then one each of 8, 4, 2 and 1 as the
+    /// remaining width allows (the 8 only when `NR` is wider).
     #[inline(always)]
-    fn body(self, out: &mut [f64]) {
+    fn body<const NR: usize>(self, out: &mut [f64]) {
         let n = self.n;
         let tiled_rows = self.m - self.m % MR;
         for i0 in (0..tiled_rows).step_by(MR) {
@@ -636,6 +681,10 @@ impl<'a> Gemm<'a> {
             while j0 + NR <= n {
                 self.tile::<NR>(out, i0, j0);
                 j0 += NR;
+            }
+            if NR > 8 && j0 + 8 <= n {
+                self.tile::<8>(out, i0, j0);
+                j0 += 8;
             }
             if j0 + 4 <= n {
                 self.tile::<4>(out, i0, j0);
@@ -836,6 +885,31 @@ mod tests {
         assert!(!a.all_finite());
     }
 
+    #[test]
+    fn all_finite_checks_every_position() {
+        // Lengths below, at and past whole chunks, so the bad value lands
+        // in a chunk lane and in the tail; subnormals and extremes of
+        // either sign are finite.
+        let finite = [
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            -0.0,
+        ];
+        assert!(Matrix::empty().all_finite());
+        for len in 1..=20 {
+            let clean = Matrix::from_vec(1, len, (0..len).map(|i| finite[i % 4]).collect());
+            assert!(clean.all_finite(), "len {len}");
+            for pos in 0..len {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut m = clean.clone();
+                    m[(0, pos)] = bad;
+                    assert!(!m.all_finite(), "len {len}, {bad} at {pos}");
+                }
+            }
+        }
+    }
+
     /// Operand entries for the bit-identity properties: exact zeros of both
     /// signs, magnitudes whose products underflow to a signed zero, and
     /// ordinary values.
@@ -903,19 +977,33 @@ mod tests {
         m.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs one product on both kernel copies directly, bypassing the
-    /// runtime dispatch; the AVX2 result is `None` on CPUs without AVX2.
-    fn both_kernels(gemm: Gemm<'_>) -> (Vec<f64>, Option<Vec<f64>>) {
-        let mut portable = vec![f64::NAN; gemm.m * gemm.n];
-        gemm.run_portable(&mut portable);
+    /// Runs one product on every kernel copy directly, bypassing the
+    /// runtime dispatch. Each entry is the copy's name and its output, or
+    /// `None` where the CPU lacks the copy's feature.
+    fn all_kernels(gemm: Gemm<'_>) -> [(&'static str, Option<Vec<f64>>); 3] {
+        let run = |copy: &dyn Fn(&mut [f64])| {
+            let mut out = vec![f64::NAN; gemm.m * gemm.n];
+            copy(&mut out);
+            out
+        };
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut avx2 = vec![f64::NAN; gemm.m * gemm.n];
-            // SAFETY: AVX2 support was just detected at runtime.
-            unsafe { gemm.run_avx2(&mut avx2) };
-            return (portable, Some(avx2));
-        }
-        (portable, None)
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2").then(|| {
+                // SAFETY: AVX2 support was just detected at runtime.
+                run(&|out| unsafe { gemm.run_avx2(out) })
+            }),
+            std::arch::is_x86_feature_detected!("avx512f").then(|| {
+                // SAFETY: AVX-512F support was just detected at runtime.
+                run(&|out| unsafe { gemm.run_avx512(out) })
+            }),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (avx2, avx512) = (None, None);
+        [
+            ("portable", Some(run(&|out| gemm.run_portable(out)))),
+            ("avx2", avx2),
+            ("avx512", avx512),
+        ]
     }
 
     /// All three products of `a` (`m × k`) against `b_kn` (`k × n`),
@@ -953,20 +1041,37 @@ mod tests {
             let shape = format!("{name} m={m} n={n} k={k} seed={seed}");
             assert_eq!(got.shape(), want.shape(), "{shape}");
             assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{shape}");
-            let (portable, avx2) = both_kernels(gemm);
-            assert_eq!(bits(&portable), bits(want.as_slice()), "{shape} portable");
-            if let Some(avx2) = avx2 {
-                assert_eq!(bits(&avx2), bits(&portable), "{shape} avx2 vs portable");
+            for (copy, out) in all_kernels(gemm) {
+                if let Some(out) = out {
+                    assert_eq!(bits(&out), bits(want.as_slice()), "{shape} {copy}");
+                }
             }
         }
     }
 
     #[test]
     fn products_cover_every_tile_shape() {
+        let copies = all_kernels(Gemm::product(
+            &Matrix::zeros(1, 1),
+            &Matrix::zeros(1, 1),
+            0.0,
+        ));
+        // Name the copies this CPU ran and skipped, so a runner without a
+        // feature shows as missing coverage rather than a silent pass.
+        let names = |ran: bool| {
+            let copies = copies.iter().filter(|c| c.1.is_some() == ran);
+            copies.map(|c| c.0).collect::<Vec<_>>()
+        };
+        eprintln!(
+            "products_cover_every_tile_shape: GEMM kernel copies run: {:?}; \
+             skipped (CPU lacks them): {:?}",
+            names(true),
+            names(false)
+        );
         // Row counts below, at and past the 4-row tile; column counts that
-        // exercise every tile width (8, 4, 2, 1) and their remainders.
+        // exercise every tile width (16, 8, 4, 2, 1) and their remainders.
         for m in [1, 3, 4, 5, 9] {
-            for n in 1..=19 {
+            for n in 1..=40 {
                 for k in [0, 1, 121] {
                     assert_products_bit_identical(m, n, k, (m * 100 + n) as u64);
                 }
