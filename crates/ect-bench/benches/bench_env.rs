@@ -71,9 +71,9 @@ fn bench_observe(c: &mut Criterion) {
 fn bench_episode_inputs_validate(c: &mut Criterion) {
     let env = month_env();
     let inputs = EpisodeInputs {
-        rtp: env.inputs().rtp.clone(),
-        weather: env.inputs().weather.clone(),
-        traffic: env.inputs().traffic.clone(),
+        rtp: env.series().rtp.to_vec(),
+        weather: env.series().weather.to_vec(),
+        traffic: env.series().traffic.to_vec(),
         discounts: DiscountSchedule::none(720),
         strata: vec![Stratum::AlwaysCharge; 720],
     };

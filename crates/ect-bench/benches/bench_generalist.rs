@@ -143,7 +143,7 @@ fn bench_augmented_observation(c: &mut Criterion) {
                     let mut total = 0.0;
                     fleet.reset(&vec![0.5; n]);
                     for _ in 0..SLOTS {
-                        let step = fleet.step_batch(&actions);
+                        let step = fleet.step_batch_soa(&actions);
                         total += step.rewards.iter().sum::<f64>();
                     }
                     std::hint::black_box(total)

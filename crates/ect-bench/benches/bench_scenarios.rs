@@ -1,17 +1,12 @@
-//! Scenario-grid benchmarks: a method × scenario matrix stepped as
-//! heterogeneous [`FleetEnv`] lanes versus per-scenario [`HubEnv`] loops,
-//! plus scenario world-generation cost relative to the baseline.
-//!
-//! The point: the PR-1 batched stepping path carries over unchanged to
-//! heterogeneous scenario lanes — sweeping the stress library costs one
-//! lockstep engine, not a scenario-count multiple of the sequential path.
+//! Scenario-grid benchmarks: the stress library stepped as heterogeneous
+//! [`FleetEnv`] lanes — one lockstep engine for every scenario — plus
+//! scenario world-generation cost relative to the baseline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ect_data::dataset::{WorldConfig, WorldDataset};
 use ect_data::scenario::{scenario_library, ScenarioSpec};
 use ect_env::battery::BpAction;
-use ect_env::env::HubEnv;
-use ect_env::fleet::{env_for_hub, fleet_env_for_scenarios};
+use ect_env::fleet::fleet_env_for_scenarios;
 use ect_env::tariff::DiscountSchedule;
 use ect_env::vec_env::FleetEnv;
 use ect_types::ids::HubId;
@@ -45,57 +40,17 @@ fn scenario_fleet() -> FleetEnv {
     fleet_env_for_scenarios(&config(), &lanes, 0, SLOTS, &discounts, WINDOW, &mut rngs).unwrap()
 }
 
-fn sequential_scenario_envs() -> Vec<HubEnv> {
-    lanes()
-        .iter()
-        .enumerate()
-        .map(|(l, (spec, hub))| {
-            let world = WorldDataset::generate_scenario(config(), spec).unwrap();
-            let mut rng = EctRng::seed_from(500 + l as u64);
-            env_for_hub(
-                &world,
-                *hub,
-                0,
-                SLOTS,
-                DiscountSchedule::none(SLOTS),
-                WINDOW,
-                &mut rng,
-            )
-            .unwrap()
-        })
-        .collect()
-}
-
-/// Stepping the whole stress library for one hub: sequential per-scenario
-/// loops vs one heterogeneous lockstep batch.
+/// Stepping the whole stress library for one hub as one heterogeneous
+/// lockstep batch.
 fn bench_scenario_grid_stepping(c: &mut Criterion) {
-    let envs = sequential_scenario_envs();
     let fleet = scenario_fleet();
-    let n = envs.len();
+    let n = fleet.num_lanes();
     let actions = [BpAction::Charge, BpAction::Discharge, BpAction::Idle];
 
     let mut group = c.benchmark_group("scenario_grid_step");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
-
-    group.bench_function("sequential_scenario_loops", |b| {
-        b.iter_batched(
-            || envs.clone(),
-            |mut envs| {
-                let mut total = 0.0;
-                for (lane, env) in envs.iter_mut().enumerate() {
-                    env.reset(0.5);
-                    for t in 0..SLOTS {
-                        let step = env.step(actions[(t + lane) % 3]);
-                        total += step.reward;
-                    }
-                }
-                std::hint::black_box(total)
-            },
-            BatchSize::SmallInput,
-        )
-    });
 
     group.bench_function("batched_scenario_lanes", |b| {
         b.iter_batched(
@@ -108,7 +63,7 @@ fn bench_scenario_grid_stepping(c: &mut Criterion) {
                     for (lane, a) in batch_actions.iter_mut().enumerate() {
                         *a = actions[(t + lane) % 3];
                     }
-                    let step = fleet.step_batch(&batch_actions);
+                    let step = fleet.step_batch_soa(&batch_actions);
                     total += step.rewards.iter().sum::<f64>();
                 }
                 std::hint::black_box(total)

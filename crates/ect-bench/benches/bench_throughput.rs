@@ -1,5 +1,4 @@
-//! Stepping-kernel throughput benchmarks: the SoA fast path
-//! (`step_batch_soa`) against the scalar `step_batch`, at the paper's
+//! Stepping-kernel throughput benchmarks: `step_batch_soa` at the paper's
 //! 12-hub fleet and at replicated 1k/10k-lane fleets, plus a steady-state
 //! hub-slots/sec readout.
 //!
@@ -65,35 +64,15 @@ fn step_soa(env: &mut FleetEnv, actions: &mut [BpAction], socs: &[f64], slots: u
     total
 }
 
-/// The paper-sized episode: scalar `step_batch` vs the SoA fast path.
-fn bench_episode_scalar_vs_soa(c: &mut Criterion) {
+/// The paper-sized episode: 12 hubs × 720 slots through the slot kernel.
+fn bench_episode_soa(c: &mut Criterion) {
     let mut fleet = base_fleet(24);
     fleet.reset(&[0.5; HUBS]);
-    fleet.soa_group_count(); // build the slot lanes outside the timing
 
     let mut group = c.benchmark_group("throughput_episode_12hubs");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
-
-    group.bench_function("scalar_step_batch", |b| {
-        b.iter_batched(
-            || fleet.clone(),
-            |mut fleet| {
-                let mut actions = [BpAction::Idle; HUBS];
-                let mut total = 0.0;
-                fleet.reset(&[0.5; HUBS]);
-                for t in 0..SLOTS {
-                    for (lane, a) in actions.iter_mut().enumerate() {
-                        *a = ACTIONS[(t + lane) % 3];
-                    }
-                    total += fleet.step_batch(&actions).rewards.iter().sum::<f64>();
-                }
-                std::hint::black_box(total)
-            },
-            BatchSize::SmallInput,
-        )
-    });
 
     group.bench_function("soa_step_batch", |b| {
         b.iter_batched(
@@ -178,7 +157,7 @@ fn bench_steady_state_rate(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_episode_scalar_vs_soa,
+    bench_episode_soa,
     bench_wide_fleets,
     bench_steady_state_rate
 );

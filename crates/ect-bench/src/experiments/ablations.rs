@@ -92,20 +92,18 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
     ] {
         let mut rng = EctRng::seed_from(system.config().seed ^ 0xAB1A);
         let world = system.world();
-        let mut env = ect_env::fleet::env_for_hub(
+        let inputs = ect_env::fleet::episode_for_hub(
             world,
             hub,
             0,
             world.horizon(),
             DiscountSchedule::none(world.horizon()),
-            ect_core::OBS_WINDOW,
             &mut rng,
         )?;
-        // Swap the plant by rebuilding the env with a modified config.
-        let mut config = env.config().clone();
+        // The hub's siting preset with the plant swapped.
+        let mut config = HubConfig::for_siting(world.hubs[hub.index()].siting);
         config.plant = plant;
-        let inputs = env.inputs().clone();
-        env = HubEnv::new(config, inputs, ect_core::OBS_WINDOW)?;
+        let mut env = HubEnv::new(config, inputs, ect_core::OBS_WINDOW)?;
         let (profit, _) = ect_drl::heuristics::run_episode(&mut env, &mut TimeOfUse, 0.5);
         rows.push(AblationRow {
             family: "renewables".into(),

@@ -1,4 +1,4 @@
-//! Stepping-kernel throughput: hub-slots/sec of the SoA fast path at fleet
+//! Stepping-kernel throughput: hub-slots/sec of the slot kernel at fleet
 //! scale.
 //!
 //! This experiment saturates [`FleetEnv::step_batch_soa`] — the
@@ -8,10 +8,10 @@
 //! sharded across the work-stealing [`ect_core::dispatch`] pool, and stepped
 //! for a fixed slot budget. Each rung reports aggregate **hub-slots per
 //! second**; alongside, the paper-sized 12-hub × 720-slot episode is timed
-//! through both the scalar `step_batch` and the SoA path to pin the kernel
-//! speedup. JSON lands in `results/throughput.json`, and every rung is
-//! upserted as its own `results/BENCH_summary.json` row so filtered passes
-//! (`run_all --only throughput`) still publish the trajectory.
+//! through the same kernel. JSON lands in `results/throughput.json`, and
+//! every rung is upserted as its own `results/BENCH_summary.json` row so
+//! filtered passes (`run_all --only throughput`) still publish the
+//! trajectory.
 
 use crate::output::{save_json, upsert_bench_summary, BenchSummaryEntry};
 use ect_core::dispatch::run_indexed;
@@ -29,11 +29,6 @@ pub const BASE_HUBS: usize = 12;
 
 /// One 30-day episode, the paper's evaluation horizon.
 pub const EPISODE_SLOTS: usize = 720;
-
-/// Historical scalar-path wall time of the 12-hub × 720-slot episode
-/// (`bench_fleet::batched_step_batch`), the reference the SoA kernel is
-/// measured against.
-pub const BASELINE_EPISODE_MS: f64 = 1.37;
 
 /// Scale knobs of the throughput sweep.
 #[derive(Debug, Clone)]
@@ -89,14 +84,8 @@ pub struct ThroughputResult {
     pub rungs: Vec<ThroughputRung>,
     /// Worker threads the rung shards were dispatched over.
     pub threads: usize,
-    /// 12-hub × 720-slot episode through the scalar `step_batch`, ms (best).
-    pub scalar_episode_ms: f64,
-    /// The same episode through `step_batch_soa`, ms (best).
+    /// 12-hub × 720-slot episode through `step_batch_soa`, ms (best).
     pub soa_episode_ms: f64,
-    /// `scalar_episode_ms / soa_episode_ms`.
-    pub soa_speedup: f64,
-    /// The historical scalar baseline, ms ([`BASELINE_EPISODE_MS`]).
-    pub baseline_episode_ms: f64,
     /// Sum of all rewards produced inside the timed regions — a
     /// determinism/liveness checksum, not a metric.
     pub reward_checksum: f64,
@@ -165,7 +154,7 @@ fn step_shard(env: &mut FleetEnv, slots: usize) -> f64 {
     total
 }
 
-/// Measures one rung: shard, warm (build the SoA lanes outside the timed
+/// Measures one rung: shard (building the slot lanes outside the timed
 /// region), then step all shards concurrently over the dispatch pool.
 fn measure_rung(
     base: &FleetEnv,
@@ -179,11 +168,9 @@ fn measure_rung(
     for shard in 0..shards {
         // Distribute lanes as evenly as the shard count allows.
         let lanes = hubs / shards + usize::from(shard < hubs % shards);
-        let mut env = replicated_fleet(base, lanes, options.window)?;
-        env.reset(&vec![0.5; lanes]);
-        let groups = env.soa_group_count(); // builds the SoA lanes untimed
+        let env = replicated_fleet(base, lanes, options.window)?;
         if shard == 0 {
-            soa_groups = groups;
+            soa_groups = env.soa_group_count();
         }
         envs.push(env);
     }
@@ -227,15 +214,12 @@ fn measure_rung(
 }
 
 /// Times the paper-sized 12-hub × 720-slot episode, ms (best of `reps`).
-fn time_episode(base: &FleetEnv, reps: usize, soa: bool) -> (f64, f64) {
+fn time_episode(base: &FleetEnv, reps: usize) -> (f64, f64) {
     let mut best_ms = f64::INFINITY;
     let mut checksum = 0.0;
     for rep in 0..reps.max(1) {
         let mut fleet = base.clone();
         fleet.reset(&[0.5; BASE_HUBS]);
-        if soa {
-            fleet.soa_group_count(); // build untimed
-        }
         let mut actions = [BpAction::Idle; BASE_HUBS];
         let mut total = 0.0;
         let t0 = Instant::now();
@@ -243,11 +227,7 @@ fn time_episode(base: &FleetEnv, reps: usize, soa: bool) -> (f64, f64) {
             for (lane, a) in actions.iter_mut().enumerate() {
                 *a = ACTIONS[(t + lane) % 3];
             }
-            if soa {
-                total += fleet.step_batch_soa(&actions).rewards.iter().sum::<f64>();
-            } else {
-                total += fleet.step_batch(&actions).rewards.iter().sum::<f64>();
-            }
+            total += fleet.step_batch_soa(&actions).rewards.iter().sum::<f64>();
         }
         let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
         best_ms = best_ms.min(elapsed_ms);
@@ -278,19 +258,13 @@ pub fn run_with_options(
 
     // The episode pin always uses the paper's 24-slot observation window.
     let episode_base = base_fleet(24)?;
-    let (scalar_episode_ms, scalar_sum) = time_episode(&episode_base, options.reps.max(3), false);
-    let (soa_episode_ms, soa_sum) = time_episode(&episode_base, options.reps.max(3), true);
-    // The SoA path must also *compute* the same episode.
-    debug_assert_eq!(scalar_sum.to_bits(), soa_sum.to_bits());
-    checksum += soa_sum;
+    let (soa_episode_ms, episode_sum) = time_episode(&episode_base, options.reps.max(3));
+    checksum += episode_sum;
 
     Ok(ThroughputResult {
         rungs,
         threads,
-        scalar_episode_ms,
         soa_episode_ms,
-        soa_speedup: scalar_episode_ms / soa_episode_ms,
-        baseline_episode_ms: BASELINE_EPISODE_MS,
         reward_checksum: checksum,
     })
 }
@@ -357,7 +331,7 @@ impl ect_core::Experiment for ThroughputExperiment {
 
 /// Prints the rung table and the episode pin.
 pub fn print(result: &ThroughputResult) {
-    println!("== Stepping-kernel throughput (SoA fast path) ==\n");
+    println!("== Stepping-kernel throughput ==\n");
     println!(
         "| {:>8} | {:>7} | {:>6} | {:>10} | {:>10} | {:>16} |",
         "hubs", "shards", "groups", "slots", "wall ms", "hub-slots/s"
@@ -374,12 +348,8 @@ pub fn print(result: &ThroughputResult) {
         );
     }
     println!(
-        "\n12-hub x {EPISODE_SLOTS}-slot episode: scalar {:.3} ms, SoA {:.3} ms ({:.2}x; \
-         historical baseline {:.2} ms)",
-        result.scalar_episode_ms,
-        result.soa_episode_ms,
-        result.soa_speedup,
-        result.baseline_episode_ms
+        "\n12-hub x {EPISODE_SLOTS}-slot episode: {:.3} ms",
+        result.soa_episode_ms
     );
     println!("dispatched over {} worker threads", result.threads);
 }
@@ -410,9 +380,7 @@ mod tests {
             );
             assert_eq!(rung.slots_stepped, 4);
         }
-        assert!(result.scalar_episode_ms > 0.0);
         assert!(result.soa_episode_ms > 0.0);
-        assert!(result.soa_speedup.is_finite());
         assert!(result.reward_checksum.is_finite());
 
         // Serialises for results/throughput.json.
@@ -462,10 +430,7 @@ mod tests {
                 },
             ],
             threads: 4,
-            scalar_episode_ms: 1.4,
             soa_episode_ms: 0.5,
-            soa_speedup: 2.8,
-            baseline_episode_ms: BASELINE_EPISODE_MS,
             reward_checksum: 0.0,
         };
         let rows = summary_rows(&result, 3.5);

@@ -302,21 +302,20 @@ fn eval_joint(
         let mut soc_rng = EctRng::seed_from(seed ^ 0x50C ^ ((episode as u64) << 16));
         let initial_soc: Vec<f64> = (0..num_hubs).map(|_| soc_rng.uniform()).collect();
         fleet.reset(&initial_soc);
-        let dim = fleet.state_dim();
         loop {
-            let obs = fleet.obs().to_vec();
-            for (lane, chunk) in obs.chunks_exact(dim).enumerate() {
-                actions[lane] = select(lane, chunk);
+            for (lane, action) in actions.iter_mut().enumerate() {
+                *action = select(lane, fleet.lane_obs(lane));
             }
-            let step = fleet.step_batch(&actions);
+            let step = fleet.step_batch_soa(&actions);
             total_reward += step.rewards.iter().sum::<f64>();
-            for b in step.breakdowns {
+            let done = step.done;
+            for b in (0..num_hubs).map(|lane| fleet.breakdown(lane)) {
                 curtailed_kwh += b.curtailed_kwh;
                 curtailment_penalty += b.curtailment_penalty.as_f64();
                 spillover_kwh += b.spill_in.as_f64();
                 grid_import_kwh += b.p_grid.as_f64();
             }
-            if step.done {
+            if done {
                 break;
             }
         }

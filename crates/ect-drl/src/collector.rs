@@ -1,17 +1,17 @@
 //! Batched rollout collection and fleet training over [`FleetEnv`].
 //!
-//! The sequential [`crate::trainer::train`] loop steps one [`HubEnv`](ect_env::env::HubEnv)
-//! (`ect_env::env::HubEnv`) at a time. This module rides the batched fleet
-//! engine instead: all lanes advance in lockstep through
-//! [`FleetEnv::step_batch`], transitions land in **per-lane**
+//! The sequential [`crate::trainer::train`] loop steps one
+//! [`HubEnv`](ect_env::env::HubEnv) — a one-lane fleet — at a time. This
+//! module steps many lanes at once: all lanes advance in lockstep through
+//! [`FleetEnv::step_batch_soa`], transitions land in **per-lane**
 //! [`RolloutBuffer`]s, and every lane keeps its own policy, PPO learner and
 //! RNG stream.
 //!
 //! Determinism contract (pinned by `tests/batched_equivalence.rs`): lane `i`
 //! of [`train_fleet`] consumes its RNG in exactly the order the sequential
-//! trainer would for hub `i` under the same seed, and the slot kernel is
-//! shared with `HubEnv` — so episode returns, rollout buffers and trained
-//! weights are bit-identical between the two paths.
+//! trainer would for hub `i` under the same seed, and both step the same
+//! slot kernel — so episode returns, rollout buffers and trained weights
+//! are bit-identical between the two loops.
 //!
 //! When all lanes share one policy, [`collect_shared_policy_episode`]
 //! amortises the network forward pass over the whole batch: one
@@ -89,7 +89,7 @@ pub fn collect_fleet_episode(
             probs[lane] = prob;
             values[lane] = value;
         }
-        let step = fleet.step_batch(&actions);
+        let step = fleet.step_batch_soa(&actions);
         for lane in 0..n {
             returns[lane] += step.rewards[lane];
             buffers[lane].push(Transition {
@@ -151,7 +151,7 @@ pub fn collect_shared_policy_episode(
             let idx = rngs[lane].categorical(&row);
             actions[lane] = BpAction::from_index(idx);
         }
-        let step = fleet.step_batch(&actions);
+        let step = fleet.step_batch_soa(&actions);
         for lane in 0..n {
             returns[lane] += step.rewards[lane];
             buffers[lane].push(Transition {
@@ -339,7 +339,7 @@ pub fn evaluate_fleet_greedy<F: FleetFactory>(
             for (lane, action) in actions.iter_mut().enumerate() {
                 *action = policies[lane].greedy_action(fleet.lane_obs(lane));
             }
-            let step = fleet.step_batch(&actions);
+            let step = fleet.step_batch_soa(&actions);
             for (lane_rewards, &reward) in slot_rewards.iter_mut().zip(step.rewards) {
                 lane_rewards.push(reward);
             }

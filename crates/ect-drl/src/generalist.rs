@@ -463,7 +463,7 @@ pub fn evaluate_generalist<F: MixtureFleetFactory>(
                     .expect("three actions");
                 *action = BpAction::from_index(idx);
             }
-            let step = fleet.step_batch(&actions);
+            let step = fleet.step_batch_soa(&actions);
             for (lane_rewards, &reward) in slot_rewards.iter_mut().zip(step.rewards) {
                 lane_rewards.push(reward);
             }

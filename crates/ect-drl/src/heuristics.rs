@@ -60,7 +60,7 @@ impl Scheduler for GreedyPrice {
 
     fn act(&mut self, _state: &[f64], env: &HubEnv) -> BpAction {
         let t = env.slot().min(env.episode_len() - 1);
-        let price = env.inputs().rtp[t].as_f64();
+        let price = env.series().rtp[t].as_f64();
         if price <= self.low {
             BpAction::Charge
         } else if price >= self.high {

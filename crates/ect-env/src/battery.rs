@@ -16,13 +16,14 @@ use serde::{Deserialize, Serialize};
 
 /// Scheduling action for the battery point, the DRL action space
 /// (Section IV-B: "three states for the BP … (0, 1, 2)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BpAction {
     /// Draw power from the grid into the battery.
     Charge,
     /// Supply stored power to the hub loads.
     Discharge,
     /// Do nothing.
+    #[default]
     Idle,
 }
 
@@ -160,6 +161,17 @@ impl BatteryPointConfig {
     pub fn soc_max_kwh(&self) -> KiloWattHour {
         KiloWattHour::new(self.soc_max_fraction * self.capacity_kwh)
     }
+
+    /// The state of charge a battery holds at `fraction` of capacity,
+    /// clamped into `[soc_min, soc_max]` — the episode-start SoC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is NaN.
+    pub fn clamped_soc(&self, fraction: f64) -> KiloWattHour {
+        KiloWattHour::new(Ratio::saturating(fraction) * self.capacity_kwh)
+            .clamp(self.soc_min_kwh(), self.soc_max_kwh())
+    }
 }
 
 /// What one battery slot actually did.
@@ -191,8 +203,7 @@ impl BatteryPoint {
     ///
     /// Panics if `initial_soc_fraction` is NaN.
     pub fn new(config: BatteryPointConfig, initial_soc_fraction: f64) -> Self {
-        let soc = KiloWattHour::new(Ratio::saturating(initial_soc_fraction) * config.capacity_kwh)
-            .clamp(config.soc_min_kwh(), config.soc_max_kwh());
+        let soc = config.clamped_soc(initial_soc_fraction);
         Self { config, soc }
     }
 
@@ -211,7 +222,7 @@ impl BatteryPoint {
         self.soc.as_f64() / self.config.capacity_kwh
     }
 
-    /// Overwrites the SoC with a value the SoA fast path already bounded.
+    /// Overwrites the SoC with a value the slot kernel already bounded.
     /// No clamping: the caller guarantees the value came from the same
     /// Eq. 3–5 arithmetic [`Self::apply`] would have produced.
     pub(crate) fn set_soc_kwh(&mut self, soc_kwh: f64) {
@@ -220,8 +231,7 @@ impl BatteryPoint {
 
     /// Resets the SoC (start of an episode).
     pub fn reset(&mut self, soc_fraction: f64) {
-        self.soc = KiloWattHour::new(Ratio::saturating(soc_fraction) * self.config.capacity_kwh)
-            .clamp(self.config.soc_min_kwh(), self.config.soc_max_kwh());
+        self.soc = self.config.clamped_soc(soc_fraction);
     }
 
     /// Applies one slot of the given action (Eqs. 3–5, 8).

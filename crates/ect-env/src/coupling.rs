@@ -21,14 +21,16 @@
 //!   neighbour SoC, mean neighbour load, own and mean-neighbour curtailment
 //!   share) so a policy can learn to coordinate.
 //!
-//! Determinism contract (pinned by `tests/coupling_equivalence.rs` and the
-//! proptests below): the feeder total is summed in `total_cmp`-sorted order,
+//! Determinism contract (pinned by `tests/coupling_equivalence.rs`,
+//! `tests/engine_golden.rs` and the proptests below): the feeder total is summed in `total_cmp`-sorted order,
 //! so the allocation is invariant to lane permutation; the spillover
 //! exchange visits origins in ascending lane index and each origin's
 //! neighbours in the topology's sorted order; no phase consults wall-clock,
 //! RNG or thread identity. A coupled slot is therefore a pure function of
-//! the lane inputs, bit-identical across thread counts and across the
-//! scalar/SoA stepping paths (both call `coupled_slot`, the one kernel).
+//! the lane inputs, bit-identical across thread counts. It runs only on
+//! coupled fleets: [`crate::vec_env::FleetEnv::step_batch_soa`] applies
+//! every lane's battery on the slot kernel, then hands the exchange to
+//! `coupled_slot`.
 
 use ect_data::HubTopology;
 use ect_types::units::DollarsPerKwh;
@@ -187,8 +189,8 @@ impl CouplingConfig {
     }
 }
 
-/// One lane's action-independent inputs to the coupled slot kernel, plain
-/// `f64`s so the scalar and SoA stepping paths feed bit-identical operands.
+/// One lane's inputs to the coupled slot exchange, plain `f64`s read from
+/// the slot kernel's lanes (battery already applied).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CoupledLaneInputs {
     /// Base-station draw `P_BS(t)`, kW.
@@ -251,8 +253,7 @@ pub(crate) struct CoupledLaneOutputs {
 /// Advances one *coupled* fleet slot: EV spillover exchange, feeder bids,
 /// proportional-fairness allocation, then per-lane accounting. Batteries
 /// are already applied — `inputs[lane].p_bp` carries the result — so this
-/// kernel is a pure deterministic function of its arguments, shared by the
-/// scalar and SoA stepping paths (the bit-identity pin).
+/// exchange is a pure deterministic function of its arguments.
 pub(crate) fn coupled_slot(
     config: &CouplingConfig,
     inputs: &[CoupledLaneInputs],

@@ -4,7 +4,10 @@
 //! applies one battery action to one hourly slot, computes the power balance
 //! (Eq. 7), the costs (Eqs. 8–10) and the charging revenue (Eq. 11), and
 //! returns the per-slot profit (Eq. 12) as the reward together with the next
-//! state (Eq. 24).
+//! state (Eq. 24). A `HubEnv` is a one-lane [`FleetEnv`]: the slot physics
+//! run in the fleet's kernel (the private `soa` module), and the readable
+//! one-hub reference of the same equations lives in the test-only `oracle`
+//! module.
 //!
 //! The state is
 //! `s_t = (RTP⃗, weather⃗, traffic⃗, SRTP⃗, SoC)` — sliding windows of the
@@ -13,191 +16,203 @@
 
 use crate::battery::{BatteryPoint, BatteryPointConfig, BpAction};
 use crate::hub::HubConfig;
-use crate::power::grid_power;
 use crate::tariff::DiscountSchedule;
+use crate::vec_env::{FleetEnv, HubSeries};
 use ect_data::charging::Stratum;
 use ect_data::traffic::TrafficSample;
 use ect_data::weather::WeatherSample;
-use ect_types::units::{DollarsPerKwh, KiloWatt, Money};
+use ect_types::units::{DollarsPerKwh, KiloWatt, KiloWattHour, Money};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// Borrowed view of one slot's exogenous inputs — the argument of
-/// [`compute_slot`], buildable from [`EpisodeInputs`] (single-hub path) or
-/// from the `Arc`-shared lanes of a [`crate::vec_env::FleetEnv`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SlotInputs<'a> {
-    /// Grid price `RTP(t)`.
-    pub rtp: DollarsPerKwh,
-    /// Weather at the slot.
-    pub weather: &'a WeatherSample,
-    /// Base-station load rate at the slot.
-    pub traffic: &'a TrafficSample,
-    /// Discount level `c(t)` decided by the pricing engine.
-    pub discount_level: f64,
-    /// Ground-truth charging stratum.
-    pub stratum: Stratum,
-    /// `true` while a scripted grid outage covers the slot: no grid import,
-    /// no grid-side battery charging, unserved load penalised at the
-    /// configured value of lost load.
-    pub outage: bool,
-}
+/// Divisor of the RTP observation window, $/kWh (≈ the high end of RTP).
+pub const PRICE_SCALE: f64 = 0.15;
+/// Divisor of the solar-irradiance observation window, W/m².
+pub const IRRADIANCE_SCALE: f64 = 1000.0;
+/// Divisor of the wind-speed observation window, m/s.
+pub const WIND_SCALE: f64 = 25.0;
 
-/// Advances one slot of the hub dynamics: applies the battery action,
-/// balances power (Eq. 7), and accounts costs and revenue (Eqs. 8–12).
-///
-/// During a scripted grid outage (`inputs.outage`) the grid is gone and the
-/// hub follows the ride-through doctrine of [`crate::blackout`]: the
-/// charging station is shed immediately (no EV service, no revenue), a
-/// `Charge` request degrades to `Idle` (grid-side charging has no source),
-/// grid import is zero, and whatever *base-station* demand the renewables
-/// and the battery cannot cover is unserved — penalised in the reward at
-/// the configured [`HubConfig::outage_voll`]. With `outage == false` the
-/// slot is the historical kernel bit for bit.
-///
-/// This is *the* slot kernel — [`HubEnv::step`] and the batched
-/// [`crate::vec_env::FleetEnv::step_batch`] both call it, which is what
-/// makes batched and sequential stepping bit-identical.
-pub(crate) fn compute_slot(
-    config: &HubConfig,
-    inputs: SlotInputs<'_>,
-    battery: &mut BatteryPoint,
-    action: BpAction,
-    t: usize,
-) -> SlotBreakdown {
-    let action = if inputs.outage && action == BpAction::Charge {
-        BpAction::Idle
-    } else {
-        action
-    };
-    let bp = battery.apply(action);
+/// The readable reference of the slot physics: one hub, one slot, written
+/// with the unit types exactly as the paper states the equations. The
+/// production kernel (`crate::soa::SlotLanes`) must match it bit for bit;
+/// the `vec_env` proptest checks that on generated fleets.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{IRRADIANCE_SCALE, PRICE_SCALE, WIND_SCALE};
+    use crate::battery::{BatteryPoint, BpAction};
+    use crate::env::SlotBreakdown;
+    use crate::hub::HubConfig;
+    use crate::power::grid_power;
+    use crate::tariff::DiscountSchedule;
+    use ect_data::charging::Stratum;
+    use ect_data::traffic::TrafficSample;
+    use ect_data::weather::WeatherSample;
+    use ect_types::units::{DollarsPerKwh, KiloWatt, Money};
 
-    let p_bs = config.base_station.power(inputs.traffic.load_rate);
-    let discounted = inputs.discount_level > 0.0;
-    // Load shedding: the charging station is disconnected for the outage
-    // (same doctrine as the ride-through simulation in `crate::blackout`).
-    let ev_charged = !inputs.outage && inputs.stratum.outcome(discounted);
-    let p_cs = config.charging_station.power(ev_charged);
-    let p_pv = config.plant.pv_power(inputs.weather);
-    let p_wt = config.plant.wt_power(inputs.weather);
-    let p_demand = grid_power(p_bs, p_cs, bp.grid_side_power, p_wt, p_pv);
-
-    // Eq. 7 gives the grid draw; during an outage that draw is unavailable
-    // and becomes unserved energy instead.
-    let (p_grid, unserved_kwh) = if inputs.outage {
-        (KiloWatt::ZERO, p_demand.for_one_slot().as_f64())
-    } else {
-        (p_demand, 0.0)
-    };
-
-    let rtp = inputs.rtp;
-    let srtp = config.tariff.price_with_discount(inputs.discount_level);
-    let revenue = p_cs.for_one_slot() * srtp;
-    let grid_cost = p_grid.for_one_slot() * rtp;
-    let outage_penalty = if inputs.outage {
-        p_demand.for_one_slot() * config.outage_voll
-    } else {
-        Money::ZERO
-    };
-    let reward = revenue - grid_cost - bp.op_cost - outage_penalty;
-
-    SlotBreakdown {
-        slot: t,
-        p_bs,
-        p_cs,
-        p_bp: bp.grid_side_power,
-        p_wt,
-        p_pv,
-        p_grid,
-        srtp,
-        rtp,
-        revenue,
-        grid_cost,
-        bp_cost: bp.op_cost,
-        outage_penalty,
-        unserved_kwh,
-        reward,
-        soc_kwh: bp.soc.as_f64(),
-        effective_action: bp.effective_action,
-        ev_charged,
-        curtailed_kwh: 0.0,
-        curtailment_penalty: Money::ZERO,
-        spill_in: KiloWatt::ZERO,
-        spill_out: KiloWatt::ZERO,
+    /// Borrowed view of one slot's exogenous inputs.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct SlotInputs<'a> {
+        /// Grid price `RTP(t)`.
+        pub rtp: DollarsPerKwh,
+        /// Weather at the slot.
+        pub weather: &'a WeatherSample,
+        /// Base-station load rate at the slot.
+        pub traffic: &'a TrafficSample,
+        /// Discount level `c(t)` decided by the pricing engine.
+        pub discount_level: f64,
+        /// Ground-truth charging stratum.
+        pub stratum: Stratum,
+        /// `true` while a scripted grid outage covers the slot: no grid import,
+        /// no grid-side battery charging, unserved load penalised at the
+        /// configured value of lost load.
+        pub outage: bool,
     }
-}
 
-/// Writes the Eq. 24 observation into `out` without allocating: five
-/// sliding windows (RTP, solar, wind, traffic, SRTP) over the past
-/// `window` slots plus the scalar SoC, all normalised, followed by the
-/// caller's `extra` conditioning block (empty for the paper's plain state —
-/// the layout is then exactly the historical one, bit for bit).
-///
-/// Shared by [`HubEnv::observe_into`] and the batched
-/// [`crate::vec_env::FleetEnv`] observation path.
-///
-/// # Panics
-///
-/// Panics if `out.len() != 5 * window + 1 + extra.len()` or the series are
-/// empty.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_observation(
-    out: &mut [f64],
-    window: usize,
-    t: usize,
-    norm: &ObsNorm,
-    config: &HubConfig,
-    rtp: &[DollarsPerKwh],
-    weather: &[WeatherSample],
-    traffic: &[TrafficSample],
-    discounts: &DiscountSchedule,
-    soc_fraction: f64,
-    extra: &[f64],
-) {
-    assert_eq!(
-        out.len(),
-        5 * window + 1 + extra.len(),
-        "observation buffer size mismatch"
-    );
-    let len = rtp.len();
-    // Monomorphized per closure so the trivial bodies inline on the hot
-    // path (this runs 5×window times per lane per slot).
-    fn fill<F: Fn(usize) -> f64>(
-        out: &mut [f64],
-        cursor: &mut usize,
-        window: usize,
+    /// Advances one slot of the hub dynamics: applies the battery action,
+    /// balances power (Eq. 7), and accounts costs and revenue (Eqs. 8–12).
+    ///
+    /// During a scripted grid outage (`inputs.outage`) the grid is gone and the
+    /// hub follows the ride-through doctrine of [`crate::blackout`]: the
+    /// charging station is shed immediately (no EV service, no revenue), a
+    /// `Charge` request degrades to `Idle` (grid-side charging has no source),
+    /// grid import is zero, and whatever *base-station* demand the renewables
+    /// and the battery cannot cover is unserved — penalised in the reward at
+    /// the configured [`HubConfig::outage_voll`].
+    pub(crate) fn compute_slot(
+        config: &HubConfig,
+        inputs: SlotInputs<'_>,
+        battery: &mut BatteryPoint,
+        action: BpAction,
         t: usize,
-        len: usize,
-        f: F,
-    ) {
-        // Values at slots (t-window+1 ..= t), clamped at episode start.
-        for k in 0..window {
-            let idx = (t + k).saturating_sub(window - 1).min(len - 1);
-            out[*cursor] = f(idx);
-            *cursor += 1;
+    ) -> SlotBreakdown {
+        let action = if inputs.outage && action == BpAction::Charge {
+            BpAction::Idle
+        } else {
+            action
+        };
+        let bp = battery.apply(action);
+
+        let p_bs = config.base_station.power(inputs.traffic.load_rate);
+        let discounted = inputs.discount_level > 0.0;
+        // Load shedding: the charging station is disconnected for the outage
+        // (same doctrine as the ride-through simulation in `crate::blackout`).
+        let ev_charged = !inputs.outage && inputs.stratum.outcome(discounted);
+        let p_cs = config.charging_station.power(ev_charged);
+        let p_pv = config.plant.pv_power(inputs.weather);
+        let p_wt = config.plant.wt_power(inputs.weather);
+        let p_demand = grid_power(p_bs, p_cs, bp.grid_side_power, p_wt, p_pv);
+
+        // Eq. 7 gives the grid draw; during an outage that draw is unavailable
+        // and becomes unserved energy instead.
+        let (p_grid, unserved_kwh) = if inputs.outage {
+            (KiloWatt::ZERO, p_demand.for_one_slot().as_f64())
+        } else {
+            (p_demand, 0.0)
+        };
+
+        let rtp = inputs.rtp;
+        let srtp = config.tariff.price_with_discount(inputs.discount_level);
+        let revenue = p_cs.for_one_slot() * srtp;
+        let grid_cost = p_grid.for_one_slot() * rtp;
+        let outage_penalty = if inputs.outage {
+            p_demand.for_one_slot() * config.outage_voll
+        } else {
+            Money::ZERO
+        };
+        let reward = revenue - grid_cost - bp.op_cost - outage_penalty;
+
+        SlotBreakdown {
+            slot: t,
+            p_bs,
+            p_cs,
+            p_bp: bp.grid_side_power,
+            p_wt,
+            p_pv,
+            p_grid,
+            srtp,
+            rtp,
+            revenue,
+            grid_cost,
+            bp_cost: bp.op_cost,
+            outage_penalty,
+            unserved_kwh,
+            reward,
+            soc_kwh: bp.soc.as_f64(),
+            effective_action: bp.effective_action,
+            ev_charged,
+            curtailed_kwh: 0.0,
+            curtailment_penalty: Money::ZERO,
+            spill_in: KiloWatt::ZERO,
+            spill_out: KiloWatt::ZERO,
         }
     }
-    let mut cursor = 0usize;
-    fill(out, &mut cursor, window, t, len, |i| {
-        rtp[i].as_f64() / norm.price_scale
-    });
-    fill(out, &mut cursor, window, t, len, |i| {
-        weather[i].solar_irradiance / norm.irradiance_scale
-    });
-    fill(out, &mut cursor, window, t, len, |i| {
-        weather[i].wind_speed / norm.wind_scale
-    });
-    fill(out, &mut cursor, window, t, len, |i| {
-        traffic[i].load_rate.as_f64()
-    });
-    fill(out, &mut cursor, window, t, len, |i| {
-        config
-            .tariff
-            .price_with_discount(discounts.level(i))
-            .as_f64()
-            / config.tariff.base_price.as_f64()
-    });
-    out[cursor] = soc_fraction;
-    out[cursor + 1..].copy_from_slice(extra);
+
+    /// Writes the Eq. 24 observation into `out`: five sliding windows (RTP,
+    /// solar, wind, traffic, SRTP) over the past `window` slots plus the
+    /// scalar SoC, all normalised, followed by the caller's `extra`
+    /// conditioning block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != 5 * window + 1 + extra.len()` or the series are
+    /// empty.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn write_observation(
+        out: &mut [f64],
+        window: usize,
+        t: usize,
+        config: &HubConfig,
+        rtp: &[DollarsPerKwh],
+        weather: &[WeatherSample],
+        traffic: &[TrafficSample],
+        discounts: &DiscountSchedule,
+        soc_fraction: f64,
+        extra: &[f64],
+    ) {
+        assert_eq!(
+            out.len(),
+            5 * window + 1 + extra.len(),
+            "observation buffer size mismatch"
+        );
+        let len = rtp.len();
+        fn fill<F: Fn(usize) -> f64>(
+            out: &mut [f64],
+            cursor: &mut usize,
+            window: usize,
+            t: usize,
+            len: usize,
+            f: F,
+        ) {
+            // Values at slots (t-window+1 ..= t), clamped at episode start.
+            for k in 0..window {
+                let idx = (t + k).saturating_sub(window - 1).min(len - 1);
+                out[*cursor] = f(idx);
+                *cursor += 1;
+            }
+        }
+        let mut cursor = 0usize;
+        fill(out, &mut cursor, window, t, len, |i| {
+            rtp[i].as_f64() / PRICE_SCALE
+        });
+        fill(out, &mut cursor, window, t, len, |i| {
+            weather[i].solar_irradiance / IRRADIANCE_SCALE
+        });
+        fill(out, &mut cursor, window, t, len, |i| {
+            weather[i].wind_speed / WIND_SCALE
+        });
+        fill(out, &mut cursor, window, t, len, |i| {
+            traffic[i].load_rate.as_f64()
+        });
+        fill(out, &mut cursor, window, t, len, |i| {
+            config
+                .tariff
+                .price_with_discount(discounts.level(i))
+                .as_f64()
+                / config.tariff.base_price.as_f64()
+        });
+        out[cursor] = soc_fraction;
+        out[cursor + 1..].copy_from_slice(extra);
+    }
 }
 
 /// Opt-in augmentation of the Eq. 24 observation with a scenario-feature
@@ -338,7 +353,10 @@ impl EpisodeInputs {
 }
 
 /// Everything that happened in one slot — the audit trail for experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// The default is the all-zero slot: every power, price and money field at
+/// zero, effective action [`BpAction::Idle`], no EV charged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SlotBreakdown {
     /// Slot index within the episode.
     pub slot: usize,
@@ -395,38 +413,6 @@ pub struct SlotBreakdown {
     pub spill_out: KiloWatt,
 }
 
-impl Default for SlotBreakdown {
-    /// The all-zero slot: every power, price and money field at zero,
-    /// effective action [`BpAction::Idle`], no EV charged. Used as the
-    /// pre-first-step placeholder in batched engines.
-    fn default() -> Self {
-        Self {
-            slot: 0,
-            p_bs: KiloWatt::ZERO,
-            p_cs: KiloWatt::ZERO,
-            p_bp: KiloWatt::ZERO,
-            p_wt: KiloWatt::ZERO,
-            p_pv: KiloWatt::ZERO,
-            p_grid: KiloWatt::ZERO,
-            srtp: DollarsPerKwh::ZERO,
-            rtp: DollarsPerKwh::ZERO,
-            revenue: Money::ZERO,
-            grid_cost: Money::ZERO,
-            bp_cost: Money::ZERO,
-            outage_penalty: Money::ZERO,
-            unserved_kwh: 0.0,
-            reward: Money::ZERO,
-            soc_kwh: 0.0,
-            effective_action: BpAction::Idle,
-            ev_charged: false,
-            curtailed_kwh: 0.0,
-            curtailment_penalty: Money::ZERO,
-            spill_in: KiloWatt::ZERO,
-            spill_out: KiloWatt::ZERO,
-        }
-    }
-}
-
 /// Result of one environment step.
 #[derive(Debug, Clone)]
 pub struct StepResult {
@@ -440,28 +426,13 @@ pub struct StepResult {
     pub breakdown: SlotBreakdown,
 }
 
-/// Normalisation constants for the observation vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObsNorm {
-    /// Price scale, $/kWh (≈ the high end of RTP).
-    pub price_scale: f64,
-    /// Irradiance scale, W/m².
-    pub irradiance_scale: f64,
-    /// Wind-speed scale, m/s.
-    pub wind_scale: f64,
-}
-
-impl Default for ObsNorm {
-    fn default() -> Self {
-        Self {
-            price_scale: 0.15,
-            irradiance_scale: 1000.0,
-            wind_scale: 25.0,
-        }
-    }
-}
-
-/// The single-hub environment.
+/// The single-hub environment: a one-lane [`FleetEnv`].
+///
+/// It owns no state of its own — battery, series and slot cursor all live
+/// in the fleet lane — so a `HubEnv` episode runs the same slot kernel as
+/// every batched fleet and its [`StepResult::breakdown`] is the fleet's
+/// on-demand audit trail ([`FleetEnv::breakdown`]).
+///
 ///
 /// # Example
 ///
@@ -491,17 +462,8 @@ impl Default for ObsNorm {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HubEnv {
-    config: HubConfig,
-    inputs: EpisodeInputs,
-    battery: BatteryPoint,
-    norm: ObsNorm,
-    window: usize,
-    t: usize,
-    /// Scenario-conditioning block appended to every observation (empty =
-    /// the plain Eq. 24 state).
-    aug: Vec<f64>,
-    /// Per-slot scripted-outage mask (empty = the grid never fails).
-    outages: Vec<bool>,
+    /// The one lane. `pub(crate)` so [`FleetEnv::from_envs`] can lift it.
+    pub(crate) fleet: FleetEnv,
 }
 
 impl HubEnv {
@@ -512,165 +474,159 @@ impl HubEnv {
     /// Returns configuration/shape errors from [`HubConfig::validate`] and
     /// [`EpisodeInputs::validate`], or `InvalidConfig` for a zero window.
     pub fn new(config: HubConfig, inputs: EpisodeInputs, window: usize) -> ect_types::Result<Self> {
-        config.validate()?;
         inputs.validate()?;
-        if window == 0 {
-            return Err(ect_types::EctError::InvalidConfig(
-                "observation window must be at least one slot".into(),
-            ));
-        }
-        let battery = BatteryPoint::new(config.battery.clone(), 0.5);
-        Ok(Self {
-            config,
-            inputs,
-            battery,
-            norm: ObsNorm::default(),
-            window,
-            t: 0,
-            aug: Vec::new(),
-            outages: Vec::new(),
-        })
+        Self::from_lane(config, HubSeries::from_inputs(inputs), window)
+    }
+
+    /// The one-lane fleet over `(config, series)`.
+    pub(crate) fn from_lane(
+        config: HubConfig,
+        series: HubSeries,
+        window: usize,
+    ) -> ect_types::Result<Self> {
+        let fleet = FleetEnv::new(vec![(config, series)], window)?;
+        Ok(Self { fleet })
+    }
+
+    /// Rebuilds the environment over new series, keeping config, window
+    /// and conditioning block; the episode restarts at slot 0 with the
+    /// default SoC.
+    fn with_series(&self, series: HubSeries) -> ect_types::Result<Self> {
+        let fleet = Self::from_lane(self.config().clone(), series, self.window())?
+            .fleet
+            .with_lane_features(vec![self.augmentation().to_vec()])?;
+        Ok(Self { fleet })
     }
 
     /// Builder: scripts a per-slot grid-outage mask over the episode —
     /// masked slots shed the charging station, cut grid import and penalise
     /// unserved load at [`HubConfig::outage_voll`]. An empty mask restores
-    /// the always-on grid.
+    /// the always-on grid. The episode restarts at slot 0 with the default
+    /// SoC.
     ///
     /// # Errors
     ///
     /// Returns [`ect_types::EctError::ShapeMismatch`] when the mask is
     /// neither empty nor exactly one flag per slot.
-    pub fn with_outages(mut self, outages: Vec<bool>) -> ect_types::Result<Self> {
-        if !outages.is_empty() && outages.len() != self.inputs.len() {
+    pub fn with_outages(self, outages: Vec<bool>) -> ect_types::Result<Self> {
+        let len = self.episode_len();
+        if !outages.is_empty() && outages.len() != len {
             return Err(ect_types::EctError::ShapeMismatch {
                 context: "episode outage mask",
-                expected: self.inputs.len(),
+                expected: len,
                 actual: outages.len(),
             });
         }
-        self.outages = outages;
-        Ok(self)
+        let mut series = self.series().clone();
+        series.outages = if outages.is_empty() {
+            vec![false; len].into()
+        } else {
+            outages.into()
+        };
+        self.with_series(series)
     }
 
-    /// The scripted per-slot outage mask (empty = the grid never fails).
+    /// The scripted per-slot outage mask, one flag per slot (all `false`
+    /// when the grid never fails).
     pub fn outages(&self) -> &[bool] {
-        &self.outages
+        &self.series().outages
     }
 
     /// Builder: appends a fixed scenario-conditioning block to every
     /// observation (see [`ObsAugmentation`]). An empty block restores the
     /// plain Eq. 24 state.
     #[must_use]
-    pub fn with_augmentation(mut self, features: Vec<f64>) -> Self {
-        self.aug = features;
-        self
+    pub fn with_augmentation(self, features: Vec<f64>) -> Self {
+        let fleet = self
+            .fleet
+            .with_lane_features(vec![features])
+            .expect("one block for the one lane");
+        Self { fleet }
     }
 
     /// The scenario-conditioning block appended to observations (empty for
     /// the plain Eq. 24 state).
     pub fn augmentation(&self) -> &[f64] {
-        &self.aug
+        self.fleet.lane_features(0)
     }
 
     /// Dimension of the observation vector: `5 × window + 1` (RTP, solar,
     /// wind, traffic, SRTP windows plus SoC), plus the scenario-conditioning
     /// block when one is attached.
     pub fn state_dim(&self) -> usize {
-        5 * self.window + 1 + self.aug.len()
+        self.fleet.state_dim()
     }
 
     /// Episode length in slots.
     pub fn episode_len(&self) -> usize {
-        self.inputs.len()
+        self.fleet.horizon()
     }
 
     /// Current slot index.
     pub fn slot(&self) -> usize {
-        self.t
+        self.fleet.slot()
     }
 
     /// The hub configuration.
     pub fn config(&self) -> &HubConfig {
-        &self.config
+        &self.fleet.configs()[0]
     }
 
-    /// The battery point (for inspection).
-    pub fn battery(&self) -> &BatteryPoint {
-        &self.battery
+    /// Current state of charge.
+    pub fn soc(&self) -> KiloWattHour {
+        self.fleet.lane_soc(0)
     }
 
-    /// Episode inputs (for inspection).
-    pub fn inputs(&self) -> &EpisodeInputs {
-        &self.inputs
+    /// The episode's exogenous series (for inspection).
+    pub fn series(&self) -> &HubSeries {
+        &self.fleet.series()[0]
     }
 
     /// Swaps in a new discount schedule (e.g. from a different pricing
-    /// engine) without regenerating the exogenous series.
+    /// engine) without regenerating the exogenous series. The episode
+    /// restarts at slot 0 with the default SoC.
     ///
     /// # Errors
     ///
     /// Returns [`ect_types::EctError::ShapeMismatch`] if the length differs.
     pub fn set_discounts(&mut self, discounts: DiscountSchedule) -> ect_types::Result<()> {
-        if discounts.len() != self.inputs.len() {
+        if discounts.len() != self.episode_len() {
             return Err(ect_types::EctError::ShapeMismatch {
                 context: "discount schedule",
-                expected: self.inputs.len(),
+                expected: self.episode_len(),
                 actual: discounts.len(),
             });
         }
-        self.inputs.discounts = discounts;
+        let mut series = self.series().clone();
+        series.discounts = Arc::new(discounts);
+        *self = self.with_series(series)?;
         Ok(())
     }
 
     /// Resets to slot 0 with the given initial SoC fraction; returns the
     /// initial observation. The paper randomises the SoC at episode start.
     pub fn reset(&mut self, initial_soc_fraction: f64) -> Vec<f64> {
-        self.battery.reset(initial_soc_fraction);
-        self.t = 0;
-        self.observe()
+        self.fleet.reset(&[initial_soc_fraction]).to_vec()
     }
 
     /// Writes the observation at the current slot (Eq. 24) into a
-    /// caller-provided buffer — the allocation-free hot path the batched
-    /// [`crate::vec_env::FleetEnv`] engine also rides.
+    /// caller-provided buffer.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.state_dim()`.
     pub fn observe_into(&self, out: &mut [f64]) {
-        write_observation(
-            out,
-            self.window,
-            self.t,
-            &self.norm,
-            &self.config,
-            &self.inputs.rtp,
-            &self.inputs.weather,
-            &self.inputs.traffic,
-            &self.inputs.discounts,
-            self.battery.soc_fraction(),
-            &self.aug,
-        );
+        self.fleet.observe_into(0, out);
     }
 
     /// Builds the observation at the current slot (Eq. 24).
-    ///
-    /// Thin allocating wrapper over [`HubEnv::observe_into`].
     pub fn observe(&self) -> Vec<f64> {
-        let mut s = vec![0.0; self.state_dim()];
-        self.observe_into(&mut s);
-        s
+        self.fleet.lane_obs(0).to_vec()
     }
 
     /// Observation window length in slots.
     pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Normalisation constants of the observation.
-    pub fn norm(&self) -> &ObsNorm {
-        &self.norm
+        self.fleet.window()
     }
 
     /// Advances one slot under the given battery action.
@@ -679,33 +635,13 @@ impl HubEnv {
     ///
     /// Panics if called after the episode finished (reset first).
     pub fn step(&mut self, action: BpAction) -> StepResult {
-        assert!(
-            self.t < self.inputs.len(),
-            "step called on finished episode; call reset"
-        );
-        let t = self.t;
-        let breakdown = compute_slot(
-            &self.config,
-            SlotInputs {
-                rtp: self.inputs.rtp[t],
-                weather: &self.inputs.weather[t],
-                traffic: &self.inputs.traffic[t],
-                discount_level: self.inputs.discounts.level(t),
-                stratum: self.inputs.strata[t],
-                outage: self.outages.get(t).copied().unwrap_or(false),
-            },
-            &mut self.battery,
-            action,
-            t,
-        );
-
-        self.t += 1;
-        let done = self.t >= self.inputs.len();
+        let step = self.fleet.step_batch_soa(&[action]);
+        let (state, reward, done) = (step.obs.to_vec(), step.rewards[0], step.done);
         StepResult {
-            state: self.observe(),
-            reward: breakdown.reward.as_f64(),
+            state,
+            reward,
             done,
-            breakdown,
+            breakdown: self.fleet.breakdown(0),
         }
     }
 
@@ -734,8 +670,10 @@ impl HubEnv {
     /// Verifies the Eq. 6 blackout guarantee at the current SoC: how long the
     /// base station survives on battery alone at worst-case load.
     pub fn blackout_endurance_hours(&self) -> f64 {
-        self.battery
-            .blackout_endurance_hours(self.config.base_station.max_power())
+        let config = self.config();
+        let mut battery = BatteryPoint::new(config.battery.clone(), 0.0);
+        battery.set_soc_kwh(self.soc().as_f64());
+        battery.blackout_endurance_hours(config.base_station.max_power())
     }
 }
 
@@ -930,7 +868,7 @@ mod tests {
         let env = HubEnv::new(HubConfig::urban(), flat_inputs(24, Stratum::NoCharge), 4).unwrap();
         assert!(env.clone().with_outages(vec![true; 3]).is_err());
         let cleared = env.clone().with_outages(Vec::new()).unwrap();
-        assert!(cleared.outages().is_empty());
+        assert!(cleared.outages().iter().all(|&o| !o));
         assert!(env.with_outages(vec![false; 24]).is_ok());
     }
 
@@ -1084,7 +1022,7 @@ mod tests {
             let _ = seed;
             let mut e = env(24, Stratum::AlwaysCharge);
             e.reset(0.5);
-            let cfg = e.battery().config().clone();
+            let cfg = e.config().battery.clone();
             for &a in &actions {
                 let r = e.step(BpAction::from_index(a));
                 prop_assert!(r.reward.is_finite());

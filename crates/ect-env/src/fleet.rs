@@ -45,8 +45,8 @@ pub fn draw_strata(
 
 /// Shared validation for one hub's episode request: hub in range, window
 /// inside the world horizon, discount schedule the right length. Used by
-/// both the sequential [`episode_for_hub`] and the batched
-/// [`fleet_env_for_hubs`] builders so the two paths cannot drift.
+/// both the single-hub [`episode_for_hub`] and the fleet builders so the
+/// two cannot drift.
 fn validate_episode_request(
     world: &WorldDataset,
     hub: HubId,
@@ -162,12 +162,14 @@ pub fn env_for_hub(
 ) -> ect_types::Result<HubEnv> {
     let inputs = episode_for_hub(world, hub, start_slot, len, discounts, rng)?;
     let config = HubConfig::for_siting(world.hubs[hub.index()].siting);
-    HubEnv::new(config, inputs, window)?.with_outages(outage_mask(world, start_slot, len))
+    let mut series = HubSeries::from_inputs(inputs);
+    series.outages = outage_mask(world, start_slot, len).into();
+    HubEnv::from_lane(config, series, window)
 }
 
 /// The per-slot scripted-outage mask of a world's scenario over one episode
 /// window — how `SlotWindow` outage scripts reach the stepping reward path
-/// (grid gone, unserved load penalised; see `ect_env::env::compute_slot`).
+/// (grid gone, unserved load penalised at the hub's value of lost load).
 pub fn outage_mask(world: &WorldDataset, start_slot: usize, len: usize) -> Vec<bool> {
     let mut mask = vec![false; len];
     for window in &world.scenario.outages {
@@ -200,8 +202,8 @@ fn shared_rtp_slice(
 /// Builds one fleet lane: same validation and strata draws as
 /// [`episode_for_hub`], but assembled straight into `Arc` series so the
 /// shared RTP slice is never copied per lane. The single lane constructor
-/// behind [`fleet_env_for_hubs`] and [`fleet_env_for_scenarios`] — the two
-/// batched paths cannot drift from each other or from the sequential one.
+/// behind every fleet builder — they cannot drift from each other or from
+/// the single-hub [`env_for_hub`].
 fn build_lane(
     world: &WorldDataset,
     shared_rtp: &Arc<[ect_types::units::DollarsPerKwh]>,
@@ -225,12 +227,57 @@ fn build_lane(
     Ok((HubConfig::for_siting(traces.siting), series))
 }
 
+/// Rejects per-lane `discounts`/`rngs` whose counts differ from the lane
+/// count; `contexts` names the two shapes in the error.
+fn check_lane_counts(
+    lanes: usize,
+    discounts: usize,
+    rngs: usize,
+    contexts: (&'static str, &'static str),
+) -> ect_types::Result<()> {
+    for (context, actual) in [(contexts.0, discounts), (contexts.1, rngs)] {
+        if actual != lanes {
+            return Err(ect_types::EctError::ShapeMismatch {
+                context,
+                expected: lanes,
+                actual,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// One lane per hub of `world`, all sharing the world's RTP slice.
+fn hub_lanes(
+    world: &WorldDataset,
+    hubs: &[HubId],
+    start_slot: usize,
+    len: usize,
+    discounts: &[DiscountSchedule],
+    rngs: &mut [EctRng],
+) -> ect_types::Result<Vec<(HubConfig, HubSeries)>> {
+    check_lane_counts(
+        hubs.len(),
+        discounts.len(),
+        rngs.len(),
+        ("fleet discount schedules", "fleet strata rngs"),
+    )?;
+    let shared_rtp = shared_rtp_slice(world, start_slot, len)?;
+    hubs.iter()
+        .zip(discounts)
+        .zip(rngs.iter_mut())
+        .map(|((&hub, schedule), rng)| {
+            build_lane(world, &shared_rtp, hub, start_slot, len, schedule, rng)
+        })
+        .collect()
+}
+
 /// Builds a batched [`FleetEnv`] over several hubs of the world, one lane
 /// per hub, with the regional RTP series stored **once** and `Arc`-shared
 /// across all lanes.
 ///
 /// Lane `i` draws its strata from `rngs[i]` with exactly the calls
-/// [`env_for_hub`] would make for that hub — batched and sequential
+/// [`env_for_hub`] would make for that hub — batched and single-hub
 /// construction therefore see identical episodes under paired seeds.
 ///
 /// # Errors
@@ -247,34 +294,10 @@ pub fn fleet_env_for_hubs(
     window: usize,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    if discounts.len() != hubs.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "fleet discount schedules",
-            expected: hubs.len(),
-            actual: discounts.len(),
-        });
-    }
-    if rngs.len() != hubs.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "fleet strata rngs",
-            expected: hubs.len(),
-            actual: rngs.len(),
-        });
-    }
-    let shared_rtp = shared_rtp_slice(world, start_slot, len)?;
-    let mut lanes = Vec::with_capacity(hubs.len());
-    for ((&hub, schedule), rng) in hubs.iter().zip(discounts).zip(rngs.iter_mut()) {
-        lanes.push(build_lane(
-            world,
-            &shared_rtp,
-            hub,
-            start_slot,
-            len,
-            schedule,
-            rng,
-        )?);
-    }
-    FleetEnv::new(lanes, window)
+    FleetEnv::new(
+        hub_lanes(world, hubs, start_slot, len, discounts, rngs)?,
+        window,
+    )
 }
 
 /// Swaps each lane's traffic series for the matching entry of `traffic` —
@@ -331,33 +354,7 @@ pub fn fleet_env_for_hubs_with_traffic(
     traffic: &[Arc<[TrafficSample]>],
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    if discounts.len() != hubs.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "fleet discount schedules",
-            expected: hubs.len(),
-            actual: discounts.len(),
-        });
-    }
-    if rngs.len() != hubs.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "fleet strata rngs",
-            expected: hubs.len(),
-            actual: rngs.len(),
-        });
-    }
-    let shared_rtp = shared_rtp_slice(world, start_slot, len)?;
-    let mut lanes = Vec::with_capacity(hubs.len());
-    for ((&hub, schedule), rng) in hubs.iter().zip(discounts).zip(rngs.iter_mut()) {
-        lanes.push(build_lane(
-            world,
-            &shared_rtp,
-            hub,
-            start_slot,
-            len,
-            schedule,
-            rng,
-        )?);
-    }
+    let mut lanes = hub_lanes(world, hubs, start_slot, len, discounts, rngs)?;
     override_lane_traffic(&mut lanes, traffic, len)?;
     FleetEnv::new(lanes, window)
 }
@@ -385,20 +382,15 @@ pub fn fleet_env_for_scenarios(
     window: usize,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    if discounts.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "scenario fleet discount schedules",
-            expected: lanes.len(),
-            actual: discounts.len(),
-        });
-    }
-    if rngs.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "scenario fleet strata rngs",
-            expected: lanes.len(),
-            actual: rngs.len(),
-        });
-    }
+    check_lane_counts(
+        lanes.len(),
+        discounts.len(),
+        rngs.len(),
+        (
+            "scenario fleet discount schedules",
+            "scenario fleet strata rngs",
+        ),
+    )?;
     // One world and one shared RTP slice per distinct spec.
     let mut worlds: Vec<(
         &ScenarioSpec,
@@ -458,6 +450,62 @@ pub fn fleet_env_for_scenarios_augmented(
     fleet.with_lane_features(features)
 }
 
+/// One lane per `(world, hub)` pair; lanes sharing one `&WorldDataset`
+/// share one RTP allocation (pointer identity: callers pass the same
+/// reference for lanes of the same world).
+fn world_lanes(
+    lanes: &[(&WorldDataset, HubId)],
+    start_slot: usize,
+    len: usize,
+    discounts: &[DiscountSchedule],
+    rngs: &mut [EctRng],
+) -> ect_types::Result<Vec<(HubConfig, HubSeries)>> {
+    check_lane_counts(
+        lanes.len(),
+        discounts.len(),
+        rngs.len(),
+        ("world fleet discount schedules", "world fleet strata rngs"),
+    )?;
+    let mut shared: Vec<(*const WorldDataset, Arc<[ect_types::units::DollarsPerKwh]>)> = Vec::new();
+    for (world, _) in lanes {
+        let key: *const WorldDataset = *world;
+        if shared.iter().any(|(k, _)| *k == key) {
+            continue;
+        }
+        shared.push((key, shared_rtp_slice(world, start_slot, len)?));
+    }
+    lanes
+        .iter()
+        .zip(discounts)
+        .zip(rngs.iter_mut())
+        .map(|(((world, hub), schedule), rng)| {
+            let key: *const WorldDataset = *world;
+            let (_, shared_rtp) = shared
+                .iter()
+                .find(|(k, _)| *k == key)
+                .expect("every lane world was sliced above");
+            build_lane(world, shared_rtp, *hub, start_slot, len, schedule, rng)
+        })
+        .collect()
+}
+
+/// Attaches each lane's conditioning block, derived from its world's own
+/// [`ScenarioSpec`] (a no-op when `augment` is off).
+fn with_world_features(
+    fleet: FleetEnv,
+    lanes: &[(&WorldDataset, HubId)],
+    augment: &ObsAugmentation,
+) -> ect_types::Result<FleetEnv> {
+    if augment.width() == 0 {
+        return Ok(fleet);
+    }
+    let features: Vec<Vec<f64>> = lanes
+        .iter()
+        .map(|(world, _)| augment.features_for(&world.scenario, world.horizon()))
+        .collect();
+    fleet.with_lane_features(features)
+}
+
 /// Builds a batched [`FleetEnv`] over **pre-generated** worlds: lane `i`
 /// plays hub `lanes[i].1` of the world `lanes[i].0`. The cheap path for
 /// mixture training, where the same few scenario worlds are re-sliced every
@@ -483,51 +531,8 @@ pub fn fleet_env_for_worlds(
     augment: &ObsAugmentation,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    if discounts.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "world fleet discount schedules",
-            expected: lanes.len(),
-            actual: discounts.len(),
-        });
-    }
-    if rngs.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "world fleet strata rngs",
-            expected: lanes.len(),
-            actual: rngs.len(),
-        });
-    }
-    // One shared RTP slice per distinct world (pointer identity: callers
-    // pass the same reference for lanes of the same world).
-    let mut shared: Vec<(*const WorldDataset, Arc<[ect_types::units::DollarsPerKwh]>)> = Vec::new();
-    for (world, _) in lanes {
-        let key: *const WorldDataset = *world;
-        if shared.iter().any(|(k, _)| *k == key) {
-            continue;
-        }
-        shared.push((key, shared_rtp_slice(world, start_slot, len)?));
-    }
-
-    let mut built = Vec::with_capacity(lanes.len());
-    for (((world, hub), schedule), rng) in lanes.iter().zip(discounts).zip(rngs.iter_mut()) {
-        let key: *const WorldDataset = *world;
-        let (_, shared_rtp) = shared
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("every lane world was sliced above");
-        built.push(build_lane(
-            world, shared_rtp, *hub, start_slot, len, schedule, rng,
-        )?);
-    }
-    let fleet = FleetEnv::new(built, window)?;
-    if augment.width() == 0 {
-        return Ok(fleet);
-    }
-    let features: Vec<Vec<f64>> = lanes
-        .iter()
-        .map(|(world, _)| augment.features_for(&world.scenario, world.horizon()))
-        .collect();
-    fleet.with_lane_features(features)
+    let built = world_lanes(lanes, start_slot, len, discounts, rngs)?;
+    with_world_features(FleetEnv::new(built, window)?, lanes, augment)
 }
 
 /// [`fleet_env_for_worlds`] with the per-lane traffic series replaced by
@@ -551,50 +556,9 @@ pub fn fleet_env_for_worlds_with_traffic(
     traffic: &[Arc<[TrafficSample]>],
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    if discounts.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "world fleet discount schedules",
-            expected: lanes.len(),
-            actual: discounts.len(),
-        });
-    }
-    if rngs.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "world fleet strata rngs",
-            expected: lanes.len(),
-            actual: rngs.len(),
-        });
-    }
-    let mut shared: Vec<(*const WorldDataset, Arc<[ect_types::units::DollarsPerKwh]>)> = Vec::new();
-    for (world, _) in lanes {
-        let key: *const WorldDataset = *world;
-        if shared.iter().any(|(k, _)| *k == key) {
-            continue;
-        }
-        shared.push((key, shared_rtp_slice(world, start_slot, len)?));
-    }
-
-    let mut built = Vec::with_capacity(lanes.len());
-    for (((world, hub), schedule), rng) in lanes.iter().zip(discounts).zip(rngs.iter_mut()) {
-        let key: *const WorldDataset = *world;
-        let (_, shared_rtp) = shared
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("every lane world was sliced above");
-        built.push(build_lane(
-            world, shared_rtp, *hub, start_slot, len, schedule, rng,
-        )?);
-    }
+    let mut built = world_lanes(lanes, start_slot, len, discounts, rngs)?;
     override_lane_traffic(&mut built, traffic, len)?;
-    let fleet = FleetEnv::new(built, window)?;
-    if augment.width() == 0 {
-        return Ok(fleet);
-    }
-    let features: Vec<Vec<f64>> = lanes
-        .iter()
-        .map(|(world, _)| augment.features_for(&world.scenario, world.horizon()))
-        .collect();
-    fleet.with_lane_features(features)
+    with_world_features(FleetEnv::new(built, window)?, lanes, augment)
 }
 
 #[cfg(test)]
@@ -690,50 +654,6 @@ mod tests {
         let a = draw_strata(&w, StationId::new(0), 0, 100, &mut r1);
         let b = draw_strata(&w, StationId::new(0), 0, 100, &mut r2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_fleet_matches_sequential_envs() {
-        let w = world();
-        let hubs: Vec<HubId> = (0..3).map(HubId::new).collect();
-        let discounts = vec![DiscountSchedule::none(48); 3];
-
-        // Sequential: one env per hub, each from its own seeded rng.
-        let mut seq_envs: Vec<HubEnv> = hubs
-            .iter()
-            .map(|&h| {
-                let mut rng = EctRng::seed_from(100 + u64::from(h.as_u32()));
-                env_for_hub(&w, h, 24, 48, DiscountSchedule::none(48), 6, &mut rng).unwrap()
-            })
-            .collect();
-
-        // Batched: same per-hub rngs, one FleetEnv.
-        let mut rngs: Vec<EctRng> = hubs
-            .iter()
-            .map(|&h| EctRng::seed_from(100 + u64::from(h.as_u32())))
-            .collect();
-        let mut fleet = fleet_env_for_hubs(&w, &hubs, 24, 48, &discounts, 6, &mut rngs).unwrap();
-
-        let socs = [0.3, 0.5, 0.7];
-        for (env, &soc) in seq_envs.iter_mut().zip(&socs) {
-            env.reset(soc);
-        }
-        fleet.reset(&socs);
-        for t in 0..48 {
-            let actions = [BpAction::Charge, BpAction::Idle, BpAction::Discharge];
-            let batch_done = {
-                let step = fleet.step_batch(&actions);
-                for (lane, env) in seq_envs.iter_mut().enumerate() {
-                    let seq = env.step(actions[lane]);
-                    assert_eq!(seq.breakdown, step.breakdowns[lane], "slot {t} lane {lane}");
-                    assert_eq!(seq.state.as_slice(), step.lane_obs(lane));
-                }
-                step.done
-            };
-            if batch_done {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -1044,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn outage_scenarios_reach_both_stepping_paths_identically() {
+    fn outage_mask_mirrors_the_scripted_windows_and_reaches_the_reward() {
         use ect_data::scenario::scenario_by_name;
         let config = ect_data::dataset::WorldConfig {
             num_hubs: 2,
@@ -1062,8 +982,7 @@ mod tests {
         assert_eq!(mask.iter().filter(|&&o| o).count(), scripted);
         assert!(outage_mask(&w, 0, 1).len() == 1);
 
-        // Sequential env and batched lane see the same outage slots and
-        // produce bit-identical penalised rewards.
+        // Both builders carry it into the lane, and it penalises the reward.
         let mut rng = EctRng::seed_from(9);
         let mut env = env_for_hub(
             &w,
@@ -1077,7 +996,7 @@ mod tests {
         .unwrap();
         assert_eq!(env.outages(), mask.as_slice());
         let mut rngs = vec![EctRng::seed_from(9)];
-        let mut fleet = fleet_env_for_hubs(
+        let fleet = fleet_env_for_hubs(
             &w,
             &[HubId::new(0)],
             0,
@@ -1088,26 +1007,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(&*fleet.series()[0].outages, mask.as_slice());
-
-        env.reset(0.5);
-        fleet.reset(&[0.5]);
-        let mut outage_slots_hit = 0usize;
-        for t in 0..horizon {
-            let seq = env.step(BpAction::Idle);
-            let step = fleet.step_batch(&[BpAction::Idle]);
-            assert_eq!(seq.breakdown, step.breakdowns[0], "slot {t}");
-            if seq.breakdown.outage_penalty.as_f64() > 0.0 {
-                outage_slots_hit += 1;
-                assert_eq!(seq.breakdown.p_grid.as_f64(), 0.0);
-            }
-            if step.done {
-                break;
-            }
-        }
-        assert!(
-            outage_slots_hit > 0,
-            "scripted outages must reach the stepping reward"
-        );
+        let (_, trail) = env.rollout(0.5, |_, _| BpAction::Idle);
+        let hit = trail
+            .iter()
+            .filter(|b| b.outage_penalty.as_f64() > 0.0)
+            .inspect(|b| assert_eq!(b.p_grid.as_f64(), 0.0))
+            .count();
+        assert!(hit > 0, "scripted outages must reach the stepping reward");
     }
 
     #[test]

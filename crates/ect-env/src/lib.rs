@@ -10,14 +10,16 @@
 //! * [`tariff`] — the selling price `SRTP(t)` and per-slot discount
 //!   schedules (Eq. 11);
 //! * [`hub`] — the assembled [`hub::HubConfig`] with urban/rural presets;
-//! * [`env`](mod@env) — [`env::HubEnv`], whose [`env::HubEnv::step`] advances one
-//!   hourly slot, returns the Eq. 12 profit as the reward and the Eq. 24
-//!   observation, and records a full [`env::SlotBreakdown`] audit trail;
+//! * [`vec_env`] — [`vec_env::FleetEnv`], the one stepping engine: N hubs
+//!   advance in lockstep over `Arc`-shared series through one struct-of-arrays
+//!   slot kernel (the private `soa` module), with an allocation-free
+//!   observation path and the [`env::SlotBreakdown`] audit trail assembled
+//!   on demand by [`vec_env::FleetEnv::breakdown`];
+//! * [`env`](mod@env) — [`env::HubEnv`], a one-lane `FleetEnv` whose
+//!   [`env::HubEnv::step`] advances one hourly slot and returns the Eq. 12
+//!   profit as the reward, the Eq. 24 observation and the slot's audit trail;
 //! * [`fleet`] — slicing a generated [`ect_data::dataset::WorldDataset`]
-//!   into per-hub episodes, sequential or batched;
-//! * [`vec_env`] — [`vec_env::FleetEnv`], the batched fleet engine stepping
-//!   N hubs in lockstep over `Arc`-shared series with an allocation-free
-//!   observation path;
+//!   into per-hub episodes, single-hub or batched;
 //! * [`blackout`] — grid-outage ride-through simulation, exercising the
 //!   Eq. 6 reserve the rest of the system merely guarantees;
 //! * [`coupling`] — the networked multi-hub layer: a shared distribution
@@ -87,4 +89,4 @@ pub use fleet::{
 pub use hub::HubConfig;
 pub use power::{grid_power, BaseStationModel, ChargingStationModel};
 pub use tariff::{DiscountSchedule, SellingTariff};
-pub use vec_env::{BatchStep, FastBatchStep, FleetEnv, HubSeries};
+pub use vec_env::{BatchStep, FleetEnv, HubSeries};

@@ -1,32 +1,29 @@
 //! The batched fleet engine: vectorized lockstep stepping of N hubs.
 //!
-//! The paper evaluates 12 ECT-Hubs; the single-hub [`HubEnv`] steps one hub
-//! at a time and allocates a fresh observation vector per step. [`FleetEnv`]
-//! instead keeps struct-of-arrays state over all lanes — parallel vectors of
-//! configs, batteries and `Arc`-shared exogenous series — advancing every
-//! hub one slot per [`FleetEnv::step_batch`] call and writing all
-//! observations into one flat reusable buffer. After warm-up the stepping
-//! and observation paths perform no heap allocations.
+//! The paper evaluates 12 ECT-Hubs. [`FleetEnv`] keeps struct-of-arrays
+//! state over all lanes — configs, `Arc`-shared exogenous series and the
+//! slot kernel's per-lane battery lanes — advancing every hub one slot per
+//! [`FleetEnv::step_batch_soa`] call and writing all observations into one
+//! flat reusable buffer. After warm-up the stepping and observation paths
+//! perform no heap allocations.
 //!
-//! Bit-exactness: each lane runs the same `compute_slot` kernel and
-//! `write_observation` layout as [`HubEnv::step`], so a batched trajectory
-//! is bit-identical to stepping the equivalent `HubEnv`s sequentially (the
-//! `tests/batched_equivalence.rs` suite pins this).
+//! This is the one stepping engine: the single-hub [`HubEnv`] is a one-lane
+//! fleet, and the training loops, evaluation, the metro sweep and the
+//! experiments all step here. The per-slot [`SlotBreakdown`] audit trail is
+//! built on demand by [`FleetEnv::breakdown`], never on the hot path.
 
-use crate::battery::{BatteryPoint, BpAction, BpSlotResult};
+use crate::battery::BpAction;
 use crate::coupling::{
     coupled_slot, write_mutual_obs, CoupledLaneInputs, CoupledLaneOutputs, CouplingConfig,
 };
-use crate::env::{
-    compute_slot, write_observation, EpisodeInputs, HubEnv, ObsNorm, SlotBreakdown, SlotInputs,
-};
+use crate::env::{EpisodeInputs, HubEnv, SlotBreakdown};
 use crate::hub::HubConfig;
 use crate::soa::SlotLanes;
 use crate::tariff::DiscountSchedule;
 use ect_data::charging::Stratum;
 use ect_data::traffic::TrafficSample;
 use ect_data::weather::WeatherSample;
-use ect_types::units::{DollarsPerKwh, KiloWatt, KiloWattHour, Money};
+use ect_types::units::{DollarsPerKwh, KiloWattHour, Money};
 use std::sync::Arc;
 
 /// One hub's exogenous series, reference-counted so fleet lanes can share
@@ -114,8 +111,6 @@ pub struct BatchStep<'a> {
     pub obs: &'a [f64],
     /// Per-lane reward (Eq. 12 profit).
     pub rewards: &'a [f64],
-    /// Per-lane slot accounting.
-    pub breakdowns: &'a [SlotBreakdown],
     /// `true` when every lane's episode has ended (lanes share one horizon,
     /// so all end together).
     pub done: bool,
@@ -133,62 +128,6 @@ impl BatchStep<'_> {
     }
 }
 
-/// Result of one SoA fast-path step ([`FleetEnv::step_batch_soa`]):
-/// observations and rewards only, no per-slot [`SlotBreakdown`] audit trail
-/// (training loops don't read it; the scalar [`FleetEnv::step_batch`] keeps
-/// the full accounting).
-#[derive(Debug)]
-pub struct FastBatchStep<'a> {
-    /// All observations, lane-major: lane `i` occupies
-    /// `obs[i * state_dim .. (i + 1) * state_dim]`.
-    pub obs: &'a [f64],
-    /// Per-lane reward (Eq. 12 profit), bit-identical to the scalar path.
-    pub rewards: &'a [f64],
-    /// `true` when every lane's episode has ended.
-    pub done: bool,
-}
-
-impl FastBatchStep<'_> {
-    /// Observation slice of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_obs(&self, lane: usize) -> &[f64] {
-        let dim = self.obs.len() / self.rewards.len();
-        &self.obs[lane * dim..(lane + 1) * dim]
-    }
-}
-
-/// The one observation writer both [`FleetEnv::observe_into`] and the
-/// stepping paths share — a single call site for the Eq. 24 layout so the
-/// flat-buffer refresh and the public per-lane view cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn write_lane_obs(
-    out: &mut [f64],
-    window: usize,
-    t: usize,
-    norm: &ObsNorm,
-    config: &HubConfig,
-    series: &HubSeries,
-    soc_fraction: f64,
-    extra: &[f64],
-) {
-    write_observation(
-        out,
-        window,
-        t,
-        norm,
-        config,
-        &series.rtp,
-        &series.weather,
-        &series.traffic,
-        &series.discounts,
-        soc_fraction,
-        extra,
-    );
-}
-
 /// Live coupling state of a coupled fleet: the configuration plus reusable
 /// per-lane scratch, so coupled stepping allocates nothing after warm-up.
 #[derive(Debug, Clone)]
@@ -196,12 +135,11 @@ struct CouplingState {
     config: CouplingConfig,
     /// Per-lane kernel inputs (rebuilt every slot).
     inputs: Vec<CoupledLaneInputs>,
-    /// Per-lane kernel outputs.
+    /// Per-lane kernel outputs of the last slot (also the audit trail's
+    /// exchange fields).
     outputs: Vec<CoupledLaneOutputs>,
     /// Feeder-bid sort scratch.
     bid_scratch: Vec<f64>,
-    /// Scalar-path battery results (for the `SlotBreakdown` trail).
-    bp: Vec<BpSlotResult>,
     /// Mutual-obs gather scratch: SoC fractions, load rates, curtail shares.
     socs: Vec<f64>,
     loads: Vec<f64>,
@@ -215,15 +153,6 @@ impl CouplingState {
             inputs: vec![CoupledLaneInputs::default(); n],
             outputs: vec![CoupledLaneOutputs::default(); n],
             bid_scratch: Vec::with_capacity(n),
-            bp: vec![
-                BpSlotResult {
-                    grid_side_power: KiloWatt::ZERO,
-                    soc: KiloWattHour::new(0.0),
-                    op_cost: Money::ZERO,
-                    effective_action: BpAction::Idle,
-                };
-                n
-            ],
             socs: vec![0.0; n],
             loads: vec![0.0; n],
             shares: vec![0.0; n],
@@ -267,19 +196,18 @@ impl CouplingState {
 /// ];
 /// let mut fleet = FleetEnv::from_envs(envs)?;
 /// fleet.reset(&[0.5, 0.5]);
-/// let step = fleet.step_batch(&[BpAction::Idle, BpAction::Charge]);
+/// let step = fleet.step_batch_soa(&[BpAction::Idle, BpAction::Charge]);
 /// assert_eq!(step.rewards.len(), 2);
 /// assert!(step.rewards.iter().all(|r| r.is_finite()));
+/// assert_eq!(fleet.breakdown(1).slot, 0);
 /// # Ok::<(), ect_types::EctError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FleetEnv {
-    // Struct-of-arrays lane state: index `i` across these vectors is lane i.
+    // Lane inputs: index `i` across these vectors is lane i.
     configs: Vec<HubConfig>,
     series: Vec<HubSeries>,
-    batteries: Vec<BatteryPoint>,
     // Lockstep cursor and layout.
-    norm: ObsNorm,
     window: usize,
     horizon: usize,
     state_dim: usize,
@@ -289,8 +217,8 @@ pub struct FleetEnv {
     aug: Vec<f64>,
     aug_dim: usize,
     // Multi-hub coupling (shared feeder / EV spillover / mutual obs);
-    // `None` for the plain uncoupled fleet, whose stepping paths this state
-    // never touches — the bit-identity guarantee.
+    // `None` for the plain uncoupled fleet, whose fused stepping pass never
+    // touches this state.
     coupling: Option<CouplingState>,
     // Per-lane mutual-observation blocks, lane-major (`n × mutual_dim`),
     // appended after the conditioning block; empty when mutual obs are off.
@@ -299,14 +227,14 @@ pub struct FleetEnv {
     // Reusable output buffers (the zero-allocation hot path).
     obs: Vec<f64>,
     rewards: Vec<f64>,
-    breakdowns: Vec<SlotBreakdown>,
-    // Struct-of-arrays fast-path mirror, built lazily on the first
-    // `step_batch_soa` call; `None` until then.
-    soa: Option<SlotLanes>,
+    // The slot kernel: precomputed slot lanes plus the live SoC of every
+    // lane (the only copy of the fleet's battery state).
+    lanes: SlotLanes,
 }
 
 impl FleetEnv {
-    /// Creates a fleet over `(config, series)` lanes sharing one horizon.
+    /// Creates a fleet over `(config, series)` lanes sharing one horizon,
+    /// every battery at half charge (clamped into its bounds).
     ///
     /// # Errors
     ///
@@ -338,19 +266,14 @@ impl FleetEnv {
         }
         let n = lanes.len();
         let state_dim = 5 * window + 1;
-        let mut configs = Vec::with_capacity(n);
-        let mut series = Vec::with_capacity(n);
-        let mut batteries = Vec::with_capacity(n);
-        for (config, lane_series) in lanes {
-            batteries.push(BatteryPoint::new(config.battery.clone(), 0.5));
-            configs.push(config);
-            series.push(lane_series);
+        let (configs, series): (Vec<HubConfig>, Vec<HubSeries>) = lanes.into_iter().unzip();
+        let mut kernel = SlotLanes::build(&configs, &series);
+        for (lane, config) in configs.iter().enumerate() {
+            kernel.set_soc(lane, config.battery.clamped_soc(0.5).as_f64());
         }
         let mut fleet = Self {
             configs,
             series,
-            batteries,
-            norm: ObsNorm::default(),
             window,
             horizon,
             state_dim,
@@ -362,12 +285,10 @@ impl FleetEnv {
             mutual_dim: 0,
             obs: vec![0.0; n * state_dim],
             rewards: vec![0.0; n],
-            breakdowns: vec![SlotBreakdown::default(); n],
-            soa: None,
+            lanes: kernel,
         };
         // Populate real slot-0 observations so a freshly built fleet reads
-        // like a freshly built HubEnv instead of returning zero vectors
-        // until the first reset.
+        // like a reset one instead of returning zero vectors.
         fleet.refresh_observations();
         Ok(fleet)
     }
@@ -376,9 +297,10 @@ impl FleetEnv {
     /// one window and horizon, and sit at slot 0). Convenience for tests and
     /// for migrating sequential call sites.
     ///
-    /// Each lane inherits its environment's battery state (current SoC), so
-    /// a wrapped env behaves exactly as it would have sequentially; lanes
-    /// still need a [`FleetEnv::reset`] to randomise SoC per episode.
+    /// Each lane inherits its environment's series, conditioning block and
+    /// current SoC, so a wrapped env behaves exactly as it would have
+    /// alone; lanes still need a [`FleetEnv::reset`] to randomise SoC per
+    /// episode.
     ///
     /// # Errors
     ///
@@ -396,7 +318,7 @@ impl FleetEnv {
             }
         };
         let mut lanes = Vec::with_capacity(envs.len());
-        let mut batteries = Vec::with_capacity(envs.len());
+        let mut socs = Vec::with_capacity(envs.len());
         let mut features = Vec::with_capacity(envs.len());
         for env in envs {
             if env.window() != window {
@@ -412,22 +334,20 @@ impl FleetEnv {
                     env.slot()
                 )));
             }
-            let config = env.config().clone();
-            let inputs = env.inputs().clone();
-            batteries.push(env.battery().clone());
-            features.push(env.augmentation().to_vec());
-            let mut series = HubSeries::from_inputs(inputs);
-            if !env.outages().is_empty() {
-                series.outages = env.outages().into();
-            }
+            let lane = env.fleet;
+            socs.push(lane.lanes.soc(0));
+            features.push(lane.lane_features(0).to_vec());
+            let config = lane.configs.into_iter().next().expect("one lane");
+            let series = lane.series.into_iter().next().expect("one lane");
             lanes.push((config, series));
         }
         let mut fleet = Self::new(lanes, window)?;
         if features.iter().any(|f| !f.is_empty()) {
             fleet = fleet.with_lane_features(features)?;
         }
-        // Carry the wrapped envs' battery state (SoC) into the lanes.
-        fleet.batteries = batteries;
+        for (lane, &soc) in socs.iter().enumerate() {
+            fleet.lanes.set_soc(lane, soc);
+        }
         fleet.refresh_observations();
         Ok(fleet)
     }
@@ -473,10 +393,10 @@ impl FleetEnv {
     /// demand spillover and/or mutual observations (see [`crate::coupling`]).
     ///
     /// An inactive configuration (no feeder, no spillover, no mutual obs)
-    /// leaves the fleet on the plain uncoupled stepping paths — bit for bit
-    /// the historical engine. With mutual observations on, every lane's
-    /// state gains a [`crate::coupling::MUTUAL_OBS_DIM`]-wide block after
-    /// the conditioning block, zero-filled until the first step.
+    /// leaves the fleet uncoupled, on the fused per-lane stepping pass. With
+    /// mutual observations on, every lane's state gains a
+    /// [`crate::coupling::MUTUAL_OBS_DIM`]-wide block after the conditioning
+    /// block, zero-filled until the first step.
     ///
     /// # Errors
     ///
@@ -542,9 +462,15 @@ impl FleetEnv {
     }
 
     /// Dimension of each lane's observation vector: `5 × window + 1`, plus
-    /// the per-lane conditioning block when one is attached.
+    /// the per-lane conditioning and mutual-observation blocks when
+    /// attached.
     pub fn state_dim(&self) -> usize {
         self.state_dim
+    }
+
+    /// Observation window length in slots.
+    pub fn window(&self) -> usize {
+        self.window
     }
 
     /// Episode length in slots (shared by all lanes).
@@ -567,9 +493,14 @@ impl FleetEnv {
         &self.series
     }
 
-    /// Lane batteries (for inspection).
-    pub fn batteries(&self) -> &[BatteryPoint] {
-        &self.batteries
+    /// Current state of charge of one lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane_soc(&self, lane: usize) -> KiloWattHour {
+        assert!(lane < self.num_lanes(), "lane {lane} out of range");
+        KiloWattHour::new(self.lanes.soc(lane))
     }
 
     /// All current observations, lane-major (`num_lanes × state_dim`).
@@ -592,44 +523,26 @@ impl FleetEnv {
     ///
     /// Panics if `lane` is out of range or `out.len() != state_dim`.
     pub fn observe_into(&self, lane: usize, out: &mut [f64]) {
-        let (head, tail) = out.split_at_mut(self.state_dim - self.mutual_dim);
-        write_lane_obs(
-            head,
-            self.window,
-            self.t,
-            &self.norm,
-            &self.configs[lane],
-            &self.series[lane],
-            self.batteries[lane].soc_fraction(),
-            self.lane_features(lane),
-        );
-        tail.copy_from_slice(&self.mutual[lane * self.mutual_dim..(lane + 1) * self.mutual_dim]);
+        out.copy_from_slice(self.lane_obs(lane));
     }
 
+    /// Rewrites every lane's observation at the current slot: the kernel's
+    /// Eq. 24 core, then the conditioning and mutual-observation blocks.
     fn refresh_observations(&mut self) {
-        let dim = self.state_dim;
-        let mutual_dim = self.mutual_dim;
-        let t = self.t;
-        let norm = self.norm;
-        let window = self.window;
-        for (lane, out) in self.obs.chunks_exact_mut(dim).enumerate() {
-            let (head, tail) = out.split_at_mut(dim - mutual_dim);
-            write_lane_obs(
-                head,
-                window,
-                t,
-                &norm,
-                &self.configs[lane],
-                &self.series[lane],
-                self.batteries[lane].soc_fraction(),
-                &self.aug[lane * self.aug_dim..(lane + 1) * self.aug_dim],
-            );
-            tail.copy_from_slice(&self.mutual[lane * mutual_dim..(lane + 1) * mutual_dim]);
+        let (t, window, core) = (self.t, self.window, 5 * self.window + 1);
+        let (aug_dim, mutual_dim) = (self.aug_dim, self.mutual_dim);
+        for (lane, chunk) in self.obs.chunks_exact_mut(self.state_dim).enumerate() {
+            let (head, rest) = chunk.split_at_mut(core);
+            self.lanes.write_obs(lane, t, window, head);
+            let (aug, mutual) = rest.split_at_mut(aug_dim);
+            aug.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
+            mutual.copy_from_slice(&self.mutual[lane * mutual_dim..(lane + 1) * mutual_dim]);
         }
     }
 
-    /// Resets every lane to slot 0 with per-lane initial SoC fractions;
-    /// returns the initial observations, lane-major.
+    /// Resets every lane to slot 0 with per-lane initial SoC fractions
+    /// (clamped into each battery's bounds); returns the initial
+    /// observations, lane-major.
     ///
     /// # Panics
     ///
@@ -640,11 +553,9 @@ impl FleetEnv {
             self.num_lanes(),
             "one initial SoC per lane"
         );
-        for (battery, &soc) in self.batteries.iter_mut().zip(initial_soc) {
-            battery.reset(soc);
-        }
-        if let Some(soa) = &mut self.soa {
-            soa.sync_soc_from(&self.batteries);
+        for (lane, (config, &soc)) in self.configs.iter().zip(initial_soc).enumerate() {
+            self.lanes
+                .set_soc(lane, config.battery.clamped_soc(soc).as_f64());
         }
         // Mutual observations reset to zero — no step has exchanged yet.
         self.mutual.fill(0.0);
@@ -653,160 +564,73 @@ impl FleetEnv {
         &self.obs
     }
 
-    /// Advances every lane one slot under its action. Returns borrowed
-    /// views of the reusable reward/observation/breakdown buffers — no heap
-    /// allocation happens on this path.
+    /// Advances every lane one slot under its action, on the slot kernel:
+    /// one fused pass per lane (battery, power balance, reward, next
+    /// observation) when uncoupled, the battery pass plus the
+    /// [`crate::coupling`] exchange when coupled. Returns borrowed views of
+    /// the reusable reward/observation buffers — no heap allocation happens
+    /// on this path. The slot's audit trail is available afterwards from
+    /// [`FleetEnv::breakdown`].
     ///
     /// # Panics
     ///
     /// Panics if the episode already finished or `actions.len()` mismatches
     /// the lane count.
-    pub fn step_batch(&mut self, actions: &[BpAction]) -> BatchStep<'_> {
+    pub fn step_batch_soa(&mut self, actions: &[BpAction]) -> BatchStep<'_> {
         assert!(
             self.t < self.horizon,
-            "step_batch called on finished episode; call reset"
+            "step called on finished episode; call reset"
         );
         assert_eq!(actions.len(), self.num_lanes(), "one action per lane");
         if self.coupling.is_some() {
-            return self.step_batch_coupled(actions);
+            self.step_coupled(actions);
+        } else {
+            let t = self.t;
+            let (window, core, aug_dim) = (self.window, 5 * self.window + 1, self.aug_dim);
+            let lanes = self
+                .obs
+                .chunks_exact_mut(self.state_dim)
+                .zip(actions)
+                .zip(self.rewards.iter_mut());
+            for (lane, ((chunk, &action), reward)) in lanes.enumerate() {
+                *reward = self.lanes.step(lane, t, action);
+                let (head, tail) = chunk.split_at_mut(core);
+                self.lanes.write_obs(lane, t + 1, window, head);
+                tail.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
+            }
+            self.t = t + 1;
         }
-        let t = self.t;
-        let t_next = t + 1;
-        let dim = self.state_dim;
-        let window = self.window;
-        let norm = self.norm;
-        let aug_dim = self.aug_dim;
-        // One pass over lane memory per slot: step the lane, then
-        // immediately write its next observation while its state is hot
-        // (the former separate `refresh_observations` sweep, fused).
-        for (lane, (out, &action)) in self.obs.chunks_exact_mut(dim).zip(actions).enumerate() {
-            let series = &self.series[lane];
-            let breakdown = compute_slot(
-                &self.configs[lane],
-                SlotInputs {
-                    rtp: series.rtp[t],
-                    weather: &series.weather[t],
-                    traffic: &series.traffic[t],
-                    discount_level: series.discounts.level(t),
-                    stratum: series.strata[t],
-                    outage: series.outages[t],
-                },
-                &mut self.batteries[lane],
-                action,
-                t,
-            );
-            self.rewards[lane] = breakdown.reward.as_f64();
-            self.breakdowns[lane] = breakdown;
-            write_lane_obs(
-                out,
-                window,
-                t_next,
-                &norm,
-                &self.configs[lane],
-                series,
-                self.batteries[lane].soc_fraction(),
-                &self.aug[lane * aug_dim..(lane + 1) * aug_dim],
-            );
-        }
-        if let Some(soa) = &mut self.soa {
-            soa.sync_soc_from(&self.batteries);
-        }
-        self.t = t_next;
         BatchStep {
             obs: &self.obs,
             rewards: &self.rewards,
-            breakdowns: &self.breakdowns,
             done: self.t >= self.horizon,
         }
     }
 
-    /// The coupled scalar step: per-lane battery application, then one
-    /// [`coupled_slot`] exchange (spillover → feeder bids → allocation →
-    /// accounting), then the full [`SlotBreakdown`] trail and the mutual
-    /// observations. Deterministic — no RNG, no thread identity — and
-    /// bit-identical to [`FleetEnv::step_batch_soa`] on the same fleet
-    /// (both build the same plain-`f64` inputs and call the same kernel).
-    fn step_batch_coupled(&mut self, actions: &[BpAction]) -> BatchStep<'_> {
+    /// The coupled step: the per-lane battery recurrence
+    /// (`SlotLanes::coupled_inputs`), then one [`coupled_slot`] exchange
+    /// (spillover → feeder bids → allocation → accounting), then the mutual
+    /// observations and every lane's next observation.
+    fn step_coupled(&mut self, actions: &[BpAction]) {
         let t = self.t;
         let n = self.num_lanes();
-        let mut cs = self.coupling.take().expect("coupled step without state");
-        for (lane, &requested) in actions.iter().enumerate() {
-            let series = &self.series[lane];
-            let config = &self.configs[lane];
-            let outage = series.outages[t];
-            let action = if outage && requested == BpAction::Charge {
-                BpAction::Idle
-            } else {
-                requested
-            };
-            let bp = self.batteries[lane].apply(action);
-            cs.bp[lane] = bp;
-            let level = series.discounts.level(t);
-            let discounted = level > 0.0;
-            let willing = !outage && series.strata[t].outcome(discounted);
-            let rate = config.charging_station.rate_kw;
-            let capacity = if outage { 0.0 } else { rate };
-            let demand = if willing {
-                rate * cs.demand_scale(lane)
-            } else {
-                0.0
-            };
-            cs.inputs[lane] = CoupledLaneInputs {
-                p_bs: config
-                    .base_station
-                    .power(series.traffic[t].load_rate)
-                    .as_f64(),
-                p_bp: bp.grid_side_power.as_f64(),
-                p_wt: config.plant.wt_power(&series.weather[t]).as_f64(),
-                p_pv: config.plant.pv_power(&series.weather[t]).as_f64(),
-                rtp: series.rtp[t].as_f64(),
-                srtp: config.tariff.price_with_discount(level).as_f64(),
-                op_cost: bp.op_cost.as_f64(),
-                voll: config.outage_voll.as_f64(),
-                outage,
-                ev_capacity_kw: capacity,
-                ev_demand_kw: demand,
-            };
+        let cs = self.coupling.as_mut().expect("coupled step without state");
+        for (lane, &action) in actions.iter().enumerate() {
+            cs.inputs[lane] = self
+                .lanes
+                .coupled_inputs(lane, t, action, cs.demand_scale(lane));
+            cs.loads[lane] = self.lanes.slot_cell(lane, t).load_rate;
         }
         coupled_slot(&cs.config, &cs.inputs, &mut cs.outputs, &mut cs.bid_scratch);
-        for lane in 0..n {
-            let i = &cs.inputs[lane];
-            let o = &cs.outputs[lane];
-            let bp = &cs.bp[lane];
-            self.rewards[lane] = o.reward;
-            self.breakdowns[lane] = SlotBreakdown {
-                slot: t,
-                p_bs: KiloWatt::new(i.p_bs),
-                p_cs: KiloWatt::new(o.p_cs),
-                p_bp: bp.grid_side_power,
-                p_wt: KiloWatt::new(i.p_wt),
-                p_pv: KiloWatt::new(i.p_pv),
-                p_grid: KiloWatt::new(o.p_grid),
-                srtp: DollarsPerKwh::new(i.srtp),
-                rtp: DollarsPerKwh::new(i.rtp),
-                revenue: Money::new(o.revenue),
-                grid_cost: Money::new(o.grid_cost),
-                bp_cost: bp.op_cost,
-                outage_penalty: Money::new(o.outage_penalty),
-                unserved_kwh: o.unserved_kwh,
-                reward: Money::new(o.reward),
-                soc_kwh: bp.soc.as_f64(),
-                effective_action: bp.effective_action,
-                ev_charged: o.p_cs > 0.0,
-                curtailed_kwh: o.curtailed_kwh,
-                curtailment_penalty: Money::new(o.curtailment_penalty),
-                spill_in: KiloWatt::new(o.spill_in),
-                spill_out: KiloWatt::new(o.spill_out),
-            };
+        for (reward, o) in self.rewards.iter_mut().zip(&cs.outputs) {
+            *reward = o.reward;
         }
         if cs.config.mutual_obs {
             for lane in 0..n {
-                cs.socs[lane] = self.batteries[lane].soc_fraction();
-                cs.loads[lane] = self.series[lane].traffic[t].load_rate.as_f64();
+                cs.socs[lane] = self.lanes.soc_fraction(lane);
                 cs.shares[lane] = cs.outputs[lane].curtail_share;
             }
-            let mutual_dim = self.mutual_dim;
-            for (lane, block) in self.mutual.chunks_exact_mut(mutual_dim).enumerate() {
+            for (lane, block) in self.mutual.chunks_exact_mut(self.mutual_dim).enumerate() {
                 write_mutual_obs(
                     &cs.config.topology,
                     lane,
@@ -817,179 +641,32 @@ impl FleetEnv {
                 );
             }
         }
-        self.coupling = Some(cs);
-        if let Some(soa) = &mut self.soa {
-            soa.sync_soc_from(&self.batteries);
-        }
         self.t = t + 1;
         self.refresh_observations();
-        BatchStep {
-            obs: &self.obs,
-            rewards: &self.rewards,
-            breakdowns: &self.breakdowns,
-            done: self.t >= self.horizon,
-        }
     }
 
-    /// Advances every lane one slot on the struct-of-arrays fast path:
-    /// branch-light flat-`f64` slot math over per-group precomputed lanes
-    /// (see the private `soa` module), bit-identical rewards and
-    /// observations to
-    /// [`FleetEnv::step_batch`] but without the [`SlotBreakdown`] audit
-    /// trail. The SoA mirror is built lazily on the first call and kept in
-    /// sync across `reset` and scalar steps, so the two paths can be mixed
-    /// freely.
+    /// The audit trail of the slot just stepped (`slot() - 1`) for one
+    /// lane, assembled on demand from the kernel's slot cell, the lane's
+    /// recorded battery power and SoC, and — on a coupled fleet — the
+    /// exchange outputs. Its `reward` is bit-identical to the reward the
+    /// step returned.
     ///
     /// # Panics
     ///
-    /// Panics if the episode already finished or `actions.len()` mismatches
-    /// the lane count.
-    pub fn step_batch_soa(&mut self, actions: &[BpAction]) -> FastBatchStep<'_> {
-        assert!(
-            self.t < self.horizon,
-            "step_batch called on finished episode; call reset"
-        );
-        assert_eq!(actions.len(), self.num_lanes(), "one action per lane");
-        if self.soa.is_none() {
-            self.soa = Some(SlotLanes::build(
-                &self.configs,
-                &self.series,
-                &self.batteries,
-                &self.norm,
-            ));
-        }
-        if self.coupling.is_some() {
-            return self.step_batch_soa_coupled(actions);
-        }
-        let t = self.t;
-        let soa = self.soa.as_mut().expect("SoA mirror just ensured");
-        soa.step(t, actions, &mut self.rewards);
-        for (lane, battery) in self.batteries.iter_mut().enumerate() {
-            battery.set_soc_kwh(soa.soc(lane));
-        }
-        self.t = t + 1;
-        let t_next = self.t;
-        let window = self.window;
-        let core = 5 * window + 1;
-        let dim = self.state_dim;
-        let aug_dim = self.aug_dim;
-        for (lane, chunk) in self.obs.chunks_exact_mut(dim).enumerate() {
-            let (head, tail) = chunk.split_at_mut(core);
-            soa.write_obs(lane, t_next, window, head);
-            tail.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
-        }
-        FastBatchStep {
-            obs: &self.obs,
-            rewards: &self.rewards,
-            done: self.t >= self.horizon,
-        }
+    /// Panics if `lane` is out of range or no slot has been stepped since
+    /// the last reset.
+    pub fn breakdown(&self, lane: usize) -> SlotBreakdown {
+        assert!(lane < self.num_lanes(), "lane {lane} out of range");
+        assert!(self.t > 0, "breakdown before the first step of the episode");
+        let coupled = self.coupling.as_ref().map(|cs| &cs.outputs[lane]);
+        self.lanes.breakdown(lane, self.t - 1, coupled)
     }
 
-    /// The coupled SoA step: the per-lane battery recurrence rides the
-    /// precomputed slot lanes (`SlotLanes::apply_action`), then the same
-    /// [`coupled_slot`] exchange phase as the scalar path runs over the
-    /// per-lane inputs — every operand sourced from the same expressions,
-    /// so the two paths stay bit-identical.
-    fn step_batch_soa_coupled(&mut self, actions: &[BpAction]) -> FastBatchStep<'_> {
-        let t = self.t;
-        let n = self.num_lanes();
-        let mut cs = self.coupling.take().expect("coupled step without state");
-        {
-            let soa = self.soa.as_mut().expect("SoA mirror ensured by caller");
-            for (lane, &requested) in actions.iter().enumerate() {
-                let cell = soa.slot_cell(lane, t);
-                let action = if cell.outage && requested == BpAction::Charge {
-                    BpAction::Idle
-                } else {
-                    requested
-                };
-                let (p_bp, op_cost) = soa.apply_action(lane, action);
-                let rate = soa.lane_cs_rate(lane);
-                let capacity = if cell.outage { 0.0 } else { rate };
-                let demand = if cell.willing {
-                    rate * cs.demand_scale(lane)
-                } else {
-                    0.0
-                };
-                cs.inputs[lane] = CoupledLaneInputs {
-                    p_bs: cell.p_bs,
-                    p_bp,
-                    p_wt: cell.wt,
-                    p_pv: cell.pv,
-                    rtp: cell.rtp,
-                    srtp: cell.srtp,
-                    op_cost,
-                    voll: soa.lane_voll(lane),
-                    outage: cell.outage,
-                    ev_capacity_kw: capacity,
-                    ev_demand_kw: demand,
-                };
-                cs.loads[lane] = cell.load_rate;
-            }
-            coupled_slot(&cs.config, &cs.inputs, &mut cs.outputs, &mut cs.bid_scratch);
-            for (lane, reward) in self.rewards.iter_mut().enumerate() {
-                *reward = cs.outputs[lane].reward;
-            }
-            for (lane, battery) in self.batteries.iter_mut().enumerate() {
-                battery.set_soc_kwh(soa.soc(lane));
-            }
-            if cs.config.mutual_obs {
-                for lane in 0..n {
-                    cs.socs[lane] = soa.soc_fraction(lane);
-                    cs.shares[lane] = cs.outputs[lane].curtail_share;
-                }
-                let mutual_dim = self.mutual_dim;
-                for (lane, block) in self.mutual.chunks_exact_mut(mutual_dim).enumerate() {
-                    write_mutual_obs(
-                        &cs.config.topology,
-                        lane,
-                        &cs.socs,
-                        &cs.loads,
-                        &cs.shares,
-                        block,
-                    );
-                }
-            }
-        }
-        self.coupling = Some(cs);
-        self.t = t + 1;
-        let t_next = self.t;
-        let window = self.window;
-        let core = 5 * window + 1;
-        let dim = self.state_dim;
-        let aug_dim = self.aug_dim;
-        let mutual_dim = self.mutual_dim;
-        let soa = self.soa.as_ref().expect("SoA mirror ensured by caller");
-        for (lane, chunk) in self.obs.chunks_exact_mut(dim).enumerate() {
-            let (head, rest) = chunk.split_at_mut(core);
-            soa.write_obs(lane, t_next, window, head);
-            let (aug_part, mutual_part) = rest.split_at_mut(aug_dim);
-            aug_part.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
-            mutual_part.copy_from_slice(&self.mutual[lane * mutual_dim..(lane + 1) * mutual_dim]);
-        }
-        FastBatchStep {
-            obs: &self.obs,
-            rewards: &self.rewards,
-            done: self.t >= self.horizon,
-        }
-    }
-
-    /// Number of deduplicated `(config, series)` groups behind the SoA fast
-    /// path, building the mirror if needed. A fleet replicated from one
-    /// world shares its per-slot lanes across all replicas.
-    pub fn soa_group_count(&mut self) -> usize {
-        if self.soa.is_none() {
-            self.soa = Some(SlotLanes::build(
-                &self.configs,
-                &self.series,
-                &self.batteries,
-                &self.norm,
-            ));
-        }
-        self.soa
-            .as_ref()
-            .expect("SoA mirror just ensured")
-            .group_count()
+    /// Number of deduplicated `(config, series)` groups behind the slot
+    /// kernel. A fleet replicated from one world shares its per-slot lanes
+    /// across all replicas.
+    pub fn soa_group_count(&self) -> usize {
+        self.lanes.group_count()
     }
 
     /// Runs a full episode under a per-lane policy closure; returns per-lane
@@ -1014,11 +691,11 @@ impl FleetEnv {
             for (lane, action) in actions.iter_mut().enumerate() {
                 *action = policy(lane, self.lane_obs(lane));
             }
-            let step = self.step_batch(&actions);
-            let done = step.done;
+            let done = self.step_batch_soa(&actions).done;
             for lane in 0..n {
-                totals[lane] += step.breakdowns[lane].reward;
-                trails[lane].push(step.breakdowns[lane]);
+                let breakdown = self.breakdown(lane);
+                totals[lane] += breakdown.reward;
+                trails[lane].push(breakdown);
             }
             if done {
                 break;
@@ -1031,6 +708,8 @@ impl FleetEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::battery::BatteryPoint;
+    use crate::env::oracle::{compute_slot, write_observation, SlotInputs};
     use ect_types::units::LoadRate;
 
     fn flat_inputs(slots: usize, stratum: Stratum) -> EpisodeInputs {
@@ -1071,53 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stepping_matches_sequential_bitwise() {
-        let slots = 48;
-        let mut envs: Vec<HubEnv> = (0..3)
-            .map(|i| {
-                let config = if i == 2 {
-                    HubConfig::rural()
-                } else {
-                    HubConfig::urban()
-                };
-                HubEnv::new(config, flat_inputs(slots, Stratum::AlwaysCharge), 4).unwrap()
-            })
-            .collect();
-        let mut fleet = FleetEnv::from_envs(envs.clone()).unwrap();
-
-        let socs = [0.2, 0.5, 0.8];
-        for (env, &soc) in envs.iter_mut().zip(&socs) {
-            env.reset(soc);
-        }
-        fleet.reset(&socs);
-        for (lane, env) in envs.iter().enumerate() {
-            let seq_obs = env.observe();
-            assert_eq!(seq_obs.as_slice(), fleet.lane_obs(lane));
-        }
-
-        let cycle = [BpAction::Charge, BpAction::Discharge, BpAction::Idle];
-        for t in 0..slots {
-            let actions: Vec<BpAction> = (0..3).map(|l| cycle[(t + l) % 3]).collect();
-            let seq: Vec<_> = envs
-                .iter_mut()
-                .zip(&actions)
-                .map(|(env, &a)| env.step(a))
-                .collect();
-            let batch = fleet.step_batch(&actions);
-            for (lane, step) in seq.iter().enumerate() {
-                assert_eq!(step.breakdown, batch.breakdowns[lane], "slot {t}");
-                assert_eq!(
-                    step.reward.to_bits(),
-                    batch.rewards[lane].to_bits(),
-                    "slot {t}"
-                );
-                assert_eq!(step.state.as_slice(), batch.lane_obs(lane), "slot {t}");
-                assert_eq!(step.done, batch.done);
-            }
-        }
-    }
-
-    #[test]
     fn lane_features_append_after_soc_without_touching_dynamics() {
         let mut plain = fleet(3, 24);
         let blocks = vec![vec![0.1, 0.2], vec![0.0, 0.0], vec![-0.3, 0.9]];
@@ -1131,10 +763,10 @@ mod tests {
         let actions = [BpAction::Charge, BpAction::Idle, BpAction::Discharge];
         for _ in 0..24 {
             let (p_rewards, p_done) = {
-                let step = plain.step_batch(&actions);
+                let step = plain.step_batch_soa(&actions);
                 (step.rewards.to_vec(), step.done)
             };
-            let step = augmented.step_batch(&actions);
+            let step = augmented.step_batch_soa(&actions);
             for lane in 0..3 {
                 assert_eq!(p_rewards[lane].to_bits(), step.rewards[lane].to_bits());
                 let obs = step.lane_obs(lane);
@@ -1216,17 +848,15 @@ mod tests {
         fleet.reset(&[0.5; 6]);
         let obs_ptr = fleet.obs.as_ptr();
         let rewards_ptr = fleet.rewards.as_ptr();
-        let breakdown_cap = fleet.breakdowns.capacity();
         let actions = vec![BpAction::Charge; 6];
         for _ in 0..24 {
-            let step = fleet.step_batch(&actions);
+            let step = fleet.step_batch_soa(&actions);
             if step.done {
                 break;
             }
         }
         assert_eq!(fleet.obs.as_ptr(), obs_ptr, "obs buffer reallocated");
         assert_eq!(fleet.rewards.as_ptr(), rewards_ptr, "rewards reallocated");
-        assert_eq!(fleet.breakdowns.capacity(), breakdown_cap);
     }
 
     #[test]
@@ -1265,12 +895,13 @@ mod tests {
         let mut fleet = fleet(1, 2);
         fleet.reset(&[0.5]);
         let actions = [BpAction::Idle];
-        fleet.step_batch(&actions);
-        fleet.step_batch(&actions);
-        fleet.step_batch(&actions);
+        fleet.step_batch_soa(&actions);
+        fleet.step_batch_soa(&actions);
+        fleet.step_batch_soa(&actions);
     }
 
-    fn varied_inputs(slots: usize) -> EpisodeInputs {
+    /// Varied exogenous series; `phase` shifts the discount schedule.
+    fn varied_inputs(slots: usize, phase: usize) -> EpisodeInputs {
         let strata = [
             Stratum::NoCharge,
             Stratum::IncentiveCharge,
@@ -1295,7 +926,11 @@ mod tests {
                 .collect(),
             discounts: DiscountSchedule::from_levels(
                 (0..slots)
-                    .map(|t| if t % 4 == 0 { 0.2 } else { 0.0 })
+                    .map(|t| match (t + phase) % 4 {
+                        0 => 0.2,
+                        1 if phase % 2 == 1 => 0.5,
+                        _ => 0.0,
+                    })
                     .collect(),
             )
             .unwrap(),
@@ -1311,7 +946,7 @@ mod tests {
                 } else {
                     HubConfig::rural()
                 };
-                let env = HubEnv::new(config, varied_inputs(slots), 4).unwrap();
+                let env = HubEnv::new(config, varied_inputs(slots, 0), 4).unwrap();
                 if outages {
                     env.with_outages((0..slots).map(|t| (t + i) % 5 == 0).collect())
                         .unwrap()
@@ -1324,90 +959,27 @@ mod tests {
     }
 
     #[test]
-    fn soa_fast_path_matches_scalar_bitwise() {
-        let slots = 48;
-        let mut scalar = varied_fleet(4, slots, true);
-        let mut fast = scalar.clone();
-        let socs = [0.2, 0.45, 0.7, 0.9];
-        scalar.reset(&socs);
-        fast.reset(&socs);
-        let cycle = [BpAction::Charge, BpAction::Discharge, BpAction::Idle];
-        for t in 0..slots {
-            let actions: Vec<BpAction> = (0..4).map(|l| cycle[(t + l) % 3]).collect();
-            let (s_rewards, s_obs, s_done) = {
-                let step = scalar.step_batch(&actions);
-                (step.rewards.to_vec(), step.obs.to_vec(), step.done)
-            };
-            let step = fast.step_batch_soa(&actions);
-            for (lane, s_reward) in s_rewards.iter().enumerate() {
-                assert_eq!(
-                    s_reward.to_bits(),
-                    step.rewards[lane].to_bits(),
-                    "reward diverged at slot {t} lane {lane}"
-                );
-            }
-            for (i, (a, b)) in s_obs.iter().zip(step.obs).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "obs diverged at slot {t} idx {i}");
-            }
-            assert_eq!(s_done, step.done);
-        }
-        // Battery state stayed in sync: a reset-and-rerun agrees again.
-        for lane in 0..4 {
-            assert_eq!(scalar.batteries()[lane].soc(), fast.batteries()[lane].soc());
-        }
-    }
-
-    #[test]
     fn soa_fast_path_carries_lane_features() {
         let blocks = vec![vec![0.1, -0.2], vec![0.3, 0.4], vec![0.0, 0.0]];
-        let mut scalar = varied_fleet(3, 24, false)
-            .with_lane_features(blocks.clone())
-            .unwrap();
-        let mut fast = scalar.clone();
-        scalar.reset(&[0.5; 3]);
-        fast.reset(&[0.5; 3]);
+        let mut plain = varied_fleet(3, 24, true);
+        let mut featured = plain.clone().with_lane_features(blocks.clone()).unwrap();
+        let base = plain.state_dim();
+        plain.reset(&[0.5; 3]);
+        featured.reset(&[0.5; 3]);
         let actions = [BpAction::Charge, BpAction::Idle, BpAction::Discharge];
         for _ in 0..24 {
-            let (s_obs, s_done) = {
-                let step = scalar.step_batch(&actions);
+            let (p_obs, p_done) = {
+                let step = plain.step_batch_soa(&actions);
                 (step.obs.to_vec(), step.done)
             };
-            let step = fast.step_batch_soa(&actions);
-            assert_eq!(s_obs.as_slice(), step.obs);
+            let step = featured.step_batch_soa(&actions);
             for (lane, block) in blocks.iter().enumerate() {
                 let obs = step.lane_obs(lane);
-                assert_eq!(&obs[obs.len() - 2..], block.as_slice());
+                assert_eq!(&obs[..base], &p_obs[lane * base..(lane + 1) * base]);
+                assert_eq!(&obs[base..], block.as_slice());
             }
-            if s_done {
+            if p_done {
                 break;
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_soa_and_scalar_paths_stay_in_sync() {
-        // Alternating the two stepping paths must still track a pure scalar
-        // trajectory bit for bit (the SoC hand-off in both directions).
-        let slots = 24;
-        let mut reference = varied_fleet(2, slots, true);
-        let mut mixed = reference.clone();
-        reference.reset(&[0.3, 0.8]);
-        mixed.reset(&[0.3, 0.8]);
-        let cycle = [BpAction::Discharge, BpAction::Charge, BpAction::Idle];
-        for t in 0..slots {
-            let actions: Vec<BpAction> = (0..2).map(|l| cycle[(t + l) % 3]).collect();
-            let (r_rewards, r_obs) = {
-                let step = reference.step_batch(&actions);
-                (step.rewards.to_vec(), step.obs.to_vec())
-            };
-            if t % 2 == 0 {
-                let step = mixed.step_batch_soa(&actions);
-                assert_eq!(r_rewards.as_slice(), step.rewards, "slot {t}");
-                assert_eq!(r_obs.as_slice(), step.obs, "slot {t}");
-            } else {
-                let step = mixed.step_batch(&actions);
-                assert_eq!(r_rewards.as_slice(), step.rewards, "slot {t}");
-                assert_eq!(r_obs.as_slice(), step.obs, "slot {t}");
             }
         }
     }
@@ -1416,7 +988,7 @@ mod tests {
     fn soa_groups_deduplicate_shared_lanes() {
         // 6 lanes replicated from 2 distinct (config, series) pairs via
         // Arc-shared series must collapse to 2 SoA groups.
-        let inputs = varied_inputs(24);
+        let inputs = varied_inputs(24, 0);
         let urban = HubSeries::from_inputs(inputs.clone());
         let rural = HubSeries::from_inputs(inputs);
         let mut lanes = Vec::new();
@@ -1424,27 +996,69 @@ mod tests {
             lanes.push((HubConfig::urban(), urban.clone()));
             lanes.push((HubConfig::rural(), rural.clone()));
         }
-        let mut fleet = FleetEnv::new(lanes, 4).unwrap();
+        let fleet = FleetEnv::new(lanes, 4).unwrap();
         assert_eq!(fleet.num_lanes(), 6);
         assert_eq!(fleet.soa_group_count(), 2);
         // Distinct series allocations stay distinct groups.
-        let mut separate = varied_fleet(4, 24, false);
+        let separate = varied_fleet(4, 24, false);
         assert_eq!(separate.soa_group_count(), 4);
+    }
+
+    /// Every field of a breakdown as raw bits, so `-0.0` and `0.0` differ.
+    fn breakdown_bits(b: &SlotBreakdown) -> Vec<u64> {
+        let mut bits = vec![b.slot as u64];
+        bits.extend(
+            [
+                b.p_bs.as_f64(),
+                b.p_cs.as_f64(),
+                b.p_bp.as_f64(),
+                b.p_wt.as_f64(),
+                b.p_pv.as_f64(),
+                b.p_grid.as_f64(),
+                b.srtp.as_f64(),
+                b.rtp.as_f64(),
+                b.revenue.as_f64(),
+                b.grid_cost.as_f64(),
+                b.bp_cost.as_f64(),
+                b.outage_penalty.as_f64(),
+                b.unserved_kwh,
+                b.reward.as_f64(),
+                b.soc_kwh,
+                b.curtailed_kwh,
+                b.curtailment_penalty.as_f64(),
+                b.spill_in.as_f64(),
+                b.spill_out.as_f64(),
+            ]
+            .map(f64::to_bits),
+        );
+        bits.push(b.effective_action.index() as u64);
+        bits.push(u64::from(b.ev_charged));
+        bits
+    }
+
+    fn obs_bits(obs: &[f64]) -> Vec<u64> {
+        obs.iter().map(|v| v.to_bits()).collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
+        /// The kernel against the readable oracle (`env::oracle`): rewards,
+        /// observations and the assembled audit trail, bit for bit, over
+        /// generated fleets with outage masks, shifted discount schedules,
+        /// SoC at both bounds and windows longer than the first slots.
         #[test]
         fn soa_path_is_bit_identical_across_random_fleets(
             config_picks in proptest::collection::vec(0usize..3, 1..5),
+            soc_picks in proptest::collection::vec(0usize..4, 5),
             socs in proptest::collection::vec(0.0f64..1.0, 5),
+            window in 1usize..9,
             action_seed in 0usize..1000,
             outage_phase in 0usize..7,
         ) {
             use proptest::prelude::prop_assert_eq;
             let slots = 30;
-            let envs: Vec<HubEnv> = config_picks
+            let lanes: Vec<(HubConfig, EpisodeInputs, Vec<bool>)> = config_picks
                 .iter()
                 .enumerate()
                 .map(|(i, &pick)| {
@@ -1453,40 +1067,91 @@ mod tests {
                         1 => HubConfig::rural(),
                         _ => HubConfig::bare(),
                     };
-                    HubEnv::new(config, varied_inputs(slots), 4)
-                        .unwrap()
-                        .with_outages(
-                            (0..slots).map(|t| (t + i + outage_phase) % 6 == 0).collect(),
-                        )
-                        .unwrap()
+                    let mask = (0..slots).map(|t| (t + i + outage_phase) % 6 == 0).collect();
+                    (config, varied_inputs(slots, i + outage_phase), mask)
                 })
                 .collect();
-            let n = envs.len();
-            let mut scalar = FleetEnv::from_envs(envs).unwrap();
-            let mut fast = scalar.clone();
-            scalar.reset(&socs[..n]);
-            fast.reset(&socs[..n]);
+            let n = lanes.len();
+            let mut fleet = FleetEnv::new(
+                lanes
+                    .iter()
+                    .map(|(config, inputs, mask)| {
+                        let mut series = HubSeries::from_inputs(inputs.clone());
+                        series.outages = mask.as_slice().into();
+                        (config.clone(), series)
+                    })
+                    .collect(),
+                window,
+            )
+            .unwrap();
+            let initial: Vec<f64> = (0..n)
+                .map(|l| match soc_picks[l] {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => socs[l],
+                })
+                .collect();
+            let mut batteries: Vec<BatteryPoint> = lanes
+                .iter()
+                .zip(&initial)
+                .map(|((config, _, _), &soc)| BatteryPoint::new(config.battery.clone(), soc))
+                .collect();
+            fleet.reset(&initial);
+            let expected_obs = |t: usize, lane: usize, battery: &BatteryPoint| {
+                let (config, inputs, _) = &lanes[lane];
+                let mut out = vec![0.0; 5 * window + 1];
+                write_observation(
+                    &mut out,
+                    window,
+                    t,
+                    config,
+                    &inputs.rtp,
+                    &inputs.weather,
+                    &inputs.traffic,
+                    &inputs.discounts,
+                    battery.soc_fraction(),
+                    &[],
+                );
+                obs_bits(&out)
+            };
+            for (lane, battery) in batteries.iter().enumerate() {
+                prop_assert_eq!(expected_obs(0, lane, battery), obs_bits(fleet.lane_obs(lane)));
+            }
             for t in 0..slots {
                 let actions: Vec<BpAction> = (0..n)
                     .map(|l| BpAction::from_index((action_seed + 3 * t + 5 * l) % 3))
                     .collect();
-                let (s_rewards, s_obs) = {
-                    let step = scalar.step_batch(&actions);
-                    (step.rewards.to_vec(), step.obs.to_vec())
-                };
-                let step = fast.step_batch_soa(&actions);
-                for (lane, s_reward) in s_rewards.iter().enumerate() {
+                let rewards = fleet.step_batch_soa(&actions).rewards.to_vec();
+                for (lane, battery) in batteries.iter_mut().enumerate() {
+                    let (config, inputs, mask) = &lanes[lane];
+                    let oracle = compute_slot(
+                        config,
+                        SlotInputs {
+                            rtp: inputs.rtp[t],
+                            weather: &inputs.weather[t],
+                            traffic: &inputs.traffic[t],
+                            discount_level: inputs.discounts.level(t),
+                            stratum: inputs.strata[t],
+                            outage: mask[t],
+                        },
+                        battery,
+                        actions[lane],
+                        t,
+                    );
                     prop_assert_eq!(
-                        s_reward.to_bits(),
-                        step.rewards[lane].to_bits(),
+                        oracle.reward.as_f64().to_bits(),
+                        rewards[lane].to_bits(),
                         "reward diverged at slot {} lane {}", t, lane
                     );
-                }
-                for (i, (a, b)) in s_obs.iter().zip(step.obs).enumerate() {
                     prop_assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "obs diverged at slot {} idx {}", t, i
+                        breakdown_bits(&oracle),
+                        breakdown_bits(&fleet.breakdown(lane)),
+                        "breakdown diverged at slot {} lane {}", t, lane
+                    );
+                    prop_assert_eq!(
+                        expected_obs(t + 1, lane, battery),
+                        obs_bits(fleet.lane_obs(lane)),
+                        "obs diverged at slot {} lane {}", t, lane
                     );
                 }
             }
@@ -1543,15 +1208,18 @@ mod tests {
         for t in 0..slots {
             let actions: Vec<BpAction> = (0..3).map(|l| cycle[(t + l) % 3]).collect();
             let (p_rewards, p_obs) = {
-                let step = plain.step_batch(&actions);
+                let step = plain.step_batch_soa(&actions);
                 (step.rewards.to_vec(), step.obs.to_vec())
             };
-            let step = inactive.step_batch(&actions);
+            let step = inactive.step_batch_soa(&actions);
             for (lane, reward) in p_rewards.iter().enumerate() {
                 assert_eq!(reward.to_bits(), step.rewards[lane].to_bits(), "slot {t}");
             }
             for (a, b) in p_obs.iter().zip(step.obs) {
                 assert_eq!(a.to_bits(), b.to_bits(), "slot {t}");
+            }
+            for lane in 0..3 {
+                assert_eq!(plain.breakdown(lane), inactive.breakdown(lane), "slot {t}");
             }
         }
     }
@@ -1581,11 +1249,8 @@ mod tests {
         let mut saw_curtailment = false;
         let mut saw_spill = false;
         for _ in 0..slots {
-            let (done, breakdowns): (bool, Vec<SlotBreakdown>) = {
-                let step = coupled.step_batch(&actions);
-                (step.done, step.breakdowns.to_vec())
-            };
-            for b in &breakdowns {
+            let done = coupled.step_batch_soa(&actions).done;
+            for b in (0..4).map(|lane| coupled.breakdown(lane)) {
                 assert!(b.reward.as_f64().is_finite());
                 assert!(b.curtailed_kwh >= 0.0);
                 saw_curtailment |= b.curtailed_kwh > 0.0;
@@ -1614,7 +1279,7 @@ mod tests {
         let actions = [BpAction::Charge];
         for _ in 0..slots {
             let done = {
-                let step = solo.step_batch(&actions);
+                let step = solo.step_batch_soa(&actions);
                 assert!(step.rewards[0].is_finite());
                 step.done
             };
@@ -1627,40 +1292,6 @@ mod tests {
             if done {
                 break;
             }
-        }
-    }
-
-    #[test]
-    fn coupled_soa_path_matches_scalar_bitwise() {
-        let slots = 48;
-        let mut scalar = varied_fleet(4, slots, true)
-            .with_coupling(binding_coupling(4, 4.0))
-            .unwrap();
-        let mut fast = scalar.clone();
-        let socs = [0.2, 0.45, 0.7, 0.9];
-        scalar.reset(&socs);
-        fast.reset(&socs);
-        let cycle = [BpAction::Charge, BpAction::Discharge, BpAction::Idle];
-        for t in 0..slots {
-            let actions: Vec<BpAction> = (0..4).map(|l| cycle[(t + l) % 3]).collect();
-            let (s_rewards, s_obs) = {
-                let step = scalar.step_batch(&actions);
-                (step.rewards.to_vec(), step.obs.to_vec())
-            };
-            let step = fast.step_batch_soa(&actions);
-            for (lane, reward) in s_rewards.iter().enumerate() {
-                assert_eq!(
-                    reward.to_bits(),
-                    step.rewards[lane].to_bits(),
-                    "reward diverged at slot {t} lane {lane}"
-                );
-            }
-            for (i, (a, b)) in s_obs.iter().zip(step.obs).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "obs diverged at slot {t} idx {i}");
-            }
-        }
-        for lane in 0..4 {
-            assert_eq!(scalar.batteries()[lane].soc(), fast.batteries()[lane].soc());
         }
     }
 

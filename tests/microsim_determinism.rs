@@ -187,7 +187,7 @@ fn trajectory(fleet: &mut FleetEnv) -> Vec<f64> {
     let mut rewards = Vec::with_capacity(SLOTS * HUBS);
     for t in 0..SLOTS {
         let actions: Vec<BpAction> = (0..HUBS).map(|lane| cycle[(t + lane) % 3]).collect();
-        rewards.extend(fleet.step_batch(&actions).rewards.iter().copied());
+        rewards.extend(fleet.step_batch_soa(&actions).rewards.iter().copied());
     }
     rewards
 }
