@@ -74,9 +74,9 @@ fn bench_pricing_experiments(c: &mut Criterion) {
 }
 
 fn bench_fleet_cell(c: &mut Criterion) {
-    // Table III / Fig. 13 cells at a tiny training budget: one sequential
-    // (hub, method) cell versus the same three hubs trained as one batched
-    // lockstep fleet.
+    // Table III / Fig. 13 cells at a tiny training budget: one (hub, method)
+    // cell as a one-lane fleet versus three hubs trained as one lockstep
+    // fleet.
     let mut config = system_config(Scale::Quick);
     config.world.num_hubs = 3;
     config.pricing_history_slots = 24 * 7;
@@ -91,9 +91,9 @@ fn bench_fleet_cell(c: &mut Criterion) {
     group.bench_function("table3_fig13_single_cell", |b| {
         b.iter(|| {
             std::hint::black_box(
-                ect_core::run_hub_method(
+                ect_core::run_hubs_method_batched(
                     &system,
-                    ect_types::ids::HubId::new(0),
+                    &[ect_types::ids::HubId::new(0)],
                     &ect_price::engine::NeverDiscount,
                     "NoDiscount",
                 )

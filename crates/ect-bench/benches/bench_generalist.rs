@@ -64,7 +64,8 @@ fn collect_one_episode(fleet: &mut FleetEnv, policy: &ActorCritic) -> f64 {
     let mut rngs: Vec<EctRng> = (0..n as u64).map(EctRng::seed_from).collect();
     let mut buffers = vec![RolloutBuffer::new(); n];
     let socs = vec![0.5; n];
-    let returns = collect_shared_policy_episode(fleet, policy, &mut rngs, &mut buffers, &socs);
+    let returns =
+        collect_shared_policy_episode(fleet, policy, &mut rngs, &mut buffers, &socs).unwrap();
     returns.iter().sum()
 }
 

@@ -11,7 +11,7 @@
 
 use super::PricingArtifacts;
 use ect_core::prelude::*;
-use ect_core::scheduling::{run_hub_method, run_hub_scheduler};
+use ect_core::scheduling::{run_hubs_method_batched, run_hubs_scheduler_batched};
 use ect_price::engine::NeverDiscount;
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,30 @@ pub struct AblationResult {
 pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
     let system = &artifacts.system;
     let hub = HubId::new(0);
+    // Every cell runs hub 0 as a one-lane fleet.
+    let drl_cell = |system: &EctHubSystem, variant: &str| -> ect_types::Result<f64> {
+        let cells = run_hubs_method_batched(system, &[hub], &NeverDiscount, variant)?;
+        Ok(cells[0].avg_daily_reward)
+    };
+    // Families 3 and 4 train on half the budget with one trainer knob changed.
+    let half_budget_cell = |variant: &str, tweak: &dyn Fn(&mut TrainerConfig)| {
+        let mut trainer = system.config().trainer.clone();
+        trainer.episodes = (trainer.episodes / 2).max(4);
+        tweak(&mut trainer);
+        let sub = EctHubSystem::new(SystemConfig {
+            trainer,
+            ..system.config().clone()
+        })?;
+        drl_cell(&sub, variant)
+    };
     let mut rows = Vec::new();
+    let mut push = |family: &str, variant: &str, avg_daily_reward: f64| {
+        rows.push(AblationRow {
+            family: family.into(),
+            variant: variant.into(),
+            avg_daily_reward,
+        });
+    };
 
     // 1. Scheduler ablation.
     for (variant, mut sched) in [
@@ -49,19 +72,10 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
         ("GreedyPrice", Box::new(GreedyPrice::default_thresholds())),
         ("TimeOfUse", Box::new(TimeOfUse)),
     ] {
-        let r = run_hub_scheduler(system, hub, &NeverDiscount, sched.as_mut())?;
-        rows.push(AblationRow {
-            family: "scheduler".into(),
-            variant: variant.into(),
-            avg_daily_reward: r.avg_daily_reward,
-        });
+        let cells = run_hubs_scheduler_batched(system, &[hub], &NeverDiscount, sched.as_mut())?;
+        push("scheduler", variant, cells[0].avg_daily_reward);
     }
-    let drl = run_hub_method(system, hub, &NeverDiscount, "ECT-DRL")?;
-    rows.push(AblationRow {
-        family: "scheduler".into(),
-        variant: "ECT-DRL".into(),
-        avg_daily_reward: drl.avg_daily_reward,
-    });
+    push("scheduler", "ECT-DRL", drl_cell(system, "ECT-DRL")?);
 
     // 2. Renewables ablation: vary the plant on a cloned system config via
     //    direct env evaluation with the TimeOfUse rule.
@@ -105,29 +119,18 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
         config.plant = plant;
         let mut env = HubEnv::new(config, inputs, ect_core::OBS_WINDOW)?;
         let (profit, _) = ect_drl::heuristics::run_episode(&mut env, &mut TimeOfUse, 0.5);
-        rows.push(AblationRow {
-            family: "renewables".into(),
-            variant: variant.into(),
-            avg_daily_reward: profit / (world.horizon() as f64 / 24.0),
-        });
+        push(
+            "renewables",
+            variant,
+            profit / (world.horizon() as f64 / 24.0),
+        );
     }
 
     // 3. Entropy ablation: train two small policies with and without the
     //    bonus and compare final training returns.
     for (variant, entropy) in [("entropy=0 (paper Eq. 27)", 0.0), ("entropy=0.01", 0.01)] {
-        let mut config = system.config().clone();
-        config.trainer.episodes = (config.trainer.episodes / 2).max(4);
-        config.trainer.ppo.entropy_coef = entropy;
-        let sub = EctHubSystem::new(SystemConfig {
-            trainer: config.trainer.clone(),
-            ..system.config().clone()
-        })?;
-        let r = run_hub_method(&sub, hub, &NeverDiscount, variant)?;
-        rows.push(AblationRow {
-            family: "ppo-entropy".into(),
-            variant: variant.into(),
-            avg_daily_reward: r.avg_daily_reward,
-        });
+        let reward = half_budget_cell(variant, &|trainer| trainer.ppo.entropy_coef = entropy)?;
+        push("ppo-entropy", variant, reward);
     }
 
     // 4. Actor-init ablation: uniform vs idle-biased initial policy.
@@ -135,19 +138,8 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
         ("idle-bias=0 (uniform init)", 0.0),
         ("idle-bias=2 (safe init)", 2.0),
     ] {
-        let mut trainer = system.config().trainer.clone();
-        trainer.episodes = (trainer.episodes / 2).max(4);
-        trainer.net.idle_bias = idle_bias;
-        let sub = EctHubSystem::new(SystemConfig {
-            trainer,
-            ..system.config().clone()
-        })?;
-        let r = run_hub_method(&sub, hub, &NeverDiscount, variant)?;
-        rows.push(AblationRow {
-            family: "actor-init".into(),
-            variant: variant.into(),
-            avg_daily_reward: r.avg_daily_reward,
-        });
+        let reward = half_budget_cell(variant, &|trainer| trainer.net.idle_bias = idle_bias)?;
+        push("actor-init", variant, reward);
     }
 
     Ok(AblationResult { rows })

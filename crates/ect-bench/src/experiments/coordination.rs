@@ -241,7 +241,7 @@ impl ect_core::Experiment for CoordinationExperiment {
         let result = run_in_session(session, experiment_config(scale), options_for(scale))?;
         print(&result);
         save_json(self.id(), &result);
-        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()));
+        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()))?;
         Ok(
             ect_core::ExperimentOutput::new(self.id(), "coordination_gap", result.coordination_gap)
                 .with_artifact(self.id()),

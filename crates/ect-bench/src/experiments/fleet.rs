@@ -4,9 +4,8 @@
 //! Rides the batched fleet engine through
 //! [`Session::fleet_for`](ect_core::Session::fleet_for): each method's hubs
 //! train as lockstep [`ect_env::vec_env::FleetEnv`] batches (exogenous
-//! series `Arc`-shared, observations allocation-free), with results
-//! bit-identical to the sequential per-cell path. The assembled system and
-//! the trained ECT-Price model come from the session's artifact store, so
+//! series `Arc`-shared, observations allocation-free). The assembled
+//! system and the trained ECT-Price model come from the session's artifact store, so
 //! the fleet shares them with Table II and the Fig. 11/12 experiments.
 
 use super::{pricing_artifacts, system_config};

@@ -345,40 +345,23 @@ where
         .map(|lane| seed ^ (lane << 32) ^ FLASH_EVAL_SEED_STREAM)
         .collect();
     let flash_traffic = flash.traffic_arcs();
-    let microsim_eval = evaluate_fleet_greedy(
-        &microsim_policies,
-        |_e: usize, rngs: &mut [EctRng]| {
-            fleet_env_for_hubs_with_traffic(
-                &world,
-                &hubs,
-                0,
-                horizon,
-                &discounts,
-                OBS_WINDOW,
-                &flash_traffic,
-                rngs,
-            )
-        },
-        options.system.test_episodes,
-        &eval_seeds,
-    )?;
-    let aggregate_eval = evaluate_fleet_greedy(
-        &aggregate_policies,
-        |_e: usize, rngs: &mut [EctRng]| {
-            fleet_env_for_hubs_with_traffic(
-                &world,
-                &hubs,
-                0,
-                horizon,
-                &discounts,
-                OBS_WINDOW,
-                &flash_traffic,
-                rngs,
-            )
-        },
-        options.system.test_episodes,
-        &eval_seeds,
-    )?;
+    let flash_fleet = |_e: usize, rngs: &mut [EctRng]| {
+        fleet_env_for_hubs_with_traffic(
+            &world,
+            &hubs,
+            0,
+            horizon,
+            &discounts,
+            OBS_WINDOW,
+            &flash_traffic,
+            rngs,
+        )
+    };
+    let episodes = options.system.test_episodes;
+    let microsim_eval =
+        evaluate_fleet_greedy(&microsim_policies, flash_fleet, episodes, &eval_seeds)?;
+    let aggregate_eval =
+        evaluate_fleet_greedy(&aggregate_policies, flash_fleet, episodes, &eval_seeds)?;
 
     let microsim_trained_daily_reward = mean_daily_reward(&microsim_eval);
     let aggregate_trained_daily_reward = mean_daily_reward(&aggregate_eval);
@@ -499,7 +482,7 @@ impl ect_core::Experiment for MicrosimExperiment {
         };
         print(&result);
         save_json(self.id(), &result);
-        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()));
+        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()))?;
         Ok(ect_core::ExperimentOutput::new(
             self.id(),
             "flash_crowd_gap",

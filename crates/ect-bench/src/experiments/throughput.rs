@@ -319,7 +319,7 @@ impl ect_core::Experiment for ThroughputExperiment {
         let result = run_with_options(&options_for(session.scale()), session.threads())?;
         print(&result);
         save_json(self.id(), &result);
-        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()));
+        upsert_bench_summary(&summary_rows(&result, t0.elapsed().as_secs_f64()))?;
         Ok(ect_core::ExperimentOutput::new(
             self.id(),
             "hub_slots_per_s",

@@ -1,7 +1,8 @@
 //! Result persistence and terminal rendering helpers.
 
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// One row of `results/BENCH_summary.json`: how long an experiment stage
 /// took in a `run_all` pass and the single number that summarises it —
@@ -35,13 +36,26 @@ pub fn results_dir() -> PathBuf {
 /// Panics if the directory cannot be created or the file not written —
 /// harness binaries should fail loudly.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialise result");
-    std::fs::write(&path, json).expect("write result file");
-    println!("\n[saved {}]", path.display());
+    let path = results_dir().join(format!("{name}.json"));
+    write_json(&path, value).expect("write result file");
 }
+
+/// Writes `value` as pretty JSON to `path`, creating its directory.
+fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let json = serde_json::to_string_pretty(value).expect("serialise result");
+    std::fs::write(path, json)?;
+    println!("\n[saved {}]", path.display());
+    Ok(())
+}
+
+/// Serialises every read-modify-write of a summary file in this process:
+/// experiments running concurrently under `run_dag` upsert their rows
+/// without losing each other's. It guards no data, so a lock poisoned by a
+/// panicking holder is safe to reuse.
+static SUMMARY_LOCK: Mutex<()> = Mutex::new(());
 
 /// Merges rows into `results/BENCH_summary.json`, replacing rows with the
 /// same `experiment` name and appending new ones — so a filtered pass
@@ -50,16 +64,27 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
 /// produced while keeping experiment-upserted extras (e.g. the per-rung
 /// throughput rows).
 ///
-/// # Panics
+/// Concurrent calls within one process are serialised, so no row is lost.
 ///
-/// Panics if the summary file cannot be written (harness binaries fail
-/// loudly). A present-but-unparsable file is treated as empty.
-pub fn upsert_bench_summary(rows: &[BenchSummaryEntry]) {
-    let path = results_dir().join("BENCH_summary.json");
-    let mut existing: Vec<BenchSummaryEntry> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|json| serde_json::from_str(&json).ok())
-        .unwrap_or_default();
+/// # Errors
+///
+/// Returns [`ect_types::EctError::Io`] — and writes nothing — when the
+/// existing file cannot be read or does not parse, or when the merged file
+/// cannot be written.
+pub fn upsert_bench_summary(rows: &[BenchSummaryEntry]) -> ect_types::Result<()> {
+    upsert_summary_at(&results_dir().join("BENCH_summary.json"), rows)
+}
+
+/// [`upsert_bench_summary`] on an explicit file.
+fn upsert_summary_at(path: &Path, rows: &[BenchSummaryEntry]) -> ect_types::Result<()> {
+    let _guard = SUMMARY_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let io =
+        |e: &dyn std::fmt::Display| ect_types::EctError::Io(format!("{}: {e}", path.display()));
+    let mut existing: Vec<BenchSummaryEntry> = match std::fs::read_to_string(path) {
+        Ok(json) => serde_json::from_str(&json).map_err(|e| io(&e))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io(&e)),
+    };
     for row in rows {
         if let Some(slot) = existing
             .iter_mut()
@@ -70,7 +95,7 @@ pub fn upsert_bench_summary(rows: &[BenchSummaryEntry]) {
             existing.push(row.clone());
         }
     }
-    save_json("BENCH_summary", &existing);
+    write_json(path, &existing).map_err(|e| io(&e))
 }
 
 /// Renders a numeric series as a fixed-width ASCII bar chart (one row per
@@ -131,5 +156,56 @@ mod tests {
         assert_eq!(l.len(), 24);
         assert_eq!(l[0], "00:00");
         assert_eq!(l[23], "23:00");
+    }
+
+    /// A fresh summary path under the system temp dir.
+    fn scratch_summary(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ect-bench-summary-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("BENCH_summary.json")
+    }
+
+    fn rows(names: &[String]) -> Vec<BenchSummaryEntry> {
+        let row = |experiment: &String| BenchSummaryEntry {
+            experiment: experiment.clone(),
+            wall_time_s: 1.0,
+            metric_name: "m".into(),
+            metric_value: 2.0,
+        };
+        names.iter().map(row).collect()
+    }
+
+    #[test]
+    fn concurrent_upserts_of_disjoint_rows_all_land() {
+        let path = scratch_summary("concurrent");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..5 {
+                        upsert_summary_at(path, &rows(&[format!("t{thread}-r{i}")])).unwrap();
+                    }
+                });
+            }
+        });
+        let json = std::fs::read_to_string(&path).unwrap();
+        let landed: Vec<BenchSummaryEntry> = serde_json::from_str(&json).unwrap();
+        assert_eq!(landed.len(), 8 * 5, "every distinct row lands once");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn corrupt_summary_is_left_untouched() {
+        let path = scratch_summary("corrupt");
+        let corrupt = "[{\"experiment\": truncated";
+        std::fs::write(&path, corrupt).unwrap();
+        let err = upsert_summary_at(&path, &rows(&["fleet".into()])).unwrap_err();
+        assert!(matches!(err, ect_types::EctError::Io(_)), "{err:?}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), corrupt);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

@@ -172,8 +172,8 @@ impl ExperimentRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates filter validation and the lowest-indexed experiment
-    /// failure.
+    /// Propagates filter validation, the lowest-indexed experiment failure
+    /// and a `BENCH_summary.json` that cannot be updated.
     pub fn run_filtered(
         &self,
         session: &Session,
@@ -437,7 +437,7 @@ pub fn run_all_main() -> ect_types::Result<()> {
                 metric_value: telemetry.overhead_us() as f64 / wall_us * 100.0,
             });
         }
-        upsert_bench_summary(&summary);
+        upsert_bench_summary(&summary)?;
     } else {
         println!(
             "\n[run_all] filtered pass ({} of {} experiments) — BENCH_summary.json untouched",

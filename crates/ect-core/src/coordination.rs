@@ -35,7 +35,8 @@ use ect_data::scenario::ScenarioSpec;
 use ect_data::spatial::{Region, RegionConfig};
 use ect_data::topology::HubTopology;
 use ect_drl::collector::train_fleet;
-use ect_drl::generalist::{train_generalist, GeneralistConfig, ScenarioMixture};
+use ect_drl::generalist::{train_generalist_source, GeneralistConfig, ScenarioMixture};
+use ect_drl::scenario_source::ScenarioSource;
 use ect_drl::trainer::TrainerConfig;
 use ect_drl::ActorCritic;
 use ect_env::battery::BpAction;
@@ -259,14 +260,6 @@ pub struct CoordinationOutcome {
     pub policy: ActorCritic,
 }
 
-/// Greedy argmax over one lane's action probabilities.
-fn greedy(probs: [f64; 3]) -> BpAction {
-    let idx = (0..3)
-        .max_by(|&a, &b| probs[a].total_cmp(&probs[b]))
-        .expect("three actions");
-    BpAction::from_index(idx)
-}
-
 /// Scores one arm with joint greedy rollouts on the coupled fleet.
 ///
 /// `select` maps `(lane, lane observation)` to that lane's action; both
@@ -398,9 +391,9 @@ pub(crate) fn coordination_impl(
     };
     let train_coupling = options.coupling(num_hubs, true)?;
     let mixture = ScenarioMixture::uniform(vec![system.config().scenario.clone()])?;
-    let (policy, _history) = train_generalist(
+    let (policy, _history) = train_generalist_source(
         &coordinated_config,
-        &mixture,
+        &ScenarioSource::Fixed(mixture),
         |_e: usize, _specs: &[&ScenarioSpec], rngs: &mut [EctRng]| {
             fleet_env_for_hubs(world, &hubs, 0, horizon, &discounts, OBS_WINDOW, rngs)
                 .and_then(|fleet| fleet.with_coupling(train_coupling.clone()))
@@ -416,7 +409,7 @@ pub(crate) fn coordination_impl(
         &train_coupling,
         options.eval_episodes,
         eval_seed,
-        |_lane, obs| greedy(policy.evaluate_one(obs).0),
+        |_lane, obs| policy.greedy_action(obs),
     )?;
     let blind_coupling = options.coupling(num_hubs, false)?;
     let independent = eval_joint(
@@ -424,7 +417,7 @@ pub(crate) fn coordination_impl(
         &blind_coupling,
         options.eval_episodes,
         eval_seed,
-        |lane, obs| greedy(independent_policies[lane].evaluate_one(obs).0),
+        |lane, obs| independent_policies[lane].greedy_action(obs),
     )?;
 
     Ok(CoordinationOutcome {

@@ -25,19 +25,21 @@
 //! than pricing-policy differences.
 
 use crate::scenario_grid::{scenario_grid_impl, NamedEngines};
-use crate::scheduling::{run_hub_scheduler, OBS_WINDOW};
+use crate::scheduling::{rule_based_anchors, OBS_WINDOW};
 use crate::system::EctHubSystem;
 use ect_data::dataset::WorldDataset;
 use ect_data::scenario::ScenarioSpec;
 use ect_drl::checkpoint::CheckpointMeta;
 use ect_drl::generalist::{
-    evaluate_generalist, train_generalist, train_holdout_split, GeneralistConfig, ScenarioMixture,
+    evaluate_generalist, train_generalist_source, train_holdout_split, GeneralistConfig,
+    ScenarioMixture,
 };
-use ect_drl::heuristics::{GreedyPrice, NoBattery, Scheduler, TimeOfUse};
+use ect_drl::scenario_source::ScenarioSource;
 use ect_drl::ActorCritic;
 use ect_env::env::ObsAugmentation;
 use ect_env::fleet::fleet_env_for_worlds;
 use ect_env::tariff::DiscountSchedule;
+use ect_env::vec_env::FleetEnv;
 use ect_price::engine::NeverDiscount;
 use ect_types::ids::HubId;
 use ect_types::rng::EctRng;
@@ -171,6 +173,26 @@ impl GeneralistOutcome {
     }
 }
 
+/// A never-discount fleet whose lane `i` plays hub `i % num_hubs` of
+/// `worlds[i]`, its observations conditioned by `augment` — the lanes of a
+/// generalist fleet.
+pub(crate) fn world_lanes_fleet<'w>(
+    system: &EctHubSystem,
+    worlds: impl IntoIterator<Item = &'w WorldDataset>,
+    augment: &ObsAugmentation,
+    rngs: &mut [EctRng],
+) -> ect_types::Result<FleetEnv> {
+    let num_hubs = system.world().num_hubs() as usize;
+    let horizon = system.world().horizon();
+    let lanes: Vec<(&WorldDataset, HubId)> = worlds
+        .into_iter()
+        .enumerate()
+        .map(|(i, world)| (world, HubId::new((i % num_hubs) as u32)))
+        .collect();
+    let discounts = vec![DiscountSchedule::none(horizon); lanes.len()];
+    fleet_env_for_worlds(&lanes, 0, horizon, &discounts, OBS_WINDOW, augment, rngs)
+}
+
 fn no_discount_engines(_system: &EctHubSystem) -> ect_types::Result<NamedEngines> {
     Ok(vec![(
         "NoDiscount".into(),
@@ -193,36 +215,13 @@ pub fn heldout_baselines(
     threads: usize,
 ) -> ect_types::Result<Vec<HeldOutBaseline>> {
     let horizon = system.world().horizon();
-    let num_hubs = system.world().num_hubs() as usize;
     let (_, heldout_specs) = train_holdout_split(horizon);
     let grid = scenario_grid_impl(system, &heldout_specs, &no_discount_engines, threads)?;
 
     let mut baselines = Vec::with_capacity(heldout_specs.len());
     for (spec, grid_result) in heldout_specs.iter().zip(&grid) {
         let spec_system = system.with_scenario(spec.clone())?;
-        let mut heuristics: Vec<(String, f64)> = Vec::new();
-        let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(NoBattery),
-            Box::new(GreedyPrice::default_thresholds()),
-            Box::new(TimeOfUse),
-        ];
-        for scheduler in &mut schedulers {
-            let mut total = 0.0;
-            for hub in 0..num_hubs {
-                let cell = run_hub_scheduler(
-                    &spec_system,
-                    HubId::new(hub as u32),
-                    &NeverDiscount,
-                    scheduler.as_mut(),
-                )?;
-                total += cell.avg_daily_reward;
-            }
-            heuristics.push((scheduler.name().to_string(), total / num_hubs as f64));
-        }
-        let best_heuristic = heuristics
-            .iter()
-            .map(|(_, reward)| *reward)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let (heuristics, best_heuristic) = rule_based_anchors(&spec_system)?;
         baselines.push(HeldOutBaseline {
             scenario: spec.name.clone(),
             specialist: grid_result.method_mean("NoDiscount"),
@@ -297,21 +296,12 @@ pub fn run_generalist_against(
     let factory = |_episode: usize,
                    specs: &[&ScenarioSpec],
                    rngs: &mut [EctRng]|
-     -> ect_types::Result<ect_env::vec_env::FleetEnv> {
-        let mut lane_worlds = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            lane_worlds.push((world_for(spec)?, HubId::new((i % num_hubs) as u32)));
-        }
-        let discounts = vec![DiscountSchedule::none(horizon); specs.len()];
-        fleet_env_for_worlds(
-            &lane_worlds,
-            0,
-            horizon,
-            &discounts,
-            OBS_WINDOW,
-            &augment,
-            rngs,
-        )
+     -> ect_types::Result<FleetEnv> {
+        let worlds: Vec<&WorldDataset> = specs
+            .iter()
+            .map(|spec| world_for(spec))
+            .collect::<ect_types::Result<_>>()?;
+        world_lanes_fleet(system, worlds, &augment, rngs)
     };
 
     // Train the generalist on the scenario mixture.
@@ -323,7 +313,8 @@ pub fn run_generalist_against(
         },
         lanes,
     };
-    let (policy, history) = train_generalist(&config, &mixture, factory)?;
+    let (policy, history) =
+        train_generalist_source(&config, &ScenarioSource::Fixed(mixture), factory)?;
 
     // Zero-shot evaluation against the precomputed anchors.
     let test_episodes = system.config().test_episodes;

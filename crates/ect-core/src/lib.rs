@@ -87,8 +87,8 @@ pub use scenario_grid::{scenario_stress, NamedEngines, ScenarioGridResult, Scena
 #[allow(deprecated)]
 pub use scheduling::run_fleet;
 pub use scheduling::{
-    run_hub_method, run_hub_scheduler, run_hubs_method_batched, schedule_for_hub,
-    HubExperimentResult, OBS_WINDOW,
+    run_hubs_method_batched, run_hubs_scheduler_batched, schedule_for_hub, HubExperimentResult,
+    OBS_WINDOW,
 };
 pub use session::{kind_versions, ProgressSink, RunScale, Session, SessionBuilder};
 #[allow(deprecated)]
@@ -126,8 +126,7 @@ pub mod prelude {
     #[allow(deprecated)]
     pub use crate::scheduling::run_fleet;
     pub use crate::scheduling::{
-        run_hub_method, run_hub_scheduler, run_hubs_method_batched, schedule_for_hub,
-        HubExperimentResult,
+        run_hubs_method_batched, run_hubs_scheduler_batched, schedule_for_hub, HubExperimentResult,
     };
     pub use crate::session::{ProgressSink, RunScale, Session, SessionBuilder};
     #[allow(deprecated)]

@@ -12,7 +12,7 @@
 //! worst-case blackout ride-through, and the unserved energy of the
 //! scenario's scripted outages.
 
-use crate::scheduling::{run_hubs_method_batched, HubExperimentResult, OBS_WINDOW};
+use crate::scheduling::{hub_chunking, run_hubs_method_batched, HubExperimentResult, OBS_WINDOW};
 use crate::system::EctHubSystem;
 use ect_data::scenario::ScenarioSpec;
 use ect_env::battery::BpAction;
@@ -152,8 +152,8 @@ pub type NamedEngines = Vec<(String, Box<dyn PricingEngine>)>;
 /// (engines may train on the scenario's own observational history).
 /// Execution fans the flat `scenario × method × hub-chunk` job list across
 /// `threads` workers (0 = one worker per job); each job trains its hub chunk
-/// as one lockstep batched fleet, bit-identical to the sequential per-cell
-/// path under the shared system seed.
+/// as one lockstep batched fleet; each cell's result is independent of the
+/// chunking under the shared system seed.
 ///
 /// # Errors
 ///
@@ -204,19 +204,9 @@ pub(crate) fn scenario_grid_impl(
     let num_hubs = base.world().num_hubs() as usize;
     let hubs: Vec<HubId> = (0..num_hubs as u32).map(HubId::new).collect();
     let num_jobs_unchunked: usize = runs.iter().map(|(_, engines)| engines.len()).sum();
-    let cells = num_jobs_unchunked * num_hubs;
-    if cells == 0 {
+    let Some((workers, chunk_len)) = hub_chunking(num_jobs_unchunked, num_hubs, threads) else {
         return Ok(Vec::new());
-    }
-    let workers = if threads == 0 {
-        cells
-    } else {
-        threads.min(cells).max(1)
     };
-    let chunks_per_job = workers
-        .div_ceil(num_jobs_unchunked.max(1))
-        .clamp(1, num_hubs);
-    let chunk_len = num_hubs.div_ceil(chunks_per_job);
     let hubs = &hubs;
     let jobs: Vec<(usize, usize, &[HubId])> = runs
         .iter()

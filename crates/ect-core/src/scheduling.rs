@@ -1,27 +1,22 @@
 //! Scheduling stage: per-hub DRL training under each pricing method, with
 //! parallel fleet execution (Fig. 13 / Table III of the paper).
 //!
-//! Two execution engines produce identical results:
-//!
-//! * [`run_hub_method`] — one `(hub, method)` cell at a time over the
-//!   sequential [`ect_env::env::HubEnv`];
-//! * [`run_hubs_method_batched`] / [`run_fleet`] — hub *batches* stepped in
-//!   lockstep through the [`ect_env::vec_env::FleetEnv`] engine, with the
-//!   `(method, hub-chunk)` jobs dispatched over the work-stealing
-//!   [`crate::dispatch`] pool so no worker idles behind a straggler chunk.
-//!
-//! The batched path is bit-identical to the sequential one under the same
-//! system seed — lane RNG streams are isolated exactly as the per-hub
-//! streams are (pinned by `tests/batched_equivalence.rs`).
+//! Every cell runs one lane per hub of a lockstep
+//! [`ect_env::vec_env::FleetEnv`]: [`run_hubs_method_batched`] trains and
+//! evaluates ECT-DRL, [`run_hubs_scheduler_batched`] evaluates a rule-based
+//! scheduler, and [`run_fleet`] dispatches `(method, hub-chunk)` DRL jobs
+//! over the work-stealing [`crate::dispatch`] pool. Lane RNG streams are
+//! isolated per hub, so a cell does not depend on which hubs share its
+//! fleet; whole cells are pinned by `tests/cells_golden.rs`.
 
 use crate::system::EctHubSystem;
-use ect_drl::collector::{evaluate_fleet_greedy, train_fleet};
-use ect_drl::heuristics::{DrlScheduler, Scheduler};
-use ect_drl::trainer::{evaluate, train, EvalSummary, TrainerConfig, TrainingHistory};
+use ect_drl::collector::{evaluate_fleet_greedy, evaluate_fleet_scheduler, train_fleet};
+use ect_drl::heuristics::{GreedyPrice, NoBattery, Scheduler, TimeOfUse};
+use ect_drl::trainer::{EvalSummary, TrainerConfig, TrainingHistory};
 use ect_drl::ActorCritic;
-use ect_env::fleet::{env_for_hub, fleet_env_for_hubs};
+use ect_env::fleet::fleet_env_for_hubs;
 use ect_env::tariff::DiscountSchedule;
-use ect_price::engine::{discount_levels, PricingEngine};
+use ect_price::engine::{discount_levels, NeverDiscount, PricingEngine};
 use ect_types::ids::{HubId, StationId};
 use ect_types::rng::EctRng;
 use serde::{Deserialize, Serialize};
@@ -67,78 +62,6 @@ pub fn schedule_for_hub(
     DiscountSchedule::from_levels(levels)
 }
 
-/// Trains and evaluates ECT-DRL on one hub under one pricing engine.
-///
-/// Episodes replay the hub's fixed exogenous traces (the paper: "all the
-/// other inputs … remain the same for the four models") while the charging
-/// strata are redrawn per episode and the initial SoC is randomised.
-///
-/// # Errors
-///
-/// Propagates environment and training failures.
-pub fn run_hub_method(
-    system: &EctHubSystem,
-    hub: HubId,
-    engine: &dyn PricingEngine,
-    method_label: &str,
-) -> ect_types::Result<HubExperimentResult> {
-    let discounts = schedule_for_hub(system, engine, hub)?;
-    let horizon = system.world().horizon();
-    let world = system.world();
-
-    let factory = |_episode: usize, rng: &mut EctRng| {
-        env_for_hub(world, hub, 0, horizon, discounts.clone(), OBS_WINDOW, rng)
-    };
-
-    // All methods share the hub's seed so their episodes are *paired*
-    // (the paper: "all the other inputs … remain the same for the four
-    // models"); reward differences then isolate discount-schedule quality.
-    let trainer_config = TrainerConfig {
-        seed: hub_seed(system, hub),
-        ..system.config().trainer.clone()
-    };
-    let (policy, history) = train(&trainer_config, factory)?;
-
-    let mut scheduler = DrlScheduler::new(policy);
-    let summary = evaluate(
-        &mut scheduler,
-        factory,
-        system.config().test_episodes,
-        trainer_config.seed ^ EVAL_SEED_STREAM,
-    )?;
-
-    Ok(assemble_result(hub, method_label, &history, &summary))
-}
-
-/// Evaluates a rule-based scheduler on one hub (ablation comparator); no
-/// training involved.
-///
-/// # Errors
-///
-/// Propagates environment failures.
-pub fn run_hub_scheduler<S: Scheduler + ?Sized>(
-    system: &EctHubSystem,
-    hub: HubId,
-    engine: &dyn PricingEngine,
-    scheduler: &mut S,
-) -> ect_types::Result<HubExperimentResult> {
-    let discounts = schedule_for_hub(system, engine, hub)?;
-    let horizon = system.world().horizon();
-    let world = system.world();
-    let factory = |_episode: usize, rng: &mut EctRng| {
-        env_for_hub(world, hub, 0, horizon, discounts.clone(), OBS_WINDOW, rng)
-    };
-    let summary = evaluate(
-        scheduler,
-        factory,
-        system.config().test_episodes,
-        system.config().seed ^ u64::from(hub.as_u32()),
-    )?;
-    let mut result = assemble_result(hub, scheduler.name(), &TrainingHistory::default(), &summary);
-    result.final_training_return = f64::NAN; // no training happened
-    Ok(result)
-}
-
 fn assemble_result(
     hub: HubId,
     method: &str,
@@ -179,22 +102,37 @@ fn assemble_result(
 /// Seed-stream separator so evaluation draws never overlap training draws.
 const EVAL_SEED_STREAM: u64 = 0xE7A1_5EED;
 
-/// The lane seed of one hub: every pricing method shares it, so episodes
-/// stay *paired* across methods, and the batched engine reproduces the
-/// sequential per-hub streams exactly.
+/// The training lane seed of one hub. All methods share the hub's seed so
+/// their episodes are *paired* (the paper: "all the other inputs … remain
+/// the same for the four models"); reward differences then isolate
+/// discount-schedule quality.
 fn hub_seed(system: &EctHubSystem, hub: HubId) -> u64 {
     system.config().seed ^ (u64::from(hub.as_u32()) << 32)
+}
+
+/// Each hub's discount schedule under `engine`.
+fn hub_discounts(
+    system: &EctHubSystem,
+    hubs: &[HubId],
+    engine: &dyn PricingEngine,
+) -> ect_types::Result<Vec<DiscountSchedule>> {
+    hubs.iter()
+        .map(|&hub| schedule_for_hub(system, engine, hub))
+        .collect()
 }
 
 /// Trains and evaluates ECT-DRL on a *batch* of hubs under one pricing
 /// engine, stepping all of them in lockstep through the
 /// [`ect_env::vec_env::FleetEnv`] engine.
 ///
+/// Episodes replay each hub's fixed exogenous traces (the paper: "all the
+/// other inputs … remain the same for the four models") while the charging
+/// strata are redrawn per episode and the initial SoC is randomised.
+///
 /// One lane per hub: lane `i` keeps its own policy, PPO state and RNG
-/// stream seeded exactly as [`run_hub_method`] seeds hub `i`, so the
-/// returned cells are bit-identical to calling [`run_hub_method`] per hub —
-/// while the exogenous series are shared (`Arc`) and the env stepping is
-/// amortised over the batch.
+/// stream seeded from the system seed and hub `i` alone, so a hub's cell is
+/// the same whichever hubs share its batch — while the exogenous series are
+/// shared (`Arc`) and the env stepping is amortised over the batch.
 ///
 /// # Errors
 ///
@@ -210,10 +148,7 @@ pub fn run_hubs_method_batched(
     }
     let world = system.world();
     let horizon = world.horizon();
-    let discounts: Vec<DiscountSchedule> = hubs
-        .iter()
-        .map(|&hub| schedule_for_hub(system, engine, hub))
-        .collect::<ect_types::Result<_>>()?;
+    let discounts = hub_discounts(system, hubs, engine)?;
     let configs: Vec<TrainerConfig> = hubs
         .iter()
         .map(|&hub| TrainerConfig {
@@ -243,13 +178,102 @@ pub fn run_hubs_method_batched(
         .collect())
 }
 
+/// Evaluates a rule-based scheduler (no training) on a *batch* of hubs
+/// under one pricing engine, one lockstep lane per hub; lane `i`'s
+/// evaluation stream is seeded `system seed ^ hub`.
+///
+/// # Errors
+///
+/// Propagates schedule and environment failures.
+pub fn run_hubs_scheduler_batched<S: Scheduler + ?Sized>(
+    system: &EctHubSystem,
+    hubs: &[HubId],
+    engine: &dyn PricingEngine,
+    scheduler: &mut S,
+) -> ect_types::Result<Vec<HubExperimentResult>> {
+    if hubs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let world = system.world();
+    let horizon = world.horizon();
+    let discounts = hub_discounts(system, hubs, engine)?;
+    let seeds: Vec<u64> = hubs
+        .iter()
+        .map(|&hub| system.config().seed ^ u64::from(hub.as_u32()))
+        .collect();
+    let summaries = evaluate_fleet_scheduler(
+        scheduler,
+        |_episode: usize, rngs: &mut [EctRng]| {
+            fleet_env_for_hubs(world, hubs, 0, horizon, &discounts, OBS_WINDOW, rngs)
+        },
+        system.config().test_episodes,
+        &seeds,
+    )?;
+    let name = scheduler.name();
+    Ok(hubs
+        .iter()
+        .zip(&summaries)
+        .map(|(&hub, summary)| assemble_result(hub, name, &TrainingHistory::default(), summary))
+        .collect())
+}
+
+/// The rule-based anchors of a world: NoBattery, GreedyPrice and TimeOfUse
+/// on every hub without discounts. Returns each scheduler's mean average
+/// daily reward over the hubs (summed in hub order) and the best of the
+/// three.
+///
+/// # Errors
+///
+/// Propagates schedule and environment failures.
+pub(crate) fn rule_based_anchors(
+    system: &EctHubSystem,
+) -> ect_types::Result<(Vec<(String, f64)>, f64)> {
+    let hubs: Vec<HubId> = (0..system.world().num_hubs()).map(HubId::new).collect();
+    let schedulers: [&mut dyn Scheduler; 3] = [
+        &mut NoBattery,
+        &mut GreedyPrice::default_thresholds(),
+        &mut TimeOfUse,
+    ];
+    let mut means = Vec::with_capacity(schedulers.len());
+    for scheduler in schedulers {
+        let cells = run_hubs_scheduler_batched(system, &hubs, &NeverDiscount, scheduler)?;
+        let total = cells
+            .iter()
+            .fold(0.0, |total, cell| total + cell.avg_daily_reward);
+        means.push((scheduler.name().to_string(), total / hubs.len() as f64));
+    }
+    let best = means
+        .iter()
+        .map(|(_, reward)| *reward)
+        .fold(f64::NEG_INFINITY, f64::max);
+    Ok((means, best))
+}
+
+/// Worker count and hub-chunk length for `jobs × num_hubs` DRL cells on
+/// `threads` workers (0 = one worker per cell): each job's hub list splits
+/// into enough chunks to keep the workers busy, and each (job, hub-chunk)
+/// pair trains as one batched fleet. `None` when there is no cell.
+pub(crate) fn hub_chunking(jobs: usize, num_hubs: usize, threads: usize) -> Option<(usize, usize)> {
+    let cells = jobs * num_hubs;
+    if cells == 0 {
+        return None;
+    }
+    let workers = if threads == 0 {
+        cells
+    } else {
+        threads.min(cells).max(1)
+    };
+    let chunks_per_job = workers.div_ceil(jobs).clamp(1, num_hubs);
+    Some((workers, num_hubs.div_ceil(chunks_per_job)))
+}
+
 /// Runs the full fleet: every hub × every named engine.
 ///
 /// Execution rides the batched engine: the `hub × method` grid is split
 /// into per-method hub chunks, each job trains its chunk as one lockstep
 /// [`ect_env::vec_env::FleetEnv`] batch; jobs flow through the
-/// work-stealing [`crate::dispatch`] pool. Results are bit-identical to
-/// running [`run_hub_method`] per cell.
+/// work-stealing [`crate::dispatch`] pool. Each cell's result is
+/// independent of the chunking and the worker count.
 ///
 /// `threads` caps the worker count (0 = one worker per chunk).
 ///
@@ -276,22 +300,11 @@ pub(crate) fn run_fleet_impl(
     engines: &[(String, Box<dyn PricingEngine>)],
     threads: usize,
 ) -> ect_types::Result<Vec<HubExperimentResult>> {
-    let num_hubs = system.world().num_hubs();
-    let hubs: Vec<HubId> = (0..num_hubs).map(HubId::new).collect();
-    let cells = (num_hubs as usize) * engines.len();
-    if cells == 0 {
+    let num_hubs = system.world().num_hubs() as usize;
+    let hubs: Vec<HubId> = (0..num_hubs as u32).map(HubId::new).collect();
+    let Some((workers, chunk_len)) = hub_chunking(engines.len(), num_hubs, threads) else {
         return Ok(Vec::new());
-    }
-    let workers = if threads == 0 {
-        cells
-    } else {
-        threads.min(cells).max(1)
     };
-
-    // Split each method's hub list into enough chunks to keep `workers`
-    // busy; each (method, hub-chunk) job is one batched fleet training.
-    let chunks_per_engine = workers.div_ceil(engines.len()).clamp(1, num_hubs as usize);
-    let chunk_len = (num_hubs as usize).div_ceil(chunks_per_engine);
     let jobs: Vec<(usize, &[HubId])> = (0..engines.len())
         .flat_map(|e| hubs.chunks(chunk_len).map(move |chunk| (e, chunk)))
         .collect();
@@ -313,8 +326,7 @@ pub(crate) fn run_fleet_impl(
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
-    use ect_drl::heuristics::NoBattery;
-    use ect_price::engine::{AlwaysDiscount, NeverDiscount};
+    use ect_price::engine::AlwaysDiscount;
 
     fn system() -> EctHubSystem {
         EctHubSystem::new(SystemConfig::miniature()).unwrap()
@@ -332,7 +344,9 @@ mod tests {
     #[test]
     fn hub_method_runs_end_to_end() {
         let s = system();
-        let r = run_hub_method(&s, HubId::new(0), &NeverDiscount, "NoDiscount").unwrap();
+        let r = run_hubs_method_batched(&s, &[HubId::new(0)], &NeverDiscount, "NoDiscount")
+            .unwrap()
+            .remove(0);
         assert_eq!(r.hub, 0);
         assert_eq!(r.method, "NoDiscount");
         assert_eq!(r.daily_series.len(), 30);
@@ -343,7 +357,10 @@ mod tests {
     #[test]
     fn heuristic_evaluation_runs() {
         let s = system();
-        let r = run_hub_scheduler(&s, HubId::new(1), &NeverDiscount, &mut NoBattery).unwrap();
+        let r = run_hubs_scheduler_batched(&s, &[HubId::new(1)], &NeverDiscount, &mut NoBattery)
+            .unwrap()
+            .remove(0);
+        assert_eq!(r.hub, 1);
         assert_eq!(r.method, "NoBattery");
         assert!(r.avg_daily_reward.is_finite());
         assert!(r.final_training_return.is_nan());
@@ -363,31 +380,6 @@ mod tests {
         assert!(results
             .windows(2)
             .all(|w| (w[0].hub, &w[0].method) <= (w[1].hub, &w[1].method)));
-    }
-
-    #[test]
-    fn batched_fleet_cells_match_sequential_cells() {
-        let s = system();
-        let hubs: Vec<HubId> = (0..3).map(HubId::new).collect();
-        let batched = run_hubs_method_batched(&s, &hubs, &NeverDiscount, "NoDiscount").unwrap();
-        assert_eq!(batched.len(), 3);
-        for (cell, &hub) in batched.iter().zip(&hubs) {
-            let seq = run_hub_method(&s, hub, &NeverDiscount, "NoDiscount").unwrap();
-            assert_eq!(cell.hub, seq.hub);
-            assert_eq!(
-                cell.avg_daily_reward.to_bits(),
-                seq.avg_daily_reward.to_bits(),
-                "hub {hub} avg daily reward"
-            );
-            assert_eq!(
-                cell.final_training_return.to_bits(),
-                seq.final_training_return.to_bits()
-            );
-            assert_eq!(cell.daily_series.len(), seq.daily_series.len());
-            for (a, b) in cell.daily_series.iter().zip(&seq.daily_series) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -445,9 +437,13 @@ mod tests {
         // the never-discount schedule on average (discount margin 0.8 × extra
         // conversions outweighs the subsidy at c = 0.2 in this world).
         let s = system();
-        let mut no_sched = NoBattery;
-        let base = run_hub_scheduler(&s, HubId::new(0), &NeverDiscount, &mut no_sched).unwrap();
-        let promo = run_hub_scheduler(&s, HubId::new(0), &AlwaysDiscount, &mut no_sched).unwrap();
+        let hub = [HubId::new(0)];
+        let base = run_hubs_scheduler_batched(&s, &hub, &NeverDiscount, &mut NoBattery)
+            .unwrap()
+            .remove(0);
+        let promo = run_hubs_scheduler_batched(&s, &hub, &AlwaysDiscount, &mut NoBattery)
+            .unwrap()
+            .remove(0);
         assert!(
             promo.avg_daily_reward > base.avg_daily_reward * 0.8,
             "promo {} vs base {}",

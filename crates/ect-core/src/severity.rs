@@ -25,20 +25,17 @@
 //! as in the generalisation harness, so the curves isolate battery
 //! scheduling under world shift.
 
+use crate::generalist::world_lanes_fleet;
 use crate::scenario_grid::scenario_stress;
-use crate::scheduling::{run_hub_scheduler, OBS_WINDOW};
+use crate::scheduling::rule_based_anchors;
 use crate::system::EctHubSystem;
 use ect_data::scenario::randomized::{all_stress, ScenarioDistribution, StressAxis};
 use ect_data::scenario::ScenarioSpec;
 use ect_drl::generalist::{evaluate_generalist, train_generalist_source, GeneralistConfig};
-use ect_drl::heuristics::{GreedyPrice, NoBattery, Scheduler, TimeOfUse};
 use ect_drl::scenario_source::{ScenarioSource, WorldCache};
 use ect_drl::ActorCritic;
 use ect_env::env::ObsAugmentation;
-use ect_env::fleet::fleet_env_for_worlds;
-use ect_env::tariff::DiscountSchedule;
-use ect_price::engine::NeverDiscount;
-use ect_types::ids::HubId;
+use ect_env::vec_env::FleetEnv;
 use ect_types::rng::EctRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -268,25 +265,11 @@ pub(crate) fn severity_sweep_impl(
     let fleet_for = |cache: &mut WorldCache,
                      specs: &[&ScenarioSpec],
                      rngs: &mut [EctRng]|
-     -> ect_types::Result<ect_env::vec_env::FleetEnv> {
+     -> ect_types::Result<FleetEnv> {
         // Resolve every lane's world first: the held Arcs keep a world
         // alive even if a sibling lookup evicts it from the cache.
         let worlds = cache.worlds_for(specs)?;
-        let lane_worlds: Vec<(&ect_data::dataset::WorldDataset, HubId)> = worlds
-            .iter()
-            .enumerate()
-            .map(|(i, world)| (&**world, HubId::new((i % num_hubs) as u32)))
-            .collect();
-        let discounts = vec![DiscountSchedule::none(horizon); specs.len()];
-        fleet_env_for_worlds(
-            &lane_worlds,
-            0,
-            horizon,
-            &discounts,
-            OBS_WINDOW,
-            &augment,
-            rngs,
-        )
+        world_lanes_fleet(system, worlds.iter().map(|world| &**world), &augment, rngs)
     };
 
     // Train on the continuous family: fresh specs every episode.
@@ -332,29 +315,7 @@ pub(crate) fn severity_sweep_impl(
 
             // Rule-based anchors inside the same (cached) world.
             let spec_system = system.with_world(Arc::clone(&rung_world))?;
-            let mut heuristics: Vec<(String, f64)> = Vec::new();
-            let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-                Box::new(NoBattery),
-                Box::new(GreedyPrice::default_thresholds()),
-                Box::new(TimeOfUse),
-            ];
-            for scheduler in &mut schedulers {
-                let mut total = 0.0;
-                for hub in 0..num_hubs {
-                    let cell = run_hub_scheduler(
-                        &spec_system,
-                        HubId::new(hub as u32),
-                        &NeverDiscount,
-                        scheduler.as_mut(),
-                    )?;
-                    total += cell.avg_daily_reward;
-                }
-                heuristics.push((scheduler.name().to_string(), total / num_hubs as f64));
-            }
-            let best_heuristic = heuristics
-                .iter()
-                .map(|(_, reward)| *reward)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let (heuristics, best_heuristic) = rule_based_anchors(&spec_system)?;
             let stress = scenario_stress(&spec_system)?;
             points.push(SeverityPoint {
                 intensity,

@@ -2,14 +2,15 @@
 //!
 //! The per-scenario grid (`run_scenario_grid` in `ect-core`) trains a
 //! specialist policy inside each stress world. This module trains a single
-//! **generalist** instead: every episode, each lane of a batched
-//! [`FleetEnv`] is reassigned a scenario drawn from a weighted
-//! [`ScenarioMixture`], all lanes share one actor-critic (the batched
+//! **generalist** instead: [`train_generalist_source`] reassigns each lane
+//! of a batched [`FleetEnv`] a scenario every episode — drawn from a
+//! weighted [`ScenarioMixture`] (`ScenarioSource::Fixed`) or sampled from a
+//! continuous family — all lanes share one actor-critic (the batched
 //! forward pass of [`collect_shared_policy_episode`]), and the PPO update
-//! consumes the concatenated per-lane buffers. Conditioning on *which*
-//! world a lane lives in rides the
-//! [`ObsAugmentation`](ect_env::env::ObsAugmentation) scenario-feature
-//! block of the observation path.
+//! consumes the concatenated per-lane buffers (the episode loop is
+//! [`crate::trainer`]'s). Conditioning on *which* world a lane lives in
+//! rides the [`ObsAugmentation`](ect_env::env::ObsAugmentation)
+//! scenario-feature block of the observation path.
 //!
 //! Generalisation is measured zero-shot: [`evaluate_generalist`] runs the
 //! trained policy greedily on scenarios it never trained on, and
@@ -25,7 +26,9 @@ use crate::collector::collect_shared_policy_episode;
 use crate::ppo::Ppo;
 use crate::rollout::RolloutBuffer;
 use crate::scenario_source::ScenarioSource;
-use crate::trainer::{EvalSummary, TrainerConfig, TrainingHistory};
+use crate::trainer::{
+    check_lanes, train_lanes, EvalSummary, Learner, TrainerConfig, TrainingHistory,
+};
 use ect_data::scenario::{scenario_library, ScenarioSpec};
 use ect_env::battery::BpAction;
 use ect_env::vec_env::FleetEnv;
@@ -178,39 +181,11 @@ pub fn train_holdout_split(horizon: usize) -> (Vec<ScenarioSpec>, Vec<ScenarioSp
     (pick(&TRAIN_SCENARIOS), pick(&HELDOUT_SCENARIOS))
 }
 
-/// Anything that can build a lockstep fleet whose lane `i` runs the mixture
-/// spec `assignment[i]` — the generalist counterpart of
-/// [`crate::collector::FleetFactory`].
-///
-/// Implemented for closures
-/// `FnMut(usize, &[&ScenarioSpec], &mut [EctRng]) -> Result<FleetEnv>`; the
-/// `usize` is the episode index and `rngs[i]` is lane `i`'s stream.
-pub trait MixtureFleetFactory {
-    /// Builds the fleet for one episode under the given per-lane specs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment construction failures.
-    fn make(
-        &mut self,
-        episode: usize,
-        specs: &[&ScenarioSpec],
-        rngs: &mut [EctRng],
-    ) -> ect_types::Result<FleetEnv>;
-}
-
-impl<F> MixtureFleetFactory for F
-where
-    F: FnMut(usize, &[&ScenarioSpec], &mut [EctRng]) -> ect_types::Result<FleetEnv>,
-{
-    fn make(
-        &mut self,
-        episode: usize,
-        specs: &[&ScenarioSpec],
-        rngs: &mut [EctRng],
-    ) -> ect_types::Result<FleetEnv> {
-        self(episode, specs, rngs)
-    }
+/// Per-lane RNG streams of a shared-policy fleet.
+fn lane_rngs(seed: u64, lanes: usize) -> Vec<EctRng> {
+    (0..lanes as u64)
+        .map(|lane| EctRng::seed_from(seed ^ (lane << 32) ^ LANE_SEED_STREAM))
+        .collect()
 }
 
 /// Generalist training budget: one shared policy over `lanes` mixture lanes.
@@ -252,144 +227,113 @@ impl GeneralistConfig {
         }
         self.trainer.ppo.validate()
     }
+}
 
-    fn lane_rngs(&self) -> Vec<EctRng> {
-        (0..self.lanes as u64)
-            .map(|lane| EctRng::seed_from(self.trainer.seed ^ (lane << 32) ^ LANE_SEED_STREAM))
-            .collect()
+/// One actor-critic shared by every lane, updated on the concatenated lane
+/// buffers with its own (master) RNG stream.
+struct Shared {
+    policy: ActorCritic,
+    ppo: Ppo,
+    master: EctRng,
+    history: TrainingHistory,
+    combined: RolloutBuffer,
+}
+
+impl Learner for Shared {
+    fn collect(
+        &mut self,
+        fleet: &mut FleetEnv,
+        rngs: &mut [EctRng],
+        buffers: &mut [RolloutBuffer],
+        initial_soc: &[f64],
+    ) -> ect_types::Result<()> {
+        let returns =
+            collect_shared_policy_episode(fleet, &self.policy, rngs, buffers, initial_soc)?;
+        self.history
+            .episode_returns
+            .push(returns.iter().sum::<f64>() / returns.len() as f64);
+        Ok(())
+    }
+
+    fn update(
+        &mut self,
+        buffers: &mut [RolloutBuffer],
+        _rngs: &mut [EctRng],
+    ) -> ect_types::Result<()> {
+        // Episode boundaries reset the GAE recursion, so concatenating the
+        // lane buffers is safe.
+        for buffer in buffers {
+            for t in buffer.transitions() {
+                self.combined.push(t.clone());
+            }
+            buffer.clear();
+        }
+        let stats = self
+            .ppo
+            .update(&mut self.policy, &self.combined, &mut self.master)?;
+        self.history.update_stats.push(stats);
+        self.combined.clear();
+        Ok(())
     }
 }
 
-/// Trains **one shared policy** over lockstep mixture episodes.
+/// Trains **one shared policy** over lockstep scenario episodes.
 ///
-/// Per episode: the mixture assigns each lane a scenario
-/// ([`ScenarioMixture::assignment`]), the factory builds the heterogeneous
-/// fleet, [`collect_shared_policy_episode`] amortises the forward pass over
-/// all lanes, and every `episodes_per_update` episodes the PPO learner
-/// consumes the concatenated per-lane buffers (episode boundaries reset the
-/// GAE recursion, so concatenation is safe).
+/// Per episode: the source assigns each lane a scenario
+/// ([`ScenarioSource::specs_for_episode`]), the factory builds the
+/// heterogeneous fleet, [`collect_shared_policy_episode`] amortises the
+/// forward pass over all lanes, and every `episodes_per_update` episodes the
+/// PPO learner consumes the concatenated per-lane buffers.
+///
+/// A [`ScenarioSource::Fixed`] mixture replays the same `(seed, episode)`
+/// assignment stream as [`ScenarioMixture::assignment`]; `Sampled` trains on
+/// fresh domain-randomised specs every episode — the infinite-family
+/// curriculum. Pair the sampled path with a
+/// [`WorldCache`](crate::scenario_source::WorldCache)-backed factory so
+/// world generation stays memory-bounded.
 ///
 /// The recorded [`TrainingHistory`] carries the per-episode return
 /// **averaged across lanes** — the mixture-level learning curve.
 ///
 /// # Errors
 ///
-/// Propagates config validation, factory, environment and PPO errors, and
-/// rejects a factory whose lane count disagrees with the config.
-pub fn train_generalist<F: MixtureFleetFactory>(
-    config: &GeneralistConfig,
-    mixture: &ScenarioMixture,
-    factory: F,
-) -> ect_types::Result<(ActorCritic, TrainingHistory)> {
-    train_generalist_source(config, &ScenarioSource::Fixed(mixture.clone()), factory)
-}
-
-/// [`train_generalist`] over an arbitrary [`ScenarioSource`]: the `Fixed`
-/// variant reproduces the mixture path bit for bit (same `(seed, episode)`
-/// assignment stream), while `Sampled` trains on fresh domain-randomised
-/// specs every episode — the infinite-family curriculum. Pair the sampled
-/// path with a [`WorldCache`](crate::scenario_source::WorldCache)-backed
-/// factory so world generation stays memory-bounded.
-///
-/// # Errors
-///
-/// As [`train_generalist`], plus source validation failures.
-pub fn train_generalist_source<F: MixtureFleetFactory>(
+/// Propagates config and source validation, factory, environment and PPO
+/// errors, and rejects a factory whose lane count disagrees with the config.
+pub fn train_generalist_source<F>(
     config: &GeneralistConfig,
     source: &ScenarioSource,
     mut factory: F,
-) -> ect_types::Result<(ActorCritic, TrainingHistory)> {
+) -> ect_types::Result<(ActorCritic, TrainingHistory)>
+where
+    F: FnMut(usize, &[&ScenarioSpec], &mut [EctRng]) -> ect_types::Result<FleetEnv>,
+{
     config.validate()?;
     source.validate()?;
     let n = config.lanes;
     let seed = config.trainer.seed;
     let mut master = EctRng::seed_from(seed);
-    let mut rngs = config.lane_rngs();
-
-    // Probe the state dimension from episode 0 on forked streams (the forks
-    // leave the real lane streams untouched).
-    let episode_specs = source.specs_for_episode(seed, 0, n)?;
-    let specs: Vec<&ScenarioSpec> = episode_specs.iter().collect();
-    let mut probe_rngs: Vec<EctRng> = rngs.iter().map(|r| r.fork(0)).collect();
-    let probe = factory.make(0, &specs, &mut probe_rngs)?;
-    let state_dim = probe.state_dim();
-    if probe.num_lanes() != n {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "generalist lanes",
-            expected: n,
-            actual: probe.num_lanes(),
-        });
-    }
-    drop(probe);
-
-    let mut policy = ActorCritic::new(state_dim, &config.trainer.net, &mut master);
-    let mut ppo = Ppo::new(config.trainer.ppo.clone())?;
-    let mut history = TrainingHistory::default();
-    let mut buffers = vec![RolloutBuffer::new(); n];
-    let mut combined = RolloutBuffer::new();
-    let mut initial_soc = vec![0.0; n];
-
-    let episodes = config.trainer.episodes;
-    let per_update = config.trainer.episodes_per_update.max(1);
-    // One `ppo.collect` span per episode window, closed around each
-    // `ppo.update` — the per-window collect/update split.
-    let mut collect_span = Some(ect_obs::span("ppo.collect"));
-    for episode in 0..episodes {
-        let episode_specs = source.specs_for_episode(seed, episode, n)?;
-        let specs: Vec<&ScenarioSpec> = episode_specs.iter().collect();
-        let mut fleet = factory.make(episode, &specs, &mut rngs)?;
-        if fleet.num_lanes() != n {
-            return Err(ect_types::EctError::ShapeMismatch {
-                context: "generalist lanes",
-                expected: n,
-                actual: fleet.num_lanes(),
-            });
-        }
-        for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
-            *soc = rng.uniform(); // the paper randomises episode SoC
-        }
-        let returns = collect_shared_policy_episode(
-            &mut fleet,
-            &policy,
-            &mut rngs,
-            &mut buffers,
-            &initial_soc,
-        );
-        history
-            .episode_returns
-            .push(returns.iter().sum::<f64>() / n as f64);
-
-        if (episode + 1) % per_update == 0 {
-            collect_span.take();
-            let update_span = ect_obs::span("ppo.update");
-            for buffer in &mut buffers {
-                for t in buffer.transitions() {
-                    combined.push(t.clone());
-                }
-                buffer.clear();
-            }
-            let stats = ppo.update(&mut policy, &combined, &mut master)?;
-            history.update_stats.push(stats);
-            combined.clear();
-            drop(update_span);
-            if episode + 1 < episodes {
-                collect_span = Some(ect_obs::span("ppo.collect"));
-            }
-        }
-    }
-    drop(collect_span);
-    if buffers.iter().any(|b| !b.is_empty()) {
-        let _update_span = ect_obs::span("ppo.update");
-        for buffer in &mut buffers {
-            for t in buffer.transitions() {
-                combined.push(t.clone());
-            }
-            buffer.clear();
-        }
-        let stats = ppo.update(&mut policy, &combined, &mut master)?;
-        history.update_stats.push(stats);
-    }
-    Ok((policy, history))
+    let mut rngs = lane_rngs(seed, n);
+    let trained = train_lanes(
+        config.trainer.episodes,
+        config.trainer.episodes_per_update,
+        &mut rngs,
+        "generalist lanes",
+        |episode, rngs: &mut [EctRng]| {
+            let episode_specs = source.specs_for_episode(seed, episode, n)?;
+            let specs: Vec<&ScenarioSpec> = episode_specs.iter().collect();
+            factory(episode, &specs, rngs)
+        },
+        |state_dim, _rngs: &mut [EctRng]| {
+            Ok(Shared {
+                policy: ActorCritic::new(state_dim, &config.trainer.net, &mut master),
+                ppo: Ppo::new(config.trainer.ppo.clone())?,
+                master,
+                history: TrainingHistory::default(),
+                combined: RolloutBuffer::new(),
+            })
+        },
+    )?;
+    Ok((trained.policy, trained.history))
 }
 
 /// Zero-shot greedy evaluation of a (generalist) policy on **one** scenario:
@@ -410,22 +354,23 @@ pub fn train_generalist_source<F: MixtureFleetFactory>(
 /// # Errors
 ///
 /// Propagates factory failures; rejects zero lanes or episodes.
-pub fn evaluate_generalist<F: MixtureFleetFactory>(
+pub fn evaluate_generalist<F>(
     policy: &ActorCritic,
     spec: &ScenarioSpec,
     mut factory: F,
     episodes: usize,
     lanes: usize,
     seed: u64,
-) -> ect_types::Result<EvalSummary> {
+) -> ect_types::Result<EvalSummary>
+where
+    F: FnMut(usize, &[&ScenarioSpec], &mut [EctRng]) -> ect_types::Result<FleetEnv>,
+{
     if lanes == 0 || episodes == 0 {
         return Err(ect_types::EctError::InvalidConfig(
             "generalist evaluation needs at least one lane and one episode".into(),
         ));
     }
-    let mut rngs: Vec<EctRng> = (0..lanes as u64)
-        .map(|lane| EctRng::seed_from(seed ^ (lane << 32) ^ LANE_SEED_STREAM))
-        .collect();
+    let mut rngs = lane_rngs(seed, lanes);
     let specs: Vec<&ScenarioSpec> = vec![spec; lanes];
     let mut summary = EvalSummary::default();
     let mut total = 0.0;
@@ -434,14 +379,8 @@ pub fn evaluate_generalist<F: MixtureFleetFactory>(
     let mut actions = vec![BpAction::Idle; lanes];
 
     for episode in 0..episodes {
-        let mut fleet = factory.make(episode, &specs, &mut rngs)?;
-        if fleet.num_lanes() != lanes {
-            return Err(ect_types::EctError::ShapeMismatch {
-                context: "generalist evaluation lanes",
-                expected: lanes,
-                actual: fleet.num_lanes(),
-            });
-        }
+        let mut fleet = factory(episode, &specs, &mut rngs)?;
+        check_lanes("generalist evaluation lanes", lanes, fleet.num_lanes())?;
         let dim = fleet.state_dim();
         for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
             *soc = rng.uniform();
@@ -490,46 +429,16 @@ pub fn evaluate_generalist<F: MixtureFleetFactory>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ect_data::charging::Stratum;
+    use crate::toy::{alternating_price, toy_env};
     use ect_data::scenario::SCENARIO_NAMES;
-    use ect_env::env::{EpisodeInputs, HubEnv, ObsAugmentation};
-    use ect_env::hub::HubConfig;
-    use ect_env::tariff::DiscountSchedule;
-    use ect_types::units::{DollarsPerKwh, LoadRate};
+    use ect_env::env::{HubEnv, ObsAugmentation};
     use proptest::prelude::*;
 
-    /// A toy scenario-shaped world: the spec's traffic amplitude feature
-    /// scales the flat price, so lanes genuinely differ per spec.
-    fn toy_env(slots: usize, spec: &ScenarioSpec, aug: &ObsAugmentation) -> HubEnv {
+    /// A toy scenario-shaped world: the spec's feature vector shifts the
+    /// price, so lanes genuinely differ per spec.
+    fn toy_spec_env(slots: usize, spec: &ScenarioSpec, aug: &ObsAugmentation) -> HubEnv {
         let bump: f64 = spec.feature_vector(slots).iter().sum::<f64>() * 0.01;
-        let rtp: Vec<DollarsPerKwh> = (0..slots)
-            .map(|t| {
-                let base = if (t / 12) % 2 == 0 { 0.04 } else { 0.13 };
-                DollarsPerKwh::new(base + bump.abs())
-            })
-            .collect();
-        let inputs = EpisodeInputs {
-            rtp,
-            weather: vec![
-                ect_data::weather::WeatherSample {
-                    solar_irradiance: 0.0,
-                    wind_speed: 0.0,
-                    cloud_cover: 0.0,
-                };
-                slots
-            ],
-            traffic: vec![
-                ect_data::traffic::TrafficSample {
-                    load_rate: LoadRate::new(0.4).unwrap(),
-                    volume_gb: 30.0,
-                };
-                slots
-            ],
-            discounts: DiscountSchedule::none(slots),
-            strata: vec![Stratum::AlwaysCharge; slots],
-        };
-        HubEnv::new(HubConfig::bare(), inputs, 6)
-            .unwrap()
+        toy_env(slots, 6, 0.4, 30.0, alternating_price(bump.abs()))
             .with_augmentation(aug.features_for(spec, slots))
     }
 
@@ -541,14 +450,14 @@ mod tests {
             FleetEnv::from_envs(
                 specs
                     .iter()
-                    .map(|spec| toy_env(slots, spec, &aug))
+                    .map(|spec| toy_spec_env(slots, spec, &aug))
                     .collect(),
             )
         }
     }
 
-    fn library_mixture(slots: usize) -> ScenarioMixture {
-        ScenarioMixture::uniform(scenario_library(slots)).unwrap()
+    fn library_mixture(slots: usize) -> ScenarioSource {
+        ScenarioSource::Fixed(ScenarioMixture::uniform(scenario_library(slots)).unwrap())
     }
 
     #[test]
@@ -584,13 +493,13 @@ mod tests {
         let slots = 48;
         let mixture = library_mixture(slots);
         let config = GeneralistConfig::quick(4, 3);
-        let (p1, h1) = train_generalist(
+        let (p1, h1) = train_generalist_source(
             &config,
             &mixture,
             toy_factory(slots, ObsAugmentation::SCENARIO),
         )
         .unwrap();
-        let (p2, h2) = train_generalist(
+        let (p2, h2) = train_generalist_source(
             &config,
             &mixture,
             toy_factory(slots, ObsAugmentation::SCENARIO),
@@ -621,7 +530,8 @@ mod tests {
         let mixture = library_mixture(slots);
         let config = GeneralistConfig::quick(2, 2);
         let aug = ObsAugmentation::SCENARIO;
-        let (policy, _) = train_generalist(&config, &mixture, toy_factory(slots, aug)).unwrap();
+        let (policy, _) =
+            train_generalist_source(&config, &mixture, toy_factory(slots, aug)).unwrap();
         let (_, heldout) = train_holdout_split(slots);
         for spec in &heldout {
             let a = evaluate_generalist(&policy, spec, toy_factory(slots, aug), 2, 2, 99).unwrap();
@@ -660,24 +570,30 @@ mod tests {
         let slots = 24;
         let mixture = library_mixture(slots);
         let mut config = GeneralistConfig::quick(2, 0);
-        assert!(
-            train_generalist(&config, &mixture, toy_factory(slots, ObsAugmentation::NONE)).is_err()
-        );
+        assert!(train_generalist_source(
+            &config,
+            &mixture,
+            toy_factory(slots, ObsAugmentation::NONE)
+        )
+        .is_err());
         config.lanes = 3;
         config.trainer.episodes = 0;
-        assert!(
-            train_generalist(&config, &mixture, toy_factory(slots, ObsAugmentation::NONE)).is_err()
-        );
+        assert!(train_generalist_source(
+            &config,
+            &mixture,
+            toy_factory(slots, ObsAugmentation::NONE)
+        )
+        .is_err());
         // Factory building the wrong number of lanes is rejected.
         let config = GeneralistConfig::quick(2, 3);
         let wrong = |_e: usize, _specs: &[&ScenarioSpec], _r: &mut [EctRng]| {
-            FleetEnv::from_envs(vec![toy_env(
+            FleetEnv::from_envs(vec![toy_spec_env(
                 slots,
                 &ScenarioSpec::baseline(),
                 &ObsAugmentation::NONE,
             )])
         };
-        assert!(train_generalist(&config, &mixture, wrong).is_err());
+        assert!(train_generalist_source(&config, &mixture, wrong).is_err());
     }
 
     proptest! {

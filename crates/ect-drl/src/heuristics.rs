@@ -2,21 +2,23 @@
 //!
 //! Comparators for the DRL policy: the ablation question DESIGN.md poses is
 //! "does learned scheduling beat sensible rules?". All schedulers implement
-//! [`Scheduler`], so evaluation code is agnostic.
+//! [`Scheduler`], which acts on one lane of a [`FleetEnv`], so evaluation
+//! code is agnostic.
 
 use crate::actor_critic::ActorCritic;
 use ect_env::battery::BpAction;
 use ect_env::env::HubEnv;
+use ect_env::vec_env::FleetEnv;
 
 /// A battery-scheduling policy.
 pub trait Scheduler {
     /// Method name for report tables.
     fn name(&self) -> &'static str;
 
-    /// Picks the action for the current slot. `state` is the Eq. 24
-    /// observation; `env` grants read access to the exogenous series (rules
-    /// use the raw price rather than the normalised window).
-    fn act(&mut self, state: &[f64], env: &HubEnv) -> BpAction;
+    /// Picks the action for lane `lane` of `fleet` at the current slot from
+    /// the Eq. 24 observation ([`FleetEnv::lane_obs`]) or the lane's raw
+    /// exogenous series. One scheduler serves every lane of a fleet.
+    fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction;
 }
 
 /// Never touches the battery — the "plain base station" lower bound.
@@ -28,7 +30,7 @@ impl Scheduler for NoBattery {
         "NoBattery"
     }
 
-    fn act(&mut self, _state: &[f64], _env: &HubEnv) -> BpAction {
+    fn act(&mut self, _fleet: &FleetEnv, _lane: usize) -> BpAction {
         BpAction::Idle
     }
 }
@@ -58,9 +60,9 @@ impl Scheduler for GreedyPrice {
         "GreedyPrice"
     }
 
-    fn act(&mut self, _state: &[f64], env: &HubEnv) -> BpAction {
-        let t = env.slot().min(env.episode_len() - 1);
-        let price = env.series().rtp[t].as_f64();
+    fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction {
+        let t = fleet.slot().min(fleet.horizon() - 1);
+        let price = fleet.series()[lane].rtp[t].as_f64();
         if price <= self.low {
             BpAction::Charge
         } else if price >= self.high {
@@ -81,8 +83,8 @@ impl Scheduler for TimeOfUse {
         "TimeOfUse"
     }
 
-    fn act(&mut self, _state: &[f64], env: &HubEnv) -> BpAction {
-        let hour = env.slot() % 24;
+    fn act(&mut self, fleet: &FleetEnv, _lane: usize) -> BpAction {
+        let hour = fleet.slot() % 24;
         match hour {
             1..=5 => BpAction::Charge,
             18..=21 => BpAction::Discharge,
@@ -114,8 +116,8 @@ impl Scheduler for DrlScheduler {
         "ECT-DRL"
     }
 
-    fn act(&mut self, state: &[f64], _env: &HubEnv) -> BpAction {
-        self.policy.greedy_action(state)
+    fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction {
+        self.policy.greedy_action(fleet.lane_obs(lane))
     }
 }
 
@@ -126,69 +128,24 @@ pub fn run_episode<S: Scheduler + ?Sized>(
     scheduler: &mut S,
     initial_soc: f64,
 ) -> (f64, Vec<ect_env::env::SlotBreakdown>) {
-    let mut state = env.reset(initial_soc);
-    let mut total = 0.0;
-    let mut trail = Vec::with_capacity(env.episode_len());
-    loop {
-        let action = scheduler.act(&state, env);
-        let step = env.step(action);
-        total += step.reward;
-        trail.push(step.breakdown);
-        state = step.state;
-        if step.done {
-            break;
-        }
-    }
-    (total, trail)
+    let (total, trail) = env.rollout(initial_soc, |_, env| scheduler.act(env.as_fleet(), 0));
+    (total.as_f64(), trail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actor_critic::ActorCriticConfig;
-    use ect_data::charging::Stratum;
-    use ect_env::env::EpisodeInputs;
-    use ect_env::hub::HubConfig;
-    use ect_env::tariff::DiscountSchedule;
+    use crate::toy::toy_env;
     use ect_types::rng::EctRng;
-    use ect_types::units::{DollarsPerKwh, LoadRate};
 
+    /// Cheap overnight, expensive evenings.
     fn env_with_price_profile() -> HubEnv {
-        let slots = 48;
-        // Cheap overnight, expensive evenings.
-        let rtp: Vec<DollarsPerKwh> = (0..slots)
-            .map(|t| {
-                let hour = t % 24;
-                DollarsPerKwh::new(if (1..6).contains(&hour) {
-                    0.05
-                } else if (18..22).contains(&hour) {
-                    0.13
-                } else {
-                    0.08
-                })
-            })
-            .collect();
-        let inputs = EpisodeInputs {
-            rtp,
-            weather: vec![
-                ect_data::weather::WeatherSample {
-                    solar_irradiance: 0.0,
-                    wind_speed: 0.0,
-                    cloud_cover: 0.0,
-                };
-                slots
-            ],
-            traffic: vec![
-                ect_data::traffic::TrafficSample {
-                    load_rate: LoadRate::new(0.5).unwrap(),
-                    volume_gb: 40.0,
-                };
-                slots
-            ],
-            discounts: DiscountSchedule::none(slots),
-            strata: vec![Stratum::AlwaysCharge; slots],
-        };
-        HubEnv::new(HubConfig::bare(), inputs, 4).unwrap()
+        toy_env(48, 4, 0.5, 40.0, |t| match t % 24 {
+            1..=5 => 0.05,
+            18..=21 => 0.13,
+            _ => 0.08,
+        })
     }
 
     #[test]
@@ -223,10 +180,10 @@ mod tests {
         env.reset(0.5);
         let mut g = GreedyPrice::default_thresholds();
         // Slot 0: price 0.08 → idle.
-        assert_eq!(g.act(&[], &env), BpAction::Idle);
+        assert_eq!(g.act(env.as_fleet(), 0), BpAction::Idle);
         env.step(BpAction::Idle);
         env.step(BpAction::Idle); // now at slot 2 (price 0.05)
-        assert_eq!(g.act(&[], &env), BpAction::Charge);
+        assert_eq!(g.act(env.as_fleet(), 0), BpAction::Charge);
     }
 
     #[test]

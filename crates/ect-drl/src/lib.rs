@@ -9,17 +9,19 @@
 //! * [`actor_critic`] — the shared-trunk policy/value network;
 //! * [`rollout`] — trajectory buffers and GAE advantage estimation;
 //! * [`ppo`] — the clipped-objective learner;
-//! * [`trainer`] — sequential episode loops matching the paper's protocol
-//!   (30-day episodes, random initial SoC, 500 train / 100 test);
-//! * [`collector`] — batched rollout collection over the
-//!   [`ect_env::vec_env::FleetEnv`] engine: lockstep fleet training with
-//!   per-lane buffers, bit-identical to the sequential trainer under paired
-//!   seeds;
+//! * [`trainer`] — training budgets and curves, and the one PPO
+//!   collect/update episode loop every trainer runs (30-day episodes,
+//!   random initial SoC, 500 train / 100 test in the paper);
+//! * [`collector`] — lockstep rollout collection over the
+//!   [`ect_env::vec_env::FleetEnv`] engine with per-lane buffers, per-lane
+//!   fleet training ([`collector::train_fleet`]) and the per-lane
+//!   evaluation loop for greedy policies and rule-based schedulers;
 //! * [`heuristics`] — rule-based comparators (NoBattery, price thresholds,
 //!   time-of-use) and the [`heuristics::Scheduler`] abstraction;
 //! * [`generalist`] — scenario-mixture training of one shared policy across
 //!   heterogeneous stress worlds, with zero-shot held-out evaluation
-//!   ([`generalist::ScenarioMixture`], [`generalist::train_generalist`],
+//!   ([`generalist::ScenarioMixture`],
+//!   [`generalist::train_generalist_source`],
 //!   [`generalist::evaluate_generalist`]);
 //! * [`scenario_source`] — where lane scenarios come from: fixed mixtures or
 //!   domain-randomised sampling ([`scenario_source::ScenarioSource`]), plus
@@ -59,21 +61,24 @@ pub mod rollout;
 pub mod scenario_source;
 pub mod trainer;
 
+#[cfg(test)]
+mod toy;
+
 pub use actor_critic::{ActorCritic, ActorCriticConfig};
 pub use checkpoint::{
     load_checkpoint, load_policy, save_checkpoint, save_policy, CheckpointMeta, PolicyCheckpoint,
     CHECKPOINT_VERSION,
 };
 pub use collector::{
-    collect_fleet_episode, collect_shared_policy_episode, evaluate_fleet_greedy, train_fleet,
-    FleetFactory,
+    collect_fleet_episode, collect_shared_policy_episode, evaluate_fleet_greedy,
+    evaluate_fleet_scheduler, train_fleet, FleetFactory,
 };
 pub use generalist::{
-    evaluate_generalist, train_generalist, train_generalist_source, train_holdout_split,
-    GeneralistConfig, MixtureFleetFactory, ScenarioMixture, HELDOUT_SCENARIOS, TRAIN_SCENARIOS,
+    evaluate_generalist, train_generalist_source, train_holdout_split, GeneralistConfig,
+    ScenarioMixture, HELDOUT_SCENARIOS, TRAIN_SCENARIOS,
 };
 pub use heuristics::{run_episode, DrlScheduler, GreedyPrice, NoBattery, Scheduler, TimeOfUse};
 pub use ppo::{Ppo, PpoConfig, UpdateStats};
 pub use rollout::{RolloutBuffer, Transition};
 pub use scenario_source::{ScenarioSource, WorldCache};
-pub use trainer::{evaluate, train, EpisodeFactory, EvalSummary, TrainerConfig, TrainingHistory};
+pub use trainer::{EvalSummary, TrainerConfig, TrainingHistory};

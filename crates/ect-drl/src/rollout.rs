@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// One collected transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Transition {
     /// Observation before acting.
     pub state: Vec<f64>,

@@ -1,40 +1,23 @@
-//! ECT-DRL training and evaluation loops (Section V-C).
+//! ECT-DRL training: configuration, curves and the one PPO episode loop
+//! (Section V-C).
 //!
 //! The paper trains one PPO policy per ECT-Hub for 500 thirty-day episodes
 //! with a random initial state of charge, then tests for 100 episodes and
 //! reports the average daily reward.
+//!
+//! Every trainer runs the same lockstep collect/update loop over a
+//! [`FleetEnv`]: [`crate::collector::train_fleet`] gives each lane its own
+//! policy, [`crate::generalist::train_generalist_source`] shares one policy
+//! across lanes. Which one was called decides the three things that differ:
+//! where the policy is initialised from, which collector fills the rollout
+//! buffers, and what each PPO update consumes.
 
-use crate::actor_critic::{ActorCritic, ActorCriticConfig};
-use crate::heuristics::{run_episode, Scheduler};
-use crate::ppo::{Ppo, PpoConfig, UpdateStats};
-use crate::rollout::{RolloutBuffer, Transition};
-use ect_env::env::HubEnv;
+use crate::actor_critic::ActorCriticConfig;
+use crate::ppo::{PpoConfig, UpdateStats};
+use crate::rollout::RolloutBuffer;
+use ect_env::vec_env::FleetEnv;
 use ect_types::rng::EctRng;
-use ect_types::time::SLOTS_PER_DAY;
 use serde::{Deserialize, Serialize};
-
-/// Anything that can produce a fresh episode environment.
-///
-/// Implemented for closures `FnMut(usize, &mut EctRng) -> Result<HubEnv>`;
-/// the `usize` is the episode index, letting factories rotate start offsets
-/// or draws.
-pub trait EpisodeFactory {
-    /// Builds the environment for the given episode index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment construction failures.
-    fn make(&mut self, episode: usize, rng: &mut EctRng) -> ect_types::Result<HubEnv>;
-}
-
-impl<F> EpisodeFactory for F
-where
-    F: FnMut(usize, &mut EctRng) -> ect_types::Result<HubEnv>,
-{
-    fn make(&mut self, episode: usize, rng: &mut EctRng) -> ect_types::Result<HubEnv> {
-        self(episode, rng)
-    }
-}
 
 /// Trainer configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -107,153 +90,152 @@ pub struct EvalSummary {
     pub daily_rewards: Vec<Vec<f64>>,
 }
 
-/// Trains a PPO policy on episodes from the factory.
-///
-/// # Errors
-///
-/// Propagates factory, environment and PPO errors.
-pub fn train<F: EpisodeFactory>(
-    config: &TrainerConfig,
-    mut factory: F,
-) -> ect_types::Result<(ActorCritic, TrainingHistory)> {
-    config.ppo.validate()?;
-    let mut rng = EctRng::seed_from(config.seed);
-    // Probe the state dimension from episode 0.
-    let probe = factory.make(0, &mut rng.fork(0))?;
-    let state_dim = probe.state_dim();
-    drop(probe);
+/// What differs between the trainers, behind the one episode loop
+/// ([`train_lanes`]): which collector fills the lane buffers and what an
+/// update consumes.
+pub(crate) trait Learner {
+    /// Collects one lockstep episode into the lane `buffers` and records
+    /// its returns.
+    fn collect(
+        &mut self,
+        fleet: &mut FleetEnv,
+        rngs: &mut [EctRng],
+        buffers: &mut [RolloutBuffer],
+        initial_soc: &[f64],
+    ) -> ect_types::Result<()>;
 
-    let mut policy = ActorCritic::new(state_dim, &config.net, &mut rng);
-    let mut ppo = Ppo::new(config.ppo.clone())?;
-    let mut history = TrainingHistory::default();
-    let mut buffer = RolloutBuffer::new();
-
-    for episode in 0..config.episodes {
-        let mut env = factory.make(episode, &mut rng)?;
-        let initial_soc = rng.uniform(); // the paper randomises episode SoC
-        let mut state = env.reset(initial_soc);
-        let mut episode_return = 0.0;
-        loop {
-            let (action, prob, value) = policy.sample_action(&state, &mut rng);
-            let step = env.step(action);
-            episode_return += step.reward;
-            buffer.push(Transition {
-                state: std::mem::take(&mut state),
-                action: action.index(),
-                action_prob: prob,
-                reward: step.reward,
-                value,
-                done: step.done,
-            });
-            state = step.state;
-            if step.done {
-                break;
-            }
-        }
-        history.episode_returns.push(episode_return);
-
-        if (episode + 1) % config.episodes_per_update.max(1) == 0 {
-            let stats = ppo.update(&mut policy, &buffer, &mut rng)?;
-            history.update_stats.push(stats);
-            buffer.clear();
-        }
-    }
-    if !buffer.is_empty() {
-        let stats = ppo.update(&mut policy, &buffer, &mut rng)?;
-        history.update_stats.push(stats);
-    }
-    Ok((policy, history))
+    /// Runs the PPO update over the lane `buffers` and clears them.
+    fn update(
+        &mut self,
+        buffers: &mut [RolloutBuffer],
+        rngs: &mut [EctRng],
+    ) -> ect_types::Result<()>;
 }
 
-/// Evaluates any scheduler over test episodes from the factory.
+/// Rejects a per-lane input whose length differs from the lane count.
+pub(crate) fn check_lanes(
+    context: &'static str,
+    expected: usize,
+    actual: usize,
+) -> ect_types::Result<()> {
+    if expected == actual {
+        return Ok(());
+    }
+    Err(ect_types::EctError::ShapeMismatch {
+        context,
+        expected,
+        actual,
+    })
+}
+
+/// The PPO collect/update episode loop behind every trainer.
+///
+/// Probes the state dimension from episode 0 on forked lane streams (the
+/// forks leave `rngs` untouched) and lets `init` build the learner — where
+/// the policy is initialised from. Then per episode: builds the fleet,
+/// draws each lane's random initial SoC from its stream (the paper
+/// randomises it) and collects; the update runs after every
+/// `episodes_per_update` episodes and after the last one. One `ppo.collect`
+/// span covers each window of episodes, one `ppo.update` span each update.
 ///
 /// # Errors
 ///
-/// Propagates factory and environment errors.
-pub fn evaluate<F: EpisodeFactory, S: Scheduler + ?Sized>(
-    scheduler: &mut S,
-    mut factory: F,
+/// Propagates factory, `init`, collection and update errors, and rejects a
+/// fleet whose lane count differs from `rngs.len()`.
+pub(crate) fn train_lanes<L, M, I>(
     episodes: usize,
-    seed: u64,
-) -> ect_types::Result<EvalSummary> {
-    let mut rng = EctRng::seed_from(seed);
-    let mut summary = EvalSummary::default();
-    let mut total = 0.0;
-    let mut total_days = 0usize;
+    episodes_per_update: usize,
+    rngs: &mut [EctRng],
+    context: &'static str,
+    mut make: M,
+    init: I,
+) -> ect_types::Result<L>
+where
+    L: Learner,
+    M: FnMut(usize, &mut [EctRng]) -> ect_types::Result<FleetEnv>,
+    I: FnOnce(usize, &mut [EctRng]) -> ect_types::Result<L>,
+{
+    let n = rngs.len();
+    let mut probe_rngs: Vec<EctRng> = rngs.iter().map(|r| r.fork(0)).collect();
+    let probe = make(0, &mut probe_rngs)?;
+    check_lanes(context, n, probe.num_lanes())?;
+    let mut learner = init(probe.state_dim(), rngs)?;
+    drop(probe);
+
+    let mut buffers = vec![RolloutBuffer::new(); n];
+    let mut initial_soc = vec![0.0; n];
+    let per_update = episodes_per_update.max(1);
+    let mut collect_span = Some(ect_obs::span("ppo.collect"));
     for episode in 0..episodes {
-        let mut env = factory.make(episode, &mut rng)?;
-        let initial_soc = rng.uniform();
-        let (profit, trail) = run_episode(&mut env, scheduler, initial_soc);
-        total += profit;
-        // Group the trail into calendar days for the Fig. 13 series.
-        let mut daily = Vec::new();
-        for chunk in trail.chunks(SLOTS_PER_DAY) {
-            daily.push(chunk.iter().map(|b| b.reward.as_f64()).sum());
+        let mut fleet = make(episode, rngs)?;
+        check_lanes(context, n, fleet.num_lanes())?;
+        for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
+            *soc = rng.uniform();
         }
-        total_days += daily.len();
-        summary.daily_rewards.push(daily);
+        learner.collect(&mut fleet, rngs, &mut buffers, &initial_soc)?;
+
+        let last = episode + 1 == episodes;
+        if (episode + 1) % per_update == 0 || last {
+            collect_span.take();
+            let update_span = ect_obs::span("ppo.update");
+            learner.update(&mut buffers, rngs)?;
+            drop(update_span);
+            if !last {
+                collect_span = Some(ect_obs::span("ppo.collect"));
+            }
+        }
     }
-    summary.avg_episode_profit = total / episodes.max(1) as f64;
-    summary.avg_daily_reward = total / total_days.max(1) as f64;
-    Ok(summary)
+    Ok(learner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::{evaluate_fleet_greedy, evaluate_fleet_scheduler, train_fleet};
     use crate::heuristics::NoBattery;
-    use ect_data::charging::Stratum;
-    use ect_env::env::EpisodeInputs;
-    use ect_env::hub::HubConfig;
-    use ect_env::tariff::DiscountSchedule;
-    use ect_types::units::{DollarsPerKwh, LoadRate};
+    use crate::toy::{alternating_price, toy_env};
 
-    /// Deterministic toy world: price alternates cheap/expensive every 12 h.
-    fn factory(slots: usize) -> impl FnMut(usize, &mut EctRng) -> ect_types::Result<HubEnv> {
-        move |_episode, _rng| {
-            let rtp: Vec<DollarsPerKwh> = (0..slots)
-                .map(|t| DollarsPerKwh::new(if (t / 12) % 2 == 0 { 0.04 } else { 0.13 }))
-                .collect();
-            let inputs = EpisodeInputs {
-                rtp,
-                weather: vec![
-                    ect_data::weather::WeatherSample {
-                        solar_irradiance: 0.0,
-                        wind_speed: 0.0,
-                        cloud_cover: 0.0,
-                    };
-                    slots
-                ],
-                traffic: vec![
-                    ect_data::traffic::TrafficSample {
-                        load_rate: LoadRate::new(0.4).unwrap(),
-                        volume_gb: 30.0,
-                    };
-                    slots
-                ],
-                discounts: DiscountSchedule::none(slots),
-                strata: vec![Stratum::AlwaysCharge; slots],
-            };
-            HubEnv::new(HubConfig::bare(), inputs, 6)
+    /// Deterministic one-lane toy world: price alternates cheap/expensive
+    /// every 12 h.
+    fn factory(slots: usize) -> impl FnMut(usize, &mut [EctRng]) -> ect_types::Result<FleetEnv> {
+        move |_episode, _rngs| {
+            FleetEnv::from_envs(vec![toy_env(slots, 6, 0.4, 30.0, alternating_price(0.0))])
         }
+    }
+
+    fn train_one(
+        config: &TrainerConfig,
+        slots: usize,
+    ) -> (crate::actor_critic::ActorCritic, TrainingHistory) {
+        let mut lanes = train_fleet(std::slice::from_ref(config), factory(slots)).unwrap();
+        lanes.pop().unwrap()
     }
 
     #[test]
     fn training_runs_and_records_history() {
-        let config = TrainerConfig {
-            episodes: 6,
-            ..TrainerConfig::quick(6)
-        };
-        let (policy, history) = train(&config, factory(48)).unwrap();
+        let config = TrainerConfig::quick(6);
+        let (policy, history) = train_one(&config, 48);
         assert_eq!(history.episode_returns.len(), 6);
         assert_eq!(history.update_stats.len(), 6);
         assert!(history.recent_mean(3).is_finite());
         assert_eq!(policy.state_dim(), 6 * 5 + 1);
+
+        // A trailing partial window still gets its update.
+        let config = TrainerConfig {
+            episodes_per_update: 4,
+            ..TrainerConfig::quick(6)
+        };
+        let (_, history) = train_one(&config, 48);
+        assert_eq!(history.episode_returns.len(), 6);
+        assert_eq!(history.update_stats.len(), 2);
     }
 
     #[test]
     fn evaluation_summarises_days() {
-        let summary = evaluate(&mut NoBattery, factory(48), 3, 1).unwrap();
+        let summary = evaluate_fleet_scheduler(&mut NoBattery, factory(48), 3, &[1])
+            .unwrap()
+            .pop()
+            .unwrap();
         assert_eq!(summary.daily_rewards.len(), 3);
         assert_eq!(summary.daily_rewards[0].len(), 2); // 48 slots = 2 days
         assert!(summary.avg_daily_reward.is_finite());
@@ -265,32 +247,27 @@ mod tests {
         // Short training on a strongly structured price signal should already
         // beat the untrained policy's stochastic behaviour.
         let config = TrainerConfig {
-            episodes: 40,
             ppo: PpoConfig {
                 entropy_coef: 0.02,
                 ..PpoConfig::default()
             },
             ..TrainerConfig::quick(40)
         };
-        let (policy, history) = train(&config, factory(48)).unwrap();
+        let (policy, history) = train_one(&config, 48);
         let early: f64 = history.episode_returns[..5].iter().sum::<f64>() / 5.0;
         let late = history.recent_mean(5);
         // Learning signal: later episodes should not be worse by much, and
         // the greedy policy must be valid.
         assert!(late > early - 5.0, "early {early} late {late}");
-        let mut sched = crate::heuristics::DrlScheduler::new(policy);
-        let summary = evaluate(&mut sched, factory(48), 3, 2).unwrap();
-        assert!(summary.avg_daily_reward.is_finite());
+        let summary = evaluate_fleet_greedy(&[policy], factory(48), 3, &[2]).unwrap();
+        assert!(summary[0].avg_daily_reward.is_finite());
     }
 
     #[test]
     fn determinism_per_seed() {
-        let config = TrainerConfig {
-            episodes: 3,
-            ..TrainerConfig::quick(3)
-        };
-        let (_, h1) = train(&config, factory(24)).unwrap();
-        let (_, h2) = train(&config, factory(24)).unwrap();
+        let config = TrainerConfig::quick(3);
+        let (_, h1) = train_one(&config, 24);
+        let (_, h2) = train_one(&config, 24);
         assert_eq!(h1.episode_returns, h2.episode_returns);
     }
 

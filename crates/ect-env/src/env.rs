@@ -550,6 +550,12 @@ impl HubEnv {
         self.fleet.lane_features(0)
     }
 
+    /// The one-lane fleet this environment steps (lane `0`), for code that
+    /// reads environments through the [`FleetEnv`] interface.
+    pub fn as_fleet(&self) -> &FleetEnv {
+        &self.fleet
+    }
+
     /// Dimension of the observation vector: `5 × window + 1` (RTP, solar,
     /// wind, traffic, SRTP windows plus SoC), plus the scenario-conditioning
     /// block when one is attached.

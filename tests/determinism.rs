@@ -53,13 +53,14 @@ fn pricing_training_is_reproducible() {
 fn drl_training_is_reproducible() {
     let run = || {
         let system = EctHubSystem::new(mini()).unwrap();
-        ect_core::run_hub_method(
+        ect_core::run_hubs_method_batched(
             &system,
-            HubId::new(0),
+            &[HubId::new(0)],
             &ect_price::engine::NeverDiscount,
             "NoDiscount",
         )
         .unwrap()
+        .remove(0)
     };
     let a = run();
     let b = run();

@@ -261,9 +261,9 @@ impl<S: Scheduler> Scheduler for Hashing<'_, S> {
         self.inner.name()
     }
 
-    fn act(&mut self, state: &[f64], env: &HubEnv) -> BpAction {
-        self.hash.slice(state);
-        self.inner.act(state, env)
+    fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction {
+        self.hash.slice(fleet.lane_obs(lane));
+        self.inner.act(fleet, lane)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Scenario/baseline equivalence: the scenario-engine refactor must not move
 //! a single bit of the historical world generation.
 //!
-//! Three layers of pinning, alongside `tests/batched_equivalence.rs`:
+//! Three layers of pinning:
 //!
 //! 1. `ScenarioSpec::baseline()` reproduces `WorldDataset::generate` exactly;
 //! 2. both match an inline re-implementation of the *pre-refactor* generation
