@@ -43,7 +43,7 @@ fn bench_gae(c: &mut Criterion) {
     let p = policy(121);
     let buf = month_buffer(&p, 121);
     c.bench_function("gae_720_transitions", |bench| {
-        bench.iter(|| std::hint::black_box(buf.gae(0.99, 0.95)))
+        bench.iter(|| std::hint::black_box(buf.gae(0.99, 0.95).unwrap()))
     });
 }
 

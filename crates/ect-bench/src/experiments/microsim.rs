@@ -221,7 +221,7 @@ pub struct FlashStudyResult {
 pub struct MicrosimResult {
     /// UE throughput per population rung, in sweep order.
     pub rungs: Vec<MicrosimRung>,
-    /// Worker threads the shards were dispatched over.
+    /// Worker threads the population chunks were dispatched over.
     pub threads: usize,
     /// The flash-crowd training study.
     pub flash: FlashStudyResult,

@@ -348,7 +348,9 @@ pub fn run_generalist_against(
         episodes: config.trainer.episodes,
         seed: config.trainer.seed,
         train_scenarios: train_specs.iter().map(|s| s.name.clone()).collect(),
-        final_training_return: history.recent_mean((history.episode_returns.len() / 10).max(1)),
+        final_training_return: history
+            .recent_mean(history.episode_returns.len() / 10)
+            .unwrap_or(f64::NAN),
         heldout,
     };
     Ok(GeneralistOutcome { report, policy })

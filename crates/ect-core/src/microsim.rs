@@ -1,16 +1,17 @@
 //! The parallel driver and session face of the UE microsimulation.
 //!
-//! `ect-microsim` owns the particle engine and its pure shard-step kernel;
-//! this module fans the per-slot association step over the work-stealing
-//! [`crate::dispatch::run_indexed`] dispatch and packages the synthesis as
-//! a memoisable session artifact ([`MicrosimDemandOptions`] →
+//! `ect-microsim` owns the particle engine and its pure chunk-step kernel;
+//! this module fans the per-slot mobility and association step over the
+//! work-stealing [`crate::dispatch::run_indexed`] dispatch and packages the
+//! synthesis as a memoisable session artifact ([`MicrosimDemandOptions`] →
 //! [`Session::microsim_demand_for`](crate::Session::microsim_demand_for)).
 //!
-//! Shards are a fixed partition of the population
-//! ([`ect_microsim::SHARD_UES`]) and their partials fold in shard order,
-//! so [`synthesize_demand_parallel`] is **bit-identical** to the
-//! sequential [`ect_microsim::synthesize_demand`] at every thread count —
-//! pinned by `tests/microsim_determinism.rs`.
+//! The population is cut into equal chunks, a multiple of the worker
+//! count, so no worker idles on a short tail shard. The fold then runs on the calling thread
+//! in UE order over fixed [`ect_microsim::SHARD_UES`] shards, so
+//! [`synthesize_demand_parallel`] is **bit-identical** to the sequential
+//! [`ect_microsim::synthesize_demand`] at every thread count — pinned by
+//! `tests/microsim_determinism.rs`.
 
 use ect_data::spatial::{Region, RegionConfig};
 use ect_microsim::{MicrosimConfig, MicrosimDemand, MicrosimEngine};
@@ -62,40 +63,42 @@ impl MicrosimDemandOptions {
     }
 }
 
-/// Runs the engine with the per-slot association step fanned over
-/// [`crate::dispatch::run_indexed`]: each shard is one job, stepped and
-/// associated in parallel, partials folded back in shard order. Output is
-/// bit-identical to [`MicrosimEngine::synthesize`] for every `threads`.
+/// Runs the engine with the per-slot step fanned over
+/// [`crate::dispatch::run_indexed`]: the population is cut into equal
+/// chunks for `threads` workers (one worker per
+/// [`ect_microsim::SHARD_UES`] shard when `threads` is 0), each stepped and
+/// associated as one job, then folded in UE order.
+/// Output is bit-identical to [`MicrosimEngine::synthesize`] for every
+/// `threads`.
 ///
 /// # Errors
 ///
-/// Propagates dispatch failures (the shard kernel itself is infallible).
+/// Propagates dispatch failures (the chunk kernel itself is infallible).
 pub fn synthesize_demand_parallel(
     engine: &MicrosimEngine,
     threads: usize,
 ) -> ect_types::Result<MicrosimDemand> {
     let started = std::time::Instant::now();
-    let mut shards = engine.spawn_shards();
+    let workers = if threads == 0 {
+        engine.num_ues().div_ceil(ect_microsim::SHARD_UES)
+    } else {
+        threads
+    };
+    let mut chunks = engine.spawn_chunks(workers);
     let mut acc = engine.accumulator();
-    let workers = if threads == 0 { shards.len() } else { threads };
     for slot in 0..engine.slots() {
         let _span = ect_obs::span("microsim.step");
-        let stepped =
-            crate::dispatch::run_indexed(std::mem::take(&mut shards), workers, |_, mut shard| {
-                let partial = engine.step_shard(&mut shard, slot);
-                Ok((shard, partial))
+        chunks =
+            crate::dispatch::run_indexed(std::mem::take(&mut chunks), workers, |_, mut chunk| {
+                engine.step_chunk(&mut chunk, slot);
+                Ok(chunk)
             })?;
-        let mut partials = Vec::with_capacity(stepped.len());
-        shards = stepped
-            .into_iter()
-            .map(|(shard, partial)| {
-                partials.push(partial);
-                shard
-            })
-            .collect();
-        engine.fold(slot, &partials, &mut acc);
+        engine.fold(slot, &chunks, &mut acc);
         ect_obs::counter_add("microsim.associations", engine.num_ues() as u64);
     }
+    // Free the population before `finish` builds the output series, so
+    // they can reuse its memory.
+    drop(chunks);
     ect_microsim::record_throughput(engine.num_ues(), engine.slots(), started.elapsed());
     Ok(engine.finish(acc))
 }

@@ -85,11 +85,9 @@ fn assemble_result(
     for v in &mut daily_series {
         *v /= episodes;
     }
-    let final_training_return = if history.episode_returns.is_empty() {
-        f64::NAN
-    } else {
-        history.recent_mean((history.episode_returns.len() / 10).max(1))
-    };
+    let final_training_return = history
+        .recent_mean(history.episode_returns.len() / 10)
+        .unwrap_or(f64::NAN);
     HubExperimentResult {
         hub: hub.as_u32(),
         method: method.to_string(),

@@ -307,15 +307,28 @@ impl EctHubSystem {
             .expect("world guarantees at least one hub")
     }
 
-    /// Generates the observational pricing history and splits it into
-    /// train/test at the configured boundary.
+    /// Generates the observational pricing history and encodes it
+    /// straight into train/test datasets split at the configured boundary,
+    /// each allocated at its exact size (every station logs every slot).
     pub fn pricing_datasets(&self) -> (PricingDataset, PricingDataset) {
-        let total = self.config.pricing_history_slots + self.config.pricing_test_slots;
-        let mut rng = EctRng::seed_from(self.config.seed).fork(0xDA7A);
-        let records = self.world.charging.generate_history(total, &mut rng);
+        let history = self.config.pricing_history_slots;
+        let total = history + self.config.pricing_test_slots;
+        let rng = EctRng::seed_from(self.config.seed).fork(0xDA7A);
+        let charging = &self.world.charging;
+        let stations = charging.num_stations() as usize;
         let space = self.feature_space();
-        let all = PricingDataset::from_records(&space, &records);
-        all.split_at_slot(SlotIndex::new(self.config.pricing_history_slots))
+        let boundary = SlotIndex::new(history);
+        let mut train = PricingDataset::with_capacity(stations * history);
+        let mut test = PricingDataset::with_capacity(stations * (total - history));
+        for record in charging.history(total, &rng) {
+            let dst = if record.slot < boundary {
+                &mut train
+            } else {
+                &mut test
+            };
+            dst.push_record(&space, &record);
+        }
+        (train, test)
     }
 }
 

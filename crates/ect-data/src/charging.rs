@@ -326,10 +326,24 @@ impl ChargingWorld {
     /// every station: the substitute for the paper's 70k-row campus dataset.
     pub fn generate_history(&self, slots: usize, rng: &mut EctRng) -> Vec<ChargingRecord> {
         let mut records = Vec::with_capacity(slots * self.config.num_stations as usize);
-        for s in 0..self.config.num_stations {
+        records.extend(self.history(slots, rng));
+        records
+    }
+
+    /// The records of [`Self::generate_history`], in the same order
+    /// (station-major, then slot), drawn lazily — for consumers that encode
+    /// them without materialising the list. Forks `rng` without advancing
+    /// it.
+    pub fn history<'a>(
+        &'a self,
+        slots: usize,
+        rng: &EctRng,
+    ) -> impl Iterator<Item = ChargingRecord> + 'a {
+        let rng = rng.clone();
+        (0..self.config.num_stations).flat_map(move |s| {
             let station = StationId::new(s);
             let mut srng = rng.fork(u64::from(s).wrapping_add(0xC0FFEE));
-            for t in 0..slots {
+            (0..slots).map(move |t| {
                 let slot = SlotIndex::new(t);
                 let stratum = self.sample_stratum(station, slot, &mut srng);
                 let treated = srng.chance(self.propensity(station, slot));
@@ -337,16 +351,15 @@ impl ChargingWorld {
                 if srng.chance(self.config.label_noise) {
                     charged = !charged;
                 }
-                records.push(ChargingRecord {
+                ChargingRecord {
                     station,
                     slot,
                     treated,
                     charged,
                     stratum,
-                });
-            }
-        }
-        records
+                }
+            })
+        })
     }
 }
 

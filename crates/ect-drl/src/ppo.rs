@@ -151,14 +151,9 @@ impl Ppo {
         buffer: &RolloutBuffer,
         rng: &mut EctRng,
     ) -> ect_types::Result<UpdateStats> {
-        if buffer.is_empty() {
-            return Err(ect_types::EctError::InsufficientData(
-                "PPO update needs at least one transition".into(),
-            ));
-        }
         let cfg = &self.config;
         let work = &mut self.work;
-        let (mut advantages, returns) = buffer.gae(cfg.gamma, cfg.gae_lambda);
+        let (mut advantages, returns) = buffer.gae(cfg.gamma, cfg.gae_lambda)?;
         RolloutBuffer::normalise(&mut advantages);
         let transitions = buffer.transitions();
         let n = transitions.len();

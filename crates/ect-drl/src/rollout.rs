@@ -63,16 +63,24 @@ impl RolloutBuffer {
     /// values[i]` is the critic regression target. Episode boundaries
     /// (`done`) reset the recursion, so multi-episode buffers are safe.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty buffer or parameters outside `[0, 1]`.
-    pub fn gae(&self, gamma: f64, lambda: f64) -> (Vec<f64>, Vec<f64>) {
-        assert!(!self.is_empty(), "gae on empty buffer");
-        assert!((0.0..=1.0).contains(&gamma), "gamma {gamma} outside [0, 1]");
-        assert!(
-            (0.0..=1.0).contains(&lambda),
-            "lambda {lambda} outside [0, 1]"
-        );
+    /// Returns [`ect_types::EctError::InsufficientData`] on an empty buffer
+    /// and [`ect_types::EctError::InvalidConfig`] for `gamma` or `lambda`
+    /// outside `[0, 1]`.
+    pub fn gae(&self, gamma: f64, lambda: f64) -> ect_types::Result<(Vec<f64>, Vec<f64>)> {
+        if self.is_empty() {
+            return Err(ect_types::EctError::InsufficientData(
+                "gae on empty buffer".into(),
+            ));
+        }
+        for (name, v) in [("gamma", gamma), ("lambda", lambda)] {
+            if !(0.0..=1.0).contains(&v) {
+                return Err(ect_types::EctError::InvalidConfig(format!(
+                    "{name} {v} outside [0, 1]"
+                )));
+            }
+        }
         let n = self.transitions.len();
         let mut advantages = vec![0.0; n];
         let mut gae = 0.0;
@@ -96,7 +104,7 @@ impl RolloutBuffer {
             .zip(&self.transitions)
             .map(|(a, t)| a + t.value)
             .collect();
-        (advantages, returns)
+        Ok((advantages, returns))
     }
 
     /// Mean-zero, unit-variance normalisation of advantages (a standard PPO
@@ -146,7 +154,7 @@ mod tests {
         for (i, r) in [1.0, 2.0, 3.0].iter().enumerate() {
             buf.push(transition(*r, 0.0, i == 2));
         }
-        let (adv, ret) = buf.gae(1.0, 1.0);
+        let (adv, ret) = buf.gae(1.0, 1.0).unwrap();
         assert_eq!(adv, vec![6.0, 5.0, 3.0]);
         assert_eq!(ret, adv); // values are zero
     }
@@ -156,7 +164,7 @@ mod tests {
         let mut buf = RolloutBuffer::new();
         buf.push(transition(1.0, 0.0, true)); // episode 1
         buf.push(transition(5.0, 0.0, true)); // episode 2
-        let (adv, _) = buf.gae(0.99, 0.95);
+        let (adv, _) = buf.gae(0.99, 0.95).unwrap();
         assert_eq!(adv, vec![1.0, 5.0]);
     }
 
@@ -165,7 +173,7 @@ mod tests {
         let mut buf = RolloutBuffer::new();
         buf.push(transition(0.0, 0.0, false));
         buf.push(transition(10.0, 0.0, true));
-        let (adv, _) = buf.gae(0.5, 1.0);
+        let (adv, _) = buf.gae(0.5, 1.0).unwrap();
         assert_eq!(adv[0], 5.0);
         assert_eq!(adv[1], 10.0);
     }
@@ -176,7 +184,7 @@ mod tests {
         let mut buf = RolloutBuffer::new();
         buf.push(transition(1.0, 3.0, false)); // return: 1 + 2 = 3... with γ=1
         buf.push(transition(2.0, 2.0, true));
-        let (adv, ret) = buf.gae(1.0, 1.0);
+        let (adv, ret) = buf.gae(1.0, 1.0).unwrap();
         assert!(adv.iter().all(|a| a.abs() < 1e-12), "{adv:?}");
         assert_eq!(ret, vec![3.0, 2.0]);
     }
@@ -208,9 +216,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty buffer")]
     fn gae_rejects_empty() {
-        let _ = RolloutBuffer::new().gae(0.99, 0.95);
+        let err = RolloutBuffer::new().gae(0.99, 0.95).unwrap_err();
+        assert!(
+            matches!(err, ect_types::EctError::InsufficientData(_)),
+            "unexpected error {err:?}"
+        );
+    }
+
+    #[test]
+    fn gae_rejects_out_of_range_parameters() {
+        let mut buf = RolloutBuffer::new();
+        buf.push(transition(1.0, 0.0, true));
+        for (gamma, lambda) in [(1.5, 0.95), (0.99, -0.1), (f64::NAN, 0.95)] {
+            let err = buf.gae(gamma, lambda).unwrap_err();
+            assert!(
+                matches!(err, ect_types::EctError::InvalidConfig(_)),
+                "unexpected error {err:?}"
+            );
+        }
     }
 
     proptest! {
@@ -227,7 +251,7 @@ mod tests {
             for (i, r) in rewards.iter().enumerate() {
                 buf.push(transition(*r, r * 0.5, i == n - 1));
             }
-            let (adv, ret) = buf.gae(gamma, lambda);
+            let (adv, ret) = buf.gae(gamma, lambda).unwrap();
             for i in 0..n {
                 prop_assert!((ret[i] - adv[i] - buf.transitions()[i].value).abs() < 1e-9);
             }

@@ -66,16 +66,15 @@ pub struct TrainingHistory {
 }
 
 impl TrainingHistory {
-    /// Mean return of the last `n` episodes (learning-progress summary).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no episodes were recorded.
-    pub fn recent_mean(&self, n: usize) -> f64 {
-        assert!(!self.episode_returns.is_empty(), "no episodes recorded");
+    /// Mean return of the last `n` (at least one) episodes — the
+    /// learning-progress summary — or `None` if no episodes were recorded.
+    pub fn recent_mean(&self, n: usize) -> Option<f64> {
+        if self.episode_returns.is_empty() {
+            return None;
+        }
         let k = n.min(self.episode_returns.len()).max(1);
         let tail = &self.episode_returns[self.episode_returns.len() - k..];
-        tail.iter().sum::<f64>() / k as f64
+        Some(tail.iter().sum::<f64>() / k as f64)
     }
 }
 
@@ -217,7 +216,7 @@ mod tests {
         let (policy, history) = train_one(&config, 48);
         assert_eq!(history.episode_returns.len(), 6);
         assert_eq!(history.update_stats.len(), 6);
-        assert!(history.recent_mean(3).is_finite());
+        assert!(history.recent_mean(3).unwrap().is_finite());
         assert_eq!(policy.state_dim(), 6 * 5 + 1);
 
         // A trailing partial window still gets its update.
@@ -255,7 +254,7 @@ mod tests {
         };
         let (policy, history) = train_one(&config, 48);
         let early: f64 = history.episode_returns[..5].iter().sum::<f64>() / 5.0;
-        let late = history.recent_mean(5);
+        let late = history.recent_mean(5).unwrap();
         // Learning signal: later episodes should not be worse by much, and
         // the greedy policy must be valid.
         assert!(late > early - 5.0, "early {early} late {late}");
@@ -272,8 +271,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no episodes recorded")]
     fn recent_mean_requires_history() {
-        let _ = TrainingHistory::default().recent_mean(5);
+        assert_eq!(TrainingHistory::default().recent_mean(5), None);
     }
 }

@@ -1,16 +1,25 @@
 //! The SoA particle engine: UE mobility on the road graph, per-slot
-//! association through the spatial hash, and pathloss-weighted aggregation
-//! into per-hub demand series.
+//! association through the nearest-hub candidate table, and
+//! pathloss-weighted aggregation into per-hub demand series.
 //!
 //! # Determinism contract
 //!
 //! Every per-UE draw is a pure hash of `(seed, ue index, slot)` — no
-//! sequential RNG stream crosses UE or slot boundaries — and UEs are
-//! partitioned into fixed-size shards ([`SHARD_UES`]) whose partial sums
-//! are folded in shard order. The synthesized demand is therefore
-//! bit-identical no matter how many threads step the shards, and pure in
-//! `(config, region, num_hubs, slots, seed)`; `tests/` pins both
-//! properties.
+//! sequential RNG stream crosses UE or slot boundaries — so the population
+//! can be cut into any number of contiguous [`UeChunk`]s and each chunk
+//! stepped on any thread: a UE's position, hub and demand never depend on
+//! the cut. The cut is sized for load balance (equal chunks, a multiple
+//! of the worker count).
+//!
+//! The floating-point sums are the part that must not depend on it. The
+//! fold ([`MicrosimEngine::fold`]) walks the UEs of a slot in global order
+//! on one thread and sums them in fixed [`SHARD_UES`]-sized shards: each
+//! shard's per-hub partial starts at zero and adds its UEs in order, and
+//! the partials join the `[slot][hub]` accumulator in shard order. The
+//! synthesized demand is therefore bit-identical at every thread count
+//! and chunk cut, and pure in `(config, region, num_hubs, slots, seed)`;
+//! `tests/microsim_determinism.rs` pins both properties and golden
+//! checksums of the output bits.
 
 use crate::config::MicrosimConfig;
 use crate::grid::SpatialHash;
@@ -21,14 +30,18 @@ use ect_types::time::SLOTS_PER_DAY;
 use ect_types::units::LoadRate;
 use serde::{Deserialize, Serialize};
 
-/// UEs per shard: the unit of parallel work. Fixed (never derived from the
-/// thread count) so the shard partition — and with it the floating-point
-/// fold order — is identical on every machine.
+/// UEs per shard: the unit of the fold's floating-point summation. Fixed
+/// (never derived from the thread count or the chunk cut) so the fold
+/// order is identical on every machine.
 pub const SHARD_UES: usize = 4096;
 
 /// Representative sample cap per flash crowd; larger populations are
 /// scaled, keeping event cost bounded while the aggregate load matches.
 const CROWD_SAMPLES: usize = 2048;
+
+/// UEs per pass of [`MicrosimEngine::step_chunk`]: small enough that the
+/// block's positions stay in L1.
+const STEP_BLOCK: usize = 256;
 
 /// Stream separators for the stateless per-UE hash draws.
 const STREAM_INIT: u64 = 0x0515_AB1E;
@@ -117,11 +130,12 @@ impl RoadTable {
     }
 }
 
-/// One shard of the UE population, structure-of-arrays: each lane holds
-/// one attribute for [`SHARD_UES`] (or fewer, in the tail shard) UEs.
+/// A contiguous run of the UE population, structure-of-arrays: each lane
+/// holds one attribute per UE, plus every UE's association in the last
+/// slot the chunk was stepped through.
 #[derive(Debug, Clone)]
-pub struct UeShard {
-    /// Global index of the shard's first UE.
+pub struct UeChunk {
+    /// Global index of the chunk's first UE.
     base: u64,
     seg: Vec<u32>,
     t: Vec<f64>,
@@ -133,38 +147,51 @@ pub struct UeShard {
     /// Personal demand multiplier.
     activity: Vec<f64>,
     is_ev: Vec<bool>,
+    /// Hub each UE associated to in the last stepped slot.
+    hub: Vec<u32>,
+    /// That slot's pathloss-weighted demand of each UE.
+    demand: Vec<f64>,
 }
 
-impl UeShard {
-    /// UEs in this shard.
+impl UeChunk {
+    /// UEs in this chunk.
     #[must_use]
     pub fn len(&self) -> usize {
         self.seg.len()
     }
 
-    /// `true` when the shard holds no UEs.
+    /// `true` when the chunk holds no UEs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.seg.is_empty()
     }
 }
 
-/// Per-shard, per-slot partial aggregate: pathloss-weighted load and EV
-/// arrival mass per hub. Folded in shard order by
-/// [`MicrosimEngine::fold`].
+/// Running `[slot][hub]` aggregation across the whole horizon, plus the
+/// reused per-hub partial of the shard being folded. One small row per
+/// slot (see the crate docs on allocation size).
 #[derive(Debug, Clone)]
-pub struct HubPartial {
-    load: Vec<f64>,
-    ev: Vec<f64>,
+pub struct DemandAccumulator {
+    /// Pathloss-weighted load, `load[slot][hub]`.
+    load: Vec<Vec<f64>>,
+    /// EV arrival mass, same layout.
+    ev: Vec<Vec<f64>>,
+    shard_load: Vec<f64>,
+    shard_ev: Vec<f64>,
     associations: u64,
 }
 
-/// Running `[hub][slot]` aggregation across the whole horizon.
-#[derive(Debug, Clone)]
-pub struct DemandAccumulator {
-    load: Vec<Vec<f64>>,
-    ev: Vec<Vec<f64>>,
-    associations: u64,
+impl DemandAccumulator {
+    /// Adds the shard partial into the slot's row and zeroes it for the
+    /// next shard.
+    fn flush_shard(&mut self, slot: usize) {
+        for (acc, part) in self.load[slot].iter_mut().zip(&mut self.shard_load) {
+            *acc += std::mem::take(part);
+        }
+        for (acc, part) in self.ev[slot].iter_mut().zip(&mut self.shard_ev) {
+            *acc += std::mem::take(part);
+        }
+    }
 }
 
 /// The synthesized demand: per-hub traffic and EV-arrival series, plus the
@@ -263,7 +290,7 @@ pub fn hub_sites(region: &Region, num_hubs: usize) -> ect_types::Result<Vec<Poin
 }
 
 /// The microsimulation engine: immutable shared state (road table, hub
-/// grid, config) plus the pure shard-step kernel. `Sync`, so shards can be
+/// grid, config) plus the pure chunk-step kernel. `Sync`, so chunks can be
 /// stepped from any number of worker threads.
 #[derive(Debug, Clone)]
 pub struct MicrosimEngine {
@@ -396,143 +423,178 @@ impl MicrosimEngine {
         self.config.activity_floor + self.config.activity_swing * demand_shape(hour) * commute
     }
 
-    /// Materialises the population as fixed-size shards, every UE's state
-    /// derived from its global index alone.
+    /// Materialises the population as near-equal contiguous chunks for
+    /// `workers` workers: a multiple of `workers` chunks, the fewest that
+    /// keep each within [`SHARD_UES`] UEs (so its lanes stay small
+    /// allocations), never more than one per UE. Every UE's state derives
+    /// from its global index alone — so the cut never moves a UE.
     #[must_use]
-    pub fn spawn_shards(&self) -> Vec<UeShard> {
+    pub fn spawn_chunks(&self, workers: usize) -> Vec<UeChunk> {
         let num_ues = self.config.num_ues;
-        let mut shards = Vec::with_capacity(num_ues.div_ceil(SHARD_UES));
-        let mut base = 0usize;
-        while base < num_ues {
-            let len = SHARD_UES.min(num_ues - base);
-            let mut shard = UeShard {
-                base: base as u64,
-                seg: Vec::with_capacity(len),
-                t: Vec::with_capacity(len),
-                dir: Vec::with_capacity(len),
-                speed: Vec::with_capacity(len),
-                jitter: Vec::with_capacity(len),
-                activity: Vec::with_capacity(len),
-                is_ev: Vec::with_capacity(len),
-            };
-            for ue in base..base + len {
-                let h = mix64(self.seed ^ mix64(spread(ue as u64) ^ STREAM_INIT));
-                let seg = self.roads.sample_segment(unit(h));
-                let jitter = 0.75 + 0.5 * unit(mix64(h ^ 1));
-                shard.seg.push(seg);
-                shard.t.push(unit(mix64(h ^ 2)));
-                shard
-                    .dir
-                    .push(if mix64(h ^ 3) & 1 == 0 { 1.0 } else { -1.0 });
-                shard.jitter.push(jitter);
-                shard
-                    .speed
-                    .push(self.roads.speed_kmh[seg as usize] * jitter);
-                shard.activity.push(0.5 + unit(mix64(h ^ 4)));
-                shard
-                    .is_ev
-                    .push(unit(mix64(h ^ 5)) < self.config.ev_fraction);
-            }
-            shards.push(shard);
-            base += len;
-        }
-        shards
+        let workers = workers.max(1);
+        let parts = (workers * num_ues.div_ceil(workers * SHARD_UES)).min(num_ues);
+        (0..parts)
+            .map(|part| self.spawn_chunk(part * num_ues / parts..(part + 1) * num_ues / parts))
+            .collect()
     }
 
-    /// Advances one shard by one slot (mobility) and associates every UE
-    /// to its nearest hub, returning the shard's pathloss-weighted partial
-    /// load. Pure in `(shard state, slot)` — safe to fan out.
-    #[must_use]
-    pub fn step_shard(&self, shard: &mut UeShard, slot: usize) -> HubPartial {
+    fn spawn_chunk(&self, ues: std::ops::Range<usize>) -> UeChunk {
+        let len = ues.len();
+        let mut chunk = UeChunk {
+            base: ues.start as u64,
+            seg: Vec::with_capacity(len),
+            t: Vec::with_capacity(len),
+            dir: Vec::with_capacity(len),
+            speed: Vec::with_capacity(len),
+            jitter: Vec::with_capacity(len),
+            activity: Vec::with_capacity(len),
+            is_ev: Vec::with_capacity(len),
+            hub: vec![0; len],
+            demand: vec![0.0; len],
+        };
+        for ue in ues {
+            let h = mix64(self.seed ^ mix64(spread(ue as u64) ^ STREAM_INIT));
+            let seg = self.roads.sample_segment(unit(h));
+            let jitter = 0.75 + 0.5 * unit(mix64(h ^ 1));
+            chunk.seg.push(seg);
+            chunk.t.push(unit(mix64(h ^ 2)));
+            chunk
+                .dir
+                .push(if mix64(h ^ 3) & 1 == 0 { 1.0 } else { -1.0 });
+            chunk.jitter.push(jitter);
+            chunk
+                .speed
+                .push(self.roads.speed_kmh[seg as usize] * jitter);
+            chunk.activity.push(0.5 + unit(mix64(h ^ 4)));
+            chunk
+                .is_ev
+                .push(unit(mix64(h ^ 5)) < self.config.ev_fraction);
+        }
+        chunk
+    }
+
+    /// Advances one chunk by one slot (mobility) and associates every UE
+    /// to its nearest hub, storing each UE's hub and pathloss-weighted
+    /// demand in the chunk for [`Self::fold`]. Pure in `(chunk state,
+    /// slot)` — safe to fan out. Adds the sites the association
+    /// distance-tested to the `microsim.candidates` counter, once per call.
+    pub fn step_chunk(&self, chunk: &mut UeChunk, slot: usize) {
         let hour = slot % SLOTS_PER_DAY;
         let commute = self.commute_factor(hour);
         let base_demand = self.base_demand(hour);
         let step_base = mix64(self.seed ^ mix64(slot as u64 ^ STREAM_STEP));
-        let mut partial = HubPartial {
-            load: vec![0.0; self.sites.len()],
-            ev: vec![0.0; self.sites.len()],
-            associations: shard.len() as u64,
-        };
-        for i in 0..shard.len() {
-            let ue = shard.base + i as u64;
-            let h = mix64(step_base ^ spread(ue));
-            // Rewire: hop to a fresh length-weighted segment, keeping the
-            // along-segment offset; speed follows the new segment's class.
-            if unit(h) < self.config.rewire_chance {
-                let seg = self.roads.sample_segment(unit(mix64(h ^ 1)));
-                shard.seg[i] = seg;
-                shard.speed[i] = self.roads.speed_kmh[seg as usize] * shard.jitter[i];
+        let mut tested = 0;
+        // Three passes per block of UEs — mobility, association, pathloss —
+        // so each pass's per-UE chains are independent and overlap in the
+        // out-of-order core; every UE sees the same operations as in one
+        // fused loop.
+        let mut points = [(0.0, 0.0); STEP_BLOCK];
+        for start in (0..chunk.len()).step_by(STEP_BLOCK) {
+            let ues = start..(start + STEP_BLOCK).min(chunk.len());
+            for (i, point) in ues.clone().zip(&mut points) {
+                let ue = chunk.base + i as u64;
+                let h = mix64(step_base ^ spread(ue));
+                // Rewire: hop to a fresh length-weighted segment, keeping
+                // the along-segment offset; speed follows the new segment's
+                // class.
+                if unit(h) < self.config.rewire_chance {
+                    let seg = self.roads.sample_segment(unit(mix64(h ^ 1)));
+                    chunk.seg[i] = seg;
+                    chunk.speed[i] = self.roads.speed_kmh[seg as usize] * chunk.jitter[i];
+                }
+                // Advance along the segment (one slot = one hour, so km/h
+                // is km/slot), reflecting at the endpoints.
+                let seg = chunk.seg[i] as usize;
+                let advance = chunk.speed[i] * commute / self.roads.len_km[seg];
+                let pos = (chunk.t[i] + chunk.dir[i] * advance).rem_euclid(2.0);
+                if pos > 1.0 {
+                    chunk.t[i] = 2.0 - pos;
+                    chunk.dir[i] = -chunk.dir[i];
+                } else {
+                    chunk.t[i] = pos;
+                }
+                *point = self.roads.point_at(chunk.seg[i], chunk.t[i]);
             }
-            // Advance along the segment (one slot = one hour, so km/h is
-            // km/slot), reflecting at the endpoints.
-            let seg = shard.seg[i] as usize;
-            let advance = shard.speed[i] * commute / self.roads.len_km[seg];
-            let pos = (shard.t[i] + shard.dir[i] * advance).rem_euclid(2.0);
-            if pos > 1.0 {
-                shard.t[i] = 2.0 - pos;
-                shard.dir[i] = -shard.dir[i];
-            } else {
-                shard.t[i] = pos;
+            // Associate; `demand` holds the hub distance until the last pass.
+            for (i, &point) in ues.clone().zip(&points) {
+                let (hub, d, sites) = self.grid.nearest_tested(point);
+                tested += sites;
+                chunk.hub[i] = hub as u32;
+                chunk.demand[i] = d;
             }
-            // Associate and aggregate.
-            let p = self.roads.point_at(shard.seg[i], shard.t[i]);
-            let (hub, d) = self.grid.nearest(p);
-            let w = self.pathloss(d);
-            let demand = base_demand * shard.activity[i] * w;
-            partial.load[hub] += demand;
-            if shard.is_ev[i] {
-                partial.ev[hub] += demand;
+            for i in ues {
+                chunk.demand[i] = base_demand * chunk.activity[i] * self.pathloss(chunk.demand[i]);
             }
         }
-        partial
+        ect_obs::counter_add("microsim.candidates", tested as u64);
     }
 
     /// A zeroed accumulator sized for this engine's horizon.
     #[must_use]
     pub fn accumulator(&self) -> DemandAccumulator {
+        let hubs = self.sites.len();
         DemandAccumulator {
-            load: vec![vec![0.0; self.slots]; self.sites.len()],
-            ev: vec![vec![0.0; self.slots]; self.sites.len()],
+            load: vec![vec![0.0; hubs]; self.slots],
+            ev: vec![vec![0.0; hubs]; self.slots],
+            shard_load: vec![0.0; hubs],
+            shard_ev: vec![0.0; hubs],
             associations: 0,
         }
     }
 
-    /// Folds shard partials for one slot into the accumulator **in the
-    /// order given** — callers must pass partials in shard order, which
-    /// [`crate::synthesize_demand`] and the `ect-core` parallel driver
-    /// both do, keeping the floating-point sums identical.
-    pub fn fold(&self, slot: usize, partials: &[HubPartial], acc: &mut DemandAccumulator) {
-        for partial in partials {
-            for (hub, &load) in partial.load.iter().enumerate() {
-                acc.load[hub][slot] += load;
+    /// Folds one stepped slot into the accumulator. `chunks` must be the
+    /// whole population in UE order (as [`Self::spawn_chunks`] returns
+    /// it): the fold sums UEs in that order within each [`SHARD_UES`]
+    /// shard, then adds the shard partials in shard order, so the sums do
+    /// not depend on how the population was cut.
+    pub fn fold(&self, slot: usize, chunks: &[UeChunk], acc: &mut DemandAccumulator) {
+        let mut ue = 0;
+        for chunk in chunks {
+            debug_assert_eq!(chunk.base, ue as u64, "chunks must tile the population");
+            for ((&hub, &demand), &is_ev) in chunk.hub.iter().zip(&chunk.demand).zip(&chunk.is_ev) {
+                acc.shard_load[hub as usize] += demand;
+                // The sums start at +0.0 and add non-negative demands, and
+                // adding +0.0 leaves such a sum's bits unchanged: non-EV UEs
+                // add it instead of branching.
+                acc.shard_ev[hub as usize] += if is_ev { demand } else { 0.0 };
+                ue += 1;
+                if ue % SHARD_UES == 0 {
+                    acc.flush_shard(slot);
+                }
             }
-            for (hub, &ev) in partial.ev.iter().enumerate() {
-                acc.ev[hub][slot] += ev;
-            }
-            acc.associations += partial.associations;
         }
+        if ue % SHARD_UES != 0 {
+            acc.flush_shard(slot);
+        }
+        acc.associations += ue as u64;
     }
 
     /// Applies the flash-crowd surges and converts the raw weighted-load
     /// matrix into per-hub [`TrafficSample`] and EV-arrival series.
     #[must_use]
     pub fn finish(&self, mut acc: DemandAccumulator) -> MicrosimDemand {
+        let hubs = self.sites.len();
         for (crowd, (assoc, scale)) in self.config.flash_crowds.iter().zip(&self.crowd_assoc) {
             for slot in crowd.start_slot..(crowd.start_slot + crowd.len_slots).min(self.slots) {
                 let per_head = self.base_demand(slot % SLOTS_PER_DAY) * scale;
                 for &(hub, w) in assoc {
-                    acc.load[hub as usize][slot] += per_head * w;
-                    acc.ev[hub as usize][slot] += self.config.ev_fraction * per_head * w;
+                    acc.load[slot][hub as usize] += per_head * w;
+                    acc.ev[slot][hub as usize] += self.config.ev_fraction * per_head * w;
                 }
             }
         }
-        let traffic = acc
-            .load
-            .iter()
-            .map(|series| {
-                series
+        // EV series first, dropping their matrix before the traffic series
+        // are built, so the accumulator and the output never all coexist.
+        let ev_arrivals = (0..hubs)
+            .map(|hub| acc.ev.iter().map(|row| row[hub]).collect())
+            .collect();
+        drop(std::mem::take(&mut acc.ev));
+        let traffic = (0..hubs)
+            .map(|hub| {
+                acc.load
                     .iter()
-                    .map(|&raw| {
+                    .map(|row| {
+                        let raw = row[hub];
                         let load_rate = LoadRate::saturating(raw / self.config.ues_per_full_load);
                         TrafficSample {
                             load_rate,
@@ -544,19 +606,19 @@ impl MicrosimEngine {
             .collect();
         MicrosimDemand {
             num_ues: self.config.num_ues,
-            num_hubs: self.sites.len(),
+            num_hubs: hubs,
             slots: self.slots,
             hub_sites: self.sites.clone(),
             traffic,
-            ev_arrivals: acc.ev,
+            ev_arrivals,
             total_associations: acc.associations,
         }
     }
 
     /// Runs the whole simulation on the calling thread — the sequential
     /// reference path. `ect_core::microsim::synthesize_demand_parallel`
-    /// fans the same shard steps over the dispatch layer and is pinned
-    /// bit-identical to this.
+    /// steps chunks on the dispatch layer and is pinned bit-identical to
+    /// this.
     ///
     /// # Errors
     ///
@@ -564,18 +626,17 @@ impl MicrosimEngine {
     /// signature aligned with the parallel driver.
     pub fn synthesize(&self) -> ect_types::Result<MicrosimDemand> {
         let started = std::time::Instant::now();
-        let mut shards = self.spawn_shards();
+        let mut chunks = self.spawn_chunks(1);
         let mut acc = self.accumulator();
-        let mut partials = Vec::with_capacity(shards.len());
         for slot in 0..self.slots {
             let _span = ect_obs::span("microsim.step");
-            partials.clear();
-            for shard in &mut shards {
-                partials.push(self.step_shard(shard, slot));
+            for chunk in &mut chunks {
+                self.step_chunk(chunk, slot);
             }
-            self.fold(slot, &partials, &mut acc);
+            self.fold(slot, &chunks, &mut acc);
             ect_obs::counter_add("microsim.associations", self.config.num_ues as u64);
         }
+        drop(chunks);
         record_throughput(self.config.num_ues, self.slots, started.elapsed());
         Ok(self.finish(acc))
     }

@@ -1,14 +1,56 @@
-//! Uniform-grid spatial hash for UE → nearest-hub association.
+//! Exact nearest-hub association through per-cell candidate lists.
 //!
 //! The association step runs once per UE per slot, so a full scan over hub
-//! sites would put an `O(hubs)` factor on the hottest loop. The hash
-//! buckets hub sites into a square grid sized so a query touches a handful
-//! of cells: start at the query's cell and scan outward ring by ring,
-//! stopping once no unvisited ring can hold a closer site than the best
-//! found so far.
+//! sites would put an `O(hubs)` factor on the hottest loop. Instead the
+//! `[0, size_km]²` square is cut into a fine table of cells, and each cell
+//! stores, once, every site that can be the nearest site of *some* point in
+//! the cell. A query inside the square scans only its own cell's list.
 //!
-//! The result is **exactly** the brute-force nearest site (ties broken by
-//! the lower hub index) — pinned by a proptest against random scatters.
+//! # The candidate table
+//!
+//! For a cell `C` with centre `m`, let `d_m` be the distance from `m` to its
+//! nearest site and `h` half the cell diagonal. Every point `p ∈ C` has a
+//! site within `U = d_m + h` (the centre's nearest, by the triangle
+//! inequality), so the nearest site `s*` of `p` satisfies
+//!
+//! ```text
+//! mindist(s*, C) ≤ d(p, s*) ≤ U
+//! ```
+//!
+//! where `mindist` is the distance from a site to the cell rectangle. The
+//! cell's candidates are therefore every site with `mindist(s, C) ≤ U`: a
+//! superset of the nearest sites of all its points, exact ties included
+//! (a tied site is exactly as far as `s*`). `U` is padded by a relative
+//! plus absolute slack so floating-point rounding — of the distances, of
+//! the cell edges and of the query's cell index — can only add candidates,
+//! never drop one.
+//!
+//! Each row of cells keeps its lists end to end in one array of site ids,
+//! ascending within each list, and each cell holds the `(start, len)` of
+//! its own, so a query that keeps the first strictly smaller distance
+//! returns the lowest index on exact ties. It uses the same `dist` as
+//! [`nearest_brute_force`] and so returns the same index and the same
+//! distance bits.
+//!
+//! The table is built top-down, not by brute force: a rectangle of cells
+//! takes its candidates from its parent's list (the argument above holds
+//! for any rectangle, and the parent's list already holds the nearest site
+//! of the rectangle's centre), then splits along its longer side until
+//! single cells remain, each appending its list to its row. Near the
+//! leaves the lists are a handful of sites, so the build costs about a
+//! distance test per site per level at the top and a few per cell at the
+//! bottom.
+//!
+//! # The fallback
+//!
+//! Points outside the square (flash-crowd scatter can leave it) run a ring
+//! search over a coarse bucket grid: start at the query's clamped cell and
+//! scan outward ring by ring, stopping once no unvisited ring can hold a
+//! closer site than the best found so far. It too is exact.
+//!
+//! Both paths are pinned against the brute-force scan by proptests over
+//! uniform scatters and over the clustered, duplicated sites of generated
+//! regions.
 
 use ect_data::spatial::Point;
 
@@ -16,58 +58,104 @@ fn dist(a: Point, b: Point) -> f64 {
     ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
 }
 
-/// Square-grid spatial hash over hub sites.
+/// Table cells per side per `√sites`: about sixteen cells per site keeps
+/// the per-cell lists at a few sites on clustered geometry.
+const TABLE_CELLS_PER_SQRT_SITE: f64 = 4.0;
+
+/// Cap on table cells per side (the spans take `8 · side²` bytes).
+const MAX_TABLE_SIDE: usize = 512;
+
+/// Relative and absolute padding of a cell's bound `U`: many orders of
+/// magnitude above the rounding of km-scale distances and cell edges.
+const BOUND_REL_SLACK: f64 = 1e-9;
+const BOUND_ABS_SLACK_KM: f64 = 1e-9;
+
+/// Square-grid spatial hash over hub sites: the candidate table for
+/// queries inside the region, a bucket grid for the ring-search fallback.
 #[derive(Debug, Clone)]
 pub struct SpatialHash {
+    size_km: f64,
+    sites: Vec<Point>,
+    /// Fallback bucket grid: cell side and cells per side.
     cell_km: f64,
     cells_per_side: usize,
-    sites: Vec<Point>,
-    /// Hub indices per cell, row-major, each bucket sorted ascending.
+    /// Hub indices per bucket, row-major, each bucket sorted ascending.
     buckets: Vec<Vec<u32>>,
+    /// Candidate-table cell side and cells per side.
+    table_cell_km: f64,
+    table_side: usize,
+    /// The candidate table, one row of cells per entry.
+    rows: Vec<TableRow>,
+}
+
+/// One row of the candidate table, its own small allocations (see the
+/// crate docs on allocation size).
+#[derive(Debug, Clone)]
+struct TableRow {
+    /// Per cell of the row: `(start, len)` of its list in `ids`.
+    spans: Vec<(u32, u32)>,
+    /// The row's candidate site ids, ascending within each cell's list.
+    ids: Vec<u32>,
 }
 
 impl SpatialHash {
     /// Builds the hash for `sites` inside the `[0, size_km]²` region.
     ///
-    /// Sites outside the square are clamped into it for bucketing (their
-    /// exact coordinates still decide distances). The cell size defaults
-    /// to roughly one site per cell when `cell_km` is not positive.
+    /// `cell_km` sizes the fallback bucket grid; it defaults to roughly
+    /// one site per bucket when not positive. Sites outside the square are
+    /// clamped into it for bucketing (their exact coordinates still decide
+    /// distances).
     ///
     /// # Errors
     ///
     /// Returns [`ect_types::EctError::InvalidConfig`] for an empty site
-    /// list or a non-positive region size.
+    /// list, more than `u32::MAX` sites or a non-positive region size.
     pub fn new(sites: &[Point], size_km: f64, cell_km: f64) -> ect_types::Result<Self> {
         if sites.is_empty() {
             return Err(ect_types::EctError::InvalidConfig(
                 "spatial hash needs at least one site".into(),
             ));
         }
+        if u32::try_from(sites.len()).is_err() {
+            return Err(ect_types::EctError::InvalidConfig(format!(
+                "spatial hash indexes sites as u32, got {}",
+                sites.len()
+            )));
+        }
         if !size_km.is_finite() || size_km <= 0.0 {
             return Err(ect_types::EctError::InvalidConfig(format!(
                 "spatial hash region size must be positive, got {size_km}"
             )));
         }
+        let root = (sites.len() as f64).sqrt();
         let cell_km = if cell_km.is_finite() && cell_km > 0.0 {
             cell_km
         } else {
-            // ~1 site per cell keeps ring searches shallow without
+            // ~1 site per bucket keeps ring searches shallow without
             // ballooning the bucket table for sparse fleets.
-            size_km / (sites.len() as f64).sqrt().ceil().max(1.0)
+            size_km / root.ceil().max(1.0)
         };
         let cells_per_side = ((size_km / cell_km).ceil() as usize).max(1);
+        let table_side =
+            ((root * TABLE_CELLS_PER_SQRT_SITE).ceil() as usize).clamp(1, MAX_TABLE_SIDE);
         let mut hash = Self {
+            size_km,
+            sites: sites.to_vec(),
             cell_km,
             cells_per_side,
-            sites: sites.to_vec(),
             buckets: vec![Vec::new(); cells_per_side * cells_per_side],
+            table_cell_km: size_km / table_side as f64,
+            table_side,
+            rows: Vec::new(),
         };
         for (idx, &site) in sites.iter().enumerate() {
-            let cell = hash.cell_of(site);
+            let cell = axis_cell(site.1, cell_km, cells_per_side) * cells_per_side
+                + axis_cell(site.0, cell_km, cells_per_side);
             hash.buckets[cell].push(idx as u32);
         }
         // Buckets are filled in site order, so they are already sorted
         // ascending — which makes the tie-break below deterministic.
+        hash.build_table();
         Ok(hash)
     }
 
@@ -77,34 +165,82 @@ impl SpatialHash {
         self.sites.len()
     }
 
-    fn axis_cell(&self, v: f64) -> usize {
-        if v <= 0.0 {
-            return 0;
-        }
-        ((v / self.cell_km) as usize).min(self.cells_per_side - 1)
+    fn build_table(&mut self) {
+        let side = self.table_side;
+        let all = SiteList {
+            ids: (0..self.sites.len() as u32).collect(),
+            xs: self.sites.iter().map(|s| s.0).collect(),
+            ys: self.sites.iter().map(|s| s.1).collect(),
+        };
+        let mut builder = TableBuilder {
+            cell_km: self.table_cell_km,
+            levels: vec![all],
+            rows: vec![
+                TableRow {
+                    spans: vec![(0, 0); side],
+                    ids: Vec::new(),
+                };
+                side
+            ],
+        };
+        builder.split(0, 0..side, 0..side);
+        self.rows = builder.rows;
     }
 
-    fn cell_of(&self, p: Point) -> usize {
-        self.axis_cell(p.1) * self.cells_per_side + self.axis_cell(p.0)
-    }
-
-    fn scan_cell(&self, cx: usize, cy: usize, p: Point, best: &mut (u32, f64)) {
-        for &idx in &self.buckets[cy * self.cells_per_side + cx] {
-            let d = dist(p, self.sites[idx as usize]);
-            if d < best.1 || (d == best.1 && idx < best.0) {
-                *best = (idx, d);
-            }
-        }
+    fn inside(&self, p: Point) -> bool {
+        (0.0..=self.size_km).contains(&p.0) && (0.0..=self.size_km).contains(&p.1)
     }
 
     /// The site nearest to `p` (lowest index on exact ties) and its
     /// distance — identical to a brute-force scan over all sites.
     #[must_use]
     pub fn nearest(&self, p: Point) -> (usize, f64) {
-        let n = self.cells_per_side;
-        let cx = self.axis_cell(p.0);
-        let cy = self.axis_cell(p.1);
+        let (idx, d, _) = self.nearest_tested(p);
+        (idx, d)
+    }
+
+    /// [`Self::nearest`] plus the number of sites it distance-tested — the
+    /// cost telemetry counts, so a degraded table shows.
+    #[must_use]
+    pub fn nearest_tested(&self, p: Point) -> (usize, f64, usize) {
+        if !self.inside(p) {
+            return self.ring_search(p);
+        }
+        let side = self.table_side;
+        let row = &self.rows[axis_cell(p.1, self.table_cell_km, side)];
+        let (start, len) = row.spans[axis_cell(p.0, self.table_cell_km, side)];
+        let ids = &row.ids[start as usize..(start + len) as usize];
         let mut best: (u32, f64) = (u32::MAX, f64::INFINITY);
+        for &idx in ids {
+            let d = dist(p, self.sites[idx as usize]);
+            // Ids ascend, so keeping the first strict minimum is the
+            // lowest-index tie-break.
+            if d < best.1 {
+                best = (idx, d);
+            }
+        }
+        debug_assert!(best.0 != u32::MAX, "every cell lists a site");
+        (best.0 as usize, best.1, ids.len())
+    }
+
+    fn scan_bucket(&self, cx: usize, cy: usize, p: Point, best: &mut (u32, f64)) -> usize {
+        let bucket = &self.buckets[cy * self.cells_per_side + cx];
+        for &idx in bucket {
+            let d = dist(p, self.sites[idx as usize]);
+            if d < best.1 || (d == best.1 && idx < best.0) {
+                *best = (idx, d);
+            }
+        }
+        bucket.len()
+    }
+
+    /// Ring search over the bucket grid, for queries outside the square.
+    fn ring_search(&self, p: Point) -> (usize, f64, usize) {
+        let n = self.cells_per_side;
+        let cx = axis_cell(p.0, self.cell_km, n);
+        let cy = axis_cell(p.1, self.cell_km, n);
+        let mut best: (u32, f64) = (u32::MAX, f64::INFINITY);
+        let mut tested = 0;
         for ring in 0..n {
             // Any site in ring `r` is at least `(r - 1) · cell` away from
             // `p` (the query may sit anywhere inside its own cell), so once
@@ -117,15 +253,15 @@ impl SpatialHash {
             let y_lo = cy.saturating_sub(ring);
             let y_hi = (cy + ring).min(n - 1);
             if ring == 0 {
-                self.scan_cell(cx, cy, p, &mut best);
+                tested += self.scan_bucket(cx, cy, p, &mut best);
                 continue;
             }
             for x in x_lo..=x_hi {
                 if cy >= ring {
-                    self.scan_cell(x, cy - ring, p, &mut best);
+                    tested += self.scan_bucket(x, cy - ring, p, &mut best);
                 }
                 if cy + ring < n {
-                    self.scan_cell(x, cy + ring, p, &mut best);
+                    tested += self.scan_bucket(x, cy + ring, p, &mut best);
                 }
             }
             // Vertical edges, corners already covered by the rows above.
@@ -133,15 +269,121 @@ impl SpatialHash {
             let y_end = y_hi.saturating_sub(usize::from(cy + ring < n));
             for y in y_start..=y_end {
                 if cx >= ring {
-                    self.scan_cell(cx - ring, y, p, &mut best);
+                    tested += self.scan_bucket(cx - ring, y, p, &mut best);
                 }
                 if cx + ring < n {
-                    self.scan_cell(cx + ring, y, p, &mut best);
+                    tested += self.scan_bucket(cx + ring, y, p, &mut best);
                 }
             }
         }
         debug_assert!(best.0 != u32::MAX, "grid holds at least one site");
-        (best.0 as usize, best.1)
+        (best.0 as usize, best.1, tested)
+    }
+}
+
+/// Cell index of one coordinate on a grid of `n` cells of side `cell_km`,
+/// clamped into `[0, n)`.
+fn axis_cell(v: f64, cell_km: f64, n: usize) -> usize {
+    if v <= 0.0 {
+        return 0;
+    }
+    ((v / cell_km) as usize).min(n - 1)
+}
+
+/// Candidate sites with their coordinates alongside, so a filter reads
+/// contiguous lanes.
+#[derive(Default)]
+struct SiteList {
+    ids: Vec<u32>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+impl SiteList {
+    /// Squared distance from `centre` to the nearest listed site, over
+    /// four independent running minima.
+    fn nearest_sq(&self, centre: Point) -> f64 {
+        let sq = |k: usize| (self.xs[k] - centre.0).powi(2) + (self.ys[k] - centre.1).powi(2);
+        let mut lanes = [f64::INFINITY; 4];
+        let full = self.xs.len() / 4 * 4;
+        for k in (0..full).step_by(4) {
+            for (lane, min) in lanes.iter_mut().enumerate() {
+                *min = min.min(sq(k + lane));
+            }
+        }
+        (full..self.xs.len()).fold(
+            lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3])),
+            |m, k| m.min(sq(k)),
+        )
+    }
+}
+
+/// Top-down candidate-table construction (see the module docs).
+///
+/// `levels[d]` holds the list of the rectangle at bisection depth `d` on
+/// the current path (`levels[0]` every site); a rectangle overwrites its
+/// depth's list, which its sibling no longer needs. Distances are compared
+/// squared; the bound's slack covers the rounding that saves.
+struct TableBuilder {
+    cell_km: f64,
+    levels: Vec<SiteList>,
+    rows: Vec<TableRow>,
+}
+
+impl TableBuilder {
+    /// Filters the list at `levels[depth]` down to the candidates of the
+    /// cell rectangle `cols × rows` into `levels[depth + 1]`, then records
+    /// it (one cell) or bisects the longer side.
+    fn split(&mut self, depth: usize, cols: std::ops::Range<usize>, rows: std::ops::Range<usize>) {
+        let lo = (
+            cols.start as f64 * self.cell_km,
+            rows.start as f64 * self.cell_km,
+        );
+        let hi = (
+            cols.end as f64 * self.cell_km,
+            rows.end as f64 * self.cell_km,
+        );
+        if self.levels.len() == depth + 1 {
+            self.levels.push(SiteList::default());
+        }
+        let (done, rest) = self.levels.split_at_mut(depth + 1);
+        let (parent, own) = (&done[depth], &mut rest[0]);
+        let centre = (0.5 * (lo.0 + hi.0), 0.5 * (lo.1 + hi.1));
+        let bound = (parent.nearest_sq(centre).sqrt() + 0.5 * dist(lo, hi))
+            * (1.0 + BOUND_REL_SLACK)
+            + BOUND_ABS_SLACK_KM;
+        let bound_sq = bound * bound;
+        // Branch-free compaction.
+        let n = parent.ids.len();
+        own.ids.resize(n, 0);
+        own.xs.resize(n, 0.0);
+        own.ys.resize(n, 0.0);
+        let mut top = 0;
+        for k in 0..n {
+            let (x, y) = (parent.xs[k], parent.ys[k]);
+            let dx = (lo.0 - x).max(x - hi.0).max(0.0);
+            let dy = (lo.1 - y).max(y - hi.1).max(0.0);
+            own.ids[top] = parent.ids[k];
+            own.xs[top] = x;
+            own.ys[top] = y;
+            top += usize::from(dx * dx + dy * dy <= bound_sq);
+        }
+        own.ids.truncate(top);
+        own.xs.truncate(top);
+        own.ys.truncate(top);
+        if cols.len() == 1 && rows.len() == 1 {
+            let row = &mut self.rows[rows.start];
+            row.spans[cols.start] = (row.ids.len() as u32, top as u32);
+            row.ids.extend_from_slice(&own.ids);
+        } else if cols.len() >= rows.len() {
+            let mid = cols.start + cols.len() / 2;
+            self.split(depth + 1, cols.start..mid, rows.clone());
+            self.split(depth + 1, mid..cols.end, rows);
+        } else {
+            let mid = rows.start + rows.len() / 2;
+            self.split(depth + 1, cols.clone(), rows.start..mid);
+            self.split(depth + 1, cols, mid..rows.end);
+        }
     }
 }
 
@@ -162,6 +404,7 @@ pub fn nearest_brute_force(sites: &[Point], p: Point) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ect_data::spatial::{Region, RegionConfig};
     use ect_types::rng::EctRng;
     use proptest::prelude::*;
 
@@ -192,6 +435,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_cell_lists_a_site_and_inside_queries_test_only_their_cell() {
+        let mut rng = EctRng::seed_from(3);
+        let sites: Vec<Point> = (0..200)
+            .map(|_| (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)))
+            .collect();
+        let hash = SpatialHash::new(&sites, 100.0, 0.0).unwrap();
+        assert!(hash
+            .rows
+            .iter()
+            .flat_map(|row| &row.spans)
+            .all(|&(_, len)| len > 0));
+        let listed: usize = hash.rows.iter().map(|row| row.ids.len()).sum();
+        let lists = listed as f64 / (hash.table_side as f64).powi(2);
+        assert!(
+            lists < 10.0,
+            "{lists} candidates per cell on a uniform scatter"
+        );
+        let (_, _, tested) = hash.nearest_tested((50.0, 50.0));
+        assert!(tested < sites.len() / 4, "{tested} sites tested");
+    }
+
+    /// The sites of a generated region (cities and highways) strided as the
+    /// microsim sites hubs, with every `dup_every`-th site repeated at the
+    /// end of the list so exact ties must resolve to the lower index.
+    fn clustered_sites(seed: u64, base_stations: usize, hubs: usize, dup_every: usize) -> Region {
+        let mut region = Region::generate(
+            &RegionConfig {
+                size_km: 100.0,
+                num_highways: 4,
+                num_cities: 3,
+                streets_per_city: 4,
+                city_radius_km: 6.0,
+                num_base_stations: base_stations,
+                ..RegionConfig::default()
+            },
+            &mut EctRng::seed_from(seed),
+        )
+        .unwrap();
+        let stride = base_stations / hubs;
+        let mut sites: Vec<Point> = (0..hubs)
+            .map(|h| region.base_stations[h * stride])
+            .collect();
+        let dups: Vec<Point> = sites.iter().step_by(dup_every).copied().collect();
+        sites.extend(dups);
+        region.base_stations = sites;
+        region
+    }
+
     proptest! {
         /// The satellite pin: hash association equals brute-force
         /// nearest-hub on random scatters, queries included off-grid.
@@ -210,6 +502,34 @@ mod tests {
             for _ in 0..32 {
                 let p = (rng.uniform_in(-20.0, 120.0), rng.uniform_in(-20.0, 120.0));
                 prop_assert_eq!(hash.nearest(p), nearest_brute_force(&sites, p));
+            }
+        }
+
+        /// Clustered geometry: generated cities and highways, duplicated
+        /// sites, and queries on roads, on table-cell edges and corners,
+        /// and outside the square.
+        #[test]
+        fn hash_matches_brute_force_on_clustered_sites(
+            seed in 0u64..1_000,
+            hubs in 2usize..300,
+            dup_every in 1usize..8,
+        ) {
+            let region = clustered_sites(seed, 600, hubs, dup_every);
+            let sites = &region.base_stations;
+            let hash = SpatialHash::new(sites, region.size_km, 0.0).unwrap();
+            let mut rng = EctRng::seed_from(seed ^ 0x5EED);
+            let edge = hash.table_cell_km;
+            let side = hash.table_side;
+            for _ in 0..48 {
+                let road = &region.roads[rng.below(region.roads.len())];
+                let on_road = road.point_at(rng.uniform());
+                let (i, j) = (rng.below(side + 1), rng.below(side + 1));
+                let corner = (i as f64 * edge, j as f64 * edge);
+                let on_edge = (corner.0, rng.uniform_in(0.0, region.size_km));
+                let outside = (rng.uniform_in(-30.0, 130.0), rng.uniform_in(100.0, 140.0));
+                for p in [on_road, corner, on_edge, (on_edge.1, on_edge.0), outside] {
+                    prop_assert_eq!(hash.nearest(p), nearest_brute_force(sites, p), "at {:?}", p);
+                }
             }
         }
     }

@@ -99,26 +99,33 @@ pub struct PricingDataset {
 impl PricingDataset {
     /// Encodes raw charging records.
     pub fn from_records(space: &FeatureSpace, records: &[ChargingRecord]) -> Self {
-        let mut out = Self::default();
-        out.reserve(records.len());
+        let mut out = Self::with_capacity(records.len());
         for r in records {
-            out.stations.push(space.station_index(r.station));
-            out.times.push(space.time_bucket(r.slot));
-            out.treated.push(if r.treated { 1.0 } else { 0.0 });
-            out.charged.push(if r.charged { 1.0 } else { 0.0 });
-            out.strata.push(r.stratum);
-            out.slots.push(r.slot);
+            out.push_record(space, r);
         }
         out
     }
 
-    fn reserve(&mut self, n: usize) {
-        self.stations.reserve(n);
-        self.times.reserve(n);
-        self.treated.reserve(n);
-        self.charged.reserve(n);
-        self.strata.reserve(n);
-        self.slots.reserve(n);
+    /// An empty dataset with room for `n` samples in every column.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            stations: Vec::with_capacity(n),
+            times: Vec::with_capacity(n),
+            treated: Vec::with_capacity(n),
+            charged: Vec::with_capacity(n),
+            strata: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
+        }
+    }
+
+    /// Encodes one record onto the end of the dataset.
+    pub fn push_record(&mut self, space: &FeatureSpace, r: &ChargingRecord) {
+        self.stations.push(space.station_index(r.station));
+        self.times.push(space.time_bucket(r.slot));
+        self.treated.push(if r.treated { 1.0 } else { 0.0 });
+        self.charged.push(if r.charged { 1.0 } else { 0.0 });
+        self.strata.push(r.stratum);
+        self.slots.push(r.slot);
     }
 
     /// Number of samples.
@@ -135,8 +142,9 @@ impl PricingDataset {
     /// strictly before `boundary` trains, the rest tests. Temporal splits
     /// avoid leakage from the autocorrelated series.
     pub fn split_at_slot(&self, boundary: SlotIndex) -> (Self, Self) {
-        let mut train = Self::default();
-        let mut test = Self::default();
+        let train_len = self.slots.iter().filter(|&&s| s < boundary).count();
+        let mut train = Self::with_capacity(train_len);
+        let mut test = Self::with_capacity(self.len() - train_len);
         for i in 0..self.len() {
             let dst = if self.slots[i] < boundary {
                 &mut train

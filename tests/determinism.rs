@@ -3,6 +3,7 @@
 
 use ect_core::prelude::*;
 use ect_price::eval::evaluate_engine as eval_engine;
+use ect_price::features::PricingDataset;
 
 fn mini() -> SystemConfig {
     let mut config = SystemConfig::miniature();
@@ -31,6 +32,41 @@ fn different_world_seeds_differ() {
     other.world.seed ^= 0xFFFF;
     let b = EctHubSystem::new(other).unwrap();
     assert_ne!(a.world().rtp, b.world().rtp);
+}
+
+/// FNV-1a over the lengths and every encoded column of both datasets.
+fn pricing_checksum(datasets: &(PricingDataset, PricingDataset)) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for data in [&datasets.0, &datasets.1] {
+        let words = std::iter::once(data.len() as u64)
+            .chain(data.stations.iter().map(|&v| v as u64))
+            .chain(data.times.iter().map(|&v| v as u64))
+            .chain(data.treated.iter().map(|v| v.to_bits()))
+            .chain(data.charged.iter().map(|v| v.to_bits()))
+            .chain(data.strata.iter().map(|s| s.index() as u64))
+            .chain(data.slots.iter().map(|s| s.as_usize() as u64));
+        for byte in words.flat_map(u64::to_le_bytes) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn pricing_datasets_match_golden_checksums() {
+    // The miniature system above, and the twelve-hub, 34-week history of
+    // the benchmark's paper pipeline.
+    let twelve = SystemConfig {
+        pricing_history_slots: 24 * 7 * 26,
+        pricing_test_slots: 24 * 7 * 8,
+        ..SystemConfig::default()
+    };
+    let got: Vec<u64> = [mini(), twelve]
+        .into_iter()
+        .map(|config| pricing_checksum(&EctHubSystem::new(config).unwrap().pricing_datasets()))
+        .collect();
+    assert_eq!(got, [0xb29e_23d6_da85_1ad7, 0xf814_bc85_478b_7eca]);
 }
 
 #[test]

@@ -14,6 +14,12 @@
 //!    [`FleetEnv`] through `fleet_env_for_hubs_with_traffic`,
 //!    reproducibly, and produce trajectories the aggregate generator does
 //!    not.
+//! 4. **Golden bits** — FNV-1a checksums over every `traffic` and
+//!    `ev_arrivals` bit plus `total_associations` pin the synthesized
+//!    demand itself, for the small options above and for a metro-shaped
+//!    area (200 km square, 3,000 base stations, 2,000 hubs). A change to
+//!    the association search, the mobility kernel or the fold order that
+//!    moves one bit changes a checksum.
 
 use ect_data::spatial::RegionConfig;
 use ect_env::battery::BpAction;
@@ -138,6 +144,66 @@ fn session_memoises_the_demand_synthesis() {
         "the second lookup must be served from the store"
     );
     assert_eq!(*first, opts.build(4).unwrap(), "memoisation is transparent");
+}
+
+/// FNV-1a over the little-endian bits of every traffic sample (load rate,
+/// then volume), every EV-arrival value and the association count.
+fn demand_checksum(demand: &MicrosimDemand) -> u64 {
+    let traffic = demand
+        .traffic
+        .iter()
+        .flatten()
+        .flat_map(|s| [s.load_rate.as_f64(), s.volume_gb]);
+    let ev = demand.ev_arrivals.iter().flatten().copied();
+    let words = traffic
+        .chain(ev)
+        .map(f64::to_bits)
+        .chain([demand.total_associations]);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in words.flat_map(u64::to_le_bytes) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// A metro-shaped area: the default 200 km region with 3,000 clustered
+/// base stations, 2,000 hubs, three UE shards (the last one partial) and a
+/// flash crowd whose scatter spills off the roads.
+fn metro_options() -> MicrosimDemandOptions {
+    MicrosimDemandOptions {
+        microsim: MicrosimConfig {
+            num_ues: 9_000,
+            flash_crowds: vec![FlashCrowd {
+                start_slot: 4,
+                len_slots: 3,
+                population: 3_000,
+                road: 2,
+                spread_km: 6.0,
+            }],
+            ..MicrosimConfig::default()
+        },
+        region: RegionConfig {
+            num_base_stations: 3_000,
+            ..RegionConfig::default()
+        },
+        num_hubs: 2_000,
+        slots: 12,
+        seed: 0x3E7_0517,
+    }
+}
+
+#[test]
+fn demand_bits_match_golden_checksums() {
+    let small = options().build(2).unwrap();
+    let metro = metro_options().build(2).unwrap();
+    assert_eq!(metro.total_associations, 9_000 * 12);
+    assert_eq!(
+        demand_checksum(&small),
+        0xbc48_85f6_a945_bf34,
+        "small options"
+    );
+    assert_eq!(demand_checksum(&metro), 0xb1c4_b3b7_89cf_db03, "metro area");
 }
 
 fn world() -> WorldDataset {
