@@ -41,14 +41,15 @@
 //! distance test per site per level at the top and a few per cell at the
 //! bottom.
 //!
-//! # The fallback
+//! # Points outside the square
 //!
-//! Points outside the square (flash-crowd scatter can leave it) run a ring
-//! search over a coarse bucket grid: start at the query's clamped cell and
-//! scan outward ring by ring, stopping once no unvisited ring can hold a
-//! closer site than the best found so far. It too is exact.
+//! `Region::generate` clamps roads and sites into the square, so road
+//! points leave it only by a rounding error at an edge; flash-crowd
+//! scatter can leave it, but it is associated once per engine, a bounded
+//! sample per crowd. Such points run the brute-force scan itself, so the
+//! table is the only index.
 //!
-//! Both paths are pinned against the brute-force scan by proptests over
+//! Queries are pinned against the brute-force scan by proptests over
 //! uniform scatters and over the clustered, duplicated sites of generated
 //! regions.
 
@@ -70,17 +71,12 @@ const MAX_TABLE_SIDE: usize = 512;
 const BOUND_REL_SLACK: f64 = 1e-9;
 const BOUND_ABS_SLACK_KM: f64 = 1e-9;
 
-/// Square-grid spatial hash over hub sites: the candidate table for
-/// queries inside the region, a bucket grid for the ring-search fallback.
+/// Nearest-site index over hub sites: the candidate table for queries
+/// inside the region square, a brute-force scan outside it.
 #[derive(Debug, Clone)]
 pub struct SpatialHash {
     size_km: f64,
     sites: Vec<Point>,
-    /// Fallback bucket grid: cell side and cells per side.
-    cell_km: f64,
-    cells_per_side: usize,
-    /// Hub indices per bucket, row-major, each bucket sorted ascending.
-    buckets: Vec<Vec<u32>>,
     /// Candidate-table cell side and cells per side.
     table_cell_km: f64,
     table_side: usize,
@@ -99,18 +95,14 @@ struct TableRow {
 }
 
 impl SpatialHash {
-    /// Builds the hash for `sites` inside the `[0, size_km]²` region.
-    ///
-    /// `cell_km` sizes the fallback bucket grid; it defaults to roughly
-    /// one site per bucket when not positive. Sites outside the square are
-    /// clamped into it for bucketing (their exact coordinates still decide
-    /// distances).
+    /// Builds the candidate table for `sites` over the `[0, size_km]²`
+    /// region. Sites outside the square are allowed.
     ///
     /// # Errors
     ///
     /// Returns [`ect_types::EctError::InvalidConfig`] for an empty site
     /// list, more than `u32::MAX` sites or a non-positive region size.
-    pub fn new(sites: &[Point], size_km: f64, cell_km: f64) -> ect_types::Result<Self> {
+    pub fn new(sites: &[Point], size_km: f64) -> ect_types::Result<Self> {
         if sites.is_empty() {
             return Err(ect_types::EctError::InvalidConfig(
                 "spatial hash needs at least one site".into(),
@@ -127,34 +119,16 @@ impl SpatialHash {
                 "spatial hash region size must be positive, got {size_km}"
             )));
         }
-        let root = (sites.len() as f64).sqrt();
-        let cell_km = if cell_km.is_finite() && cell_km > 0.0 {
-            cell_km
-        } else {
-            // ~1 site per bucket keeps ring searches shallow without
-            // ballooning the bucket table for sparse fleets.
-            size_km / root.ceil().max(1.0)
-        };
-        let cells_per_side = ((size_km / cell_km).ceil() as usize).max(1);
-        let table_side =
-            ((root * TABLE_CELLS_PER_SQRT_SITE).ceil() as usize).clamp(1, MAX_TABLE_SIDE);
+        let table_side = (((sites.len() as f64).sqrt() * TABLE_CELLS_PER_SQRT_SITE).ceil()
+            as usize)
+            .clamp(1, MAX_TABLE_SIDE);
         let mut hash = Self {
             size_km,
             sites: sites.to_vec(),
-            cell_km,
-            cells_per_side,
-            buckets: vec![Vec::new(); cells_per_side * cells_per_side],
             table_cell_km: size_km / table_side as f64,
             table_side,
             rows: Vec::new(),
         };
-        for (idx, &site) in sites.iter().enumerate() {
-            let cell = axis_cell(site.1, cell_km, cells_per_side) * cells_per_side
-                + axis_cell(site.0, cell_km, cells_per_side);
-            hash.buckets[cell].push(idx as u32);
-        }
-        // Buckets are filled in site order, so they are already sorted
-        // ascending — which makes the tie-break below deterministic.
         hash.build_table();
         Ok(hash)
     }
@@ -204,7 +178,8 @@ impl SpatialHash {
     #[must_use]
     pub fn nearest_tested(&self, p: Point) -> (usize, f64, usize) {
         if !self.inside(p) {
-            return self.ring_search(p);
+            let (idx, d) = nearest_brute_force(&self.sites, p);
+            return (idx, d, self.sites.len());
         }
         let side = self.table_side;
         let row = &self.rows[axis_cell(p.1, self.table_cell_km, side)];
@@ -222,66 +197,9 @@ impl SpatialHash {
         debug_assert!(best.0 != u32::MAX, "every cell lists a site");
         (best.0 as usize, best.1, ids.len())
     }
-
-    fn scan_bucket(&self, cx: usize, cy: usize, p: Point, best: &mut (u32, f64)) -> usize {
-        let bucket = &self.buckets[cy * self.cells_per_side + cx];
-        for &idx in bucket {
-            let d = dist(p, self.sites[idx as usize]);
-            if d < best.1 || (d == best.1 && idx < best.0) {
-                *best = (idx, d);
-            }
-        }
-        bucket.len()
-    }
-
-    /// Ring search over the bucket grid, for queries outside the square.
-    fn ring_search(&self, p: Point) -> (usize, f64, usize) {
-        let n = self.cells_per_side;
-        let cx = axis_cell(p.0, self.cell_km, n);
-        let cy = axis_cell(p.1, self.cell_km, n);
-        let mut best: (u32, f64) = (u32::MAX, f64::INFINITY);
-        let mut tested = 0;
-        for ring in 0..n {
-            // Any site in ring `r` is at least `(r - 1) · cell` away from
-            // `p` (the query may sit anywhere inside its own cell), so once
-            // the best distance beats that bound no farther ring matters.
-            if best.0 != u32::MAX && (ring as f64 - 1.0) * self.cell_km > best.1 {
-                break;
-            }
-            let x_lo = cx.saturating_sub(ring);
-            let x_hi = (cx + ring).min(n - 1);
-            let y_lo = cy.saturating_sub(ring);
-            let y_hi = (cy + ring).min(n - 1);
-            if ring == 0 {
-                tested += self.scan_bucket(cx, cy, p, &mut best);
-                continue;
-            }
-            for x in x_lo..=x_hi {
-                if cy >= ring {
-                    tested += self.scan_bucket(x, cy - ring, p, &mut best);
-                }
-                if cy + ring < n {
-                    tested += self.scan_bucket(x, cy + ring, p, &mut best);
-                }
-            }
-            // Vertical edges, corners already covered by the rows above.
-            let y_start = y_lo + usize::from(cy >= ring);
-            let y_end = y_hi.saturating_sub(usize::from(cy + ring < n));
-            for y in y_start..=y_end {
-                if cx >= ring {
-                    tested += self.scan_bucket(cx - ring, y, p, &mut best);
-                }
-                if cx + ring < n {
-                    tested += self.scan_bucket(cx + ring, y, p, &mut best);
-                }
-            }
-        }
-        debug_assert!(best.0 != u32::MAX, "grid holds at least one site");
-        (best.0 as usize, best.1, tested)
-    }
 }
 
-/// Cell index of one coordinate on a grid of `n` cells of side `cell_km`,
+/// Cell index of one coordinate on a table of `n` cells of side `cell_km`,
 /// clamped into `[0, n)`.
 fn axis_cell(v: f64, cell_km: f64, n: usize) -> usize {
     if v <= 0.0 {
@@ -300,21 +218,13 @@ struct SiteList {
 }
 
 impl SiteList {
-    /// Squared distance from `centre` to the nearest listed site, over
-    /// four independent running minima.
+    /// Squared distance from `centre` to the nearest listed site.
     fn nearest_sq(&self, centre: Point) -> f64 {
-        let sq = |k: usize| (self.xs[k] - centre.0).powi(2) + (self.ys[k] - centre.1).powi(2);
-        let mut lanes = [f64::INFINITY; 4];
-        let full = self.xs.len() / 4 * 4;
-        for k in (0..full).step_by(4) {
-            for (lane, min) in lanes.iter_mut().enumerate() {
-                *min = min.min(sq(k + lane));
-            }
-        }
-        (full..self.xs.len()).fold(
-            lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3])),
-            |m, k| m.min(sq(k)),
-        )
+        self.xs
+            .iter()
+            .zip(&self.ys)
+            .map(|(x, y)| (x - centre.0).powi(2) + (y - centre.1).powi(2))
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -353,7 +263,10 @@ impl TableBuilder {
             * (1.0 + BOUND_REL_SLACK)
             + BOUND_ABS_SLACK_KM;
         let bound_sq = bound * bound;
-        // Branch-free compaction.
+        // Branch-free compaction: every site is written at `top`, which
+        // advances only past the kept ones. The pass/fail branch of a plain
+        // filter mispredicts often enough to slow the whole build by about
+        // half on clustered metro geometry.
         let n = parent.ids.len();
         own.ids.resize(n, 0);
         own.xs.resize(n, 0.0);
@@ -410,13 +323,13 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_inputs() {
-        assert!(SpatialHash::new(&[], 100.0, 5.0).is_err());
-        assert!(SpatialHash::new(&[(1.0, 1.0)], 0.0, 5.0).is_err());
+        assert!(SpatialHash::new(&[], 100.0).is_err());
+        assert!(SpatialHash::new(&[(1.0, 1.0)], 0.0).is_err());
     }
 
     #[test]
     fn single_site_is_always_nearest() {
-        let hash = SpatialHash::new(&[(40.0, 60.0)], 100.0, 0.0).unwrap();
+        let hash = SpatialHash::new(&[(40.0, 60.0)], 100.0).unwrap();
         let (idx, d) = hash.nearest((0.0, 0.0));
         assert_eq!(idx, 0);
         assert!((d - (40.0f64.powi(2) + 60.0f64.powi(2)).sqrt()).abs() < 1e-12);
@@ -428,7 +341,7 @@ mod tests {
         let sites: Vec<Point> = (0..50)
             .map(|_| (rng.uniform_in(0.0, 200.0), rng.uniform_in(0.0, 200.0)))
             .collect();
-        let hash = SpatialHash::new(&sites, 200.0, 0.0).unwrap();
+        let hash = SpatialHash::new(&sites, 200.0).unwrap();
         for _ in 0..500 {
             let p = (rng.uniform_in(-10.0, 210.0), rng.uniform_in(-10.0, 210.0));
             assert_eq!(hash.nearest(p), nearest_brute_force(&sites, p));
@@ -441,7 +354,7 @@ mod tests {
         let sites: Vec<Point> = (0..200)
             .map(|_| (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)))
             .collect();
-        let hash = SpatialHash::new(&sites, 100.0, 0.0).unwrap();
+        let hash = SpatialHash::new(&sites, 100.0).unwrap();
         assert!(hash
             .rows
             .iter()
@@ -491,14 +404,12 @@ mod tests {
         fn hash_matches_brute_force(
             seed in 0u64..1_000,
             num_sites in 1usize..40,
-            cell_pick in 0usize..4,
         ) {
-            let cell = [0.0, 3.0, 17.0, 250.0][cell_pick];
             let mut rng = EctRng::seed_from(seed);
             let sites: Vec<Point> = (0..num_sites)
                 .map(|_| (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)))
                 .collect();
-            let hash = SpatialHash::new(&sites, 100.0, cell).unwrap();
+            let hash = SpatialHash::new(&sites, 100.0).unwrap();
             for _ in 0..32 {
                 let p = (rng.uniform_in(-20.0, 120.0), rng.uniform_in(-20.0, 120.0));
                 prop_assert_eq!(hash.nearest(p), nearest_brute_force(&sites, p));
@@ -516,7 +427,7 @@ mod tests {
         ) {
             let region = clustered_sites(seed, 600, hubs, dup_every);
             let sites = &region.base_stations;
-            let hash = SpatialHash::new(sites, region.size_km, 0.0).unwrap();
+            let hash = SpatialHash::new(sites, region.size_km).unwrap();
             let mut rng = EctRng::seed_from(seed ^ 0x5EED);
             let edge = hash.table_cell_km;
             let side = hash.table_side;

@@ -142,9 +142,8 @@ impl PricingDataset {
     /// strictly before `boundary` trains, the rest tests. Temporal splits
     /// avoid leakage from the autocorrelated series.
     pub fn split_at_slot(&self, boundary: SlotIndex) -> (Self, Self) {
-        let train_len = self.slots.iter().filter(|&&s| s < boundary).count();
-        let mut train = Self::with_capacity(train_len);
-        let mut test = Self::with_capacity(self.len() - train_len);
+        let mut train = Self::default();
+        let mut test = Self::default();
         for i in 0..self.len() {
             let dst = if self.slots[i] < boundary {
                 &mut train
