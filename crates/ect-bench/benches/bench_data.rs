@@ -33,8 +33,8 @@ fn bench_charging_history_year(c: &mut Criterion) {
     let world = ChargingWorld::new(ChargingConfig::default()).unwrap();
     c.bench_function("charging_history_12st_1y", |bench| {
         bench.iter(|| {
-            let mut rng = EctRng::seed_from(3);
-            std::hint::black_box(world.generate_history(24 * 365, &mut rng))
+            let rng = EctRng::seed_from(3);
+            std::hint::black_box(world.generate_history(24 * 365, &rng))
         })
     });
 }

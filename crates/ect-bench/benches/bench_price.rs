@@ -13,8 +13,8 @@ fn dataset(weeks: usize) -> (FeatureSpace, PricingDataset) {
         ..ChargingConfig::default()
     })
     .unwrap();
-    let mut rng = EctRng::seed_from(11);
-    let records = world.generate_history(24 * 7 * weeks, &mut rng);
+    let rng = EctRng::seed_from(11);
+    let records = world.generate_history(24 * 7 * weeks, &rng);
     let space = FeatureSpace::new(12).unwrap();
     let data = PricingDataset::from_records(&space, &records);
     (space, data)

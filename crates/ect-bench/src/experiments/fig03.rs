@@ -24,8 +24,8 @@ pub struct Fig03Result {
 /// Propagates world-configuration failures.
 pub fn run() -> ect_types::Result<Fig03Result> {
     let world = ChargingWorld::new(ChargingConfig::default())?;
-    let mut rng = EctRng::seed_from(0xF163);
-    let records = world.generate_history(24 * 365 * 3, &mut rng);
+    let rng = EctRng::seed_from(0xF163);
+    let records = world.generate_history(24 * 365 * 3, &rng);
     let freq = hourly_frequency(&records);
     Ok(Fig03Result {
         total_sessions: freq.iter().sum(),

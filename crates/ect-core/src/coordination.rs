@@ -295,9 +295,11 @@ fn eval_joint(
         let mut soc_rng = EctRng::seed_from(seed ^ 0x50C ^ ((episode as u64) << 16));
         let initial_soc: Vec<f64> = (0..num_hubs).map(|_| soc_rng.uniform()).collect();
         fleet.reset(&initial_soc);
+        let mut state = vec![0.0; fleet.state_dim()];
         loop {
             for (lane, action) in actions.iter_mut().enumerate() {
-                *action = select(lane, fleet.lane_obs(lane));
+                fleet.observe_into(lane, &mut state);
+                *action = select(lane, &state);
             }
             let step = fleet.step_batch_soa(&actions);
             total_reward += step.rewards.iter().sum::<f64>();

@@ -324,7 +324,8 @@ impl ChargingWorld {
 
     /// Generates the observational charging history over `slots` hours for
     /// every station: the substitute for the paper's 70k-row campus dataset.
-    pub fn generate_history(&self, slots: usize, rng: &mut EctRng) -> Vec<ChargingRecord> {
+    /// Forks `rng` without advancing it, so one stream yields one history.
+    pub fn generate_history(&self, slots: usize, rng: &EctRng) -> Vec<ChargingRecord> {
         let mut records = Vec::with_capacity(slots * self.config.num_stations as usize);
         records.extend(self.history(slots, rng));
         records
@@ -451,8 +452,8 @@ mod tests {
             ..ChargingConfig::default()
         })
         .unwrap();
-        let mut rng = EctRng::seed_from(42);
-        let records = w.generate_history(24 * 120, &mut rng);
+        let rng = EctRng::seed_from(42);
+        let records = w.generate_history(24 * 120, &rng);
         for r in &records {
             if !r.charged && r.treated {
                 assert_eq!(r.stratum, Stratum::NoCharge);
@@ -473,8 +474,8 @@ mod tests {
     fn frequency_histogram_has_campus_shape() {
         // Fig. 3: midday peak, deep night trough, evening shoulder.
         let w = world();
-        let mut rng = EctRng::seed_from(7);
-        let records = w.generate_history(24 * 365, &mut rng);
+        let rng = EctRng::seed_from(7);
+        let records = w.generate_history(24 * 365, &rng);
         let freq = hourly_frequency(&records);
         let night: u64 = (2..5).map(|h| freq[h]).sum();
         let midday: u64 = (10..13).map(|h| freq[h]).sum();
@@ -487,8 +488,8 @@ mod tests {
     fn evening_is_the_incentive_period() {
         // Fig. 12: Incentive Charge mass concentrates in 18:00–24:00.
         let w = world();
-        let mut rng = EctRng::seed_from(8);
-        let records = w.generate_history(24 * 365, &mut rng);
+        let rng = EctRng::seed_from(8);
+        let records = w.generate_history(24 * 365, &rng);
         let shares = period_strata_shares(&records);
         let evening_incentive = shares[3][Stratum::IncentiveCharge.index()];
         for (period, share) in shares.iter().take(3).enumerate() {
@@ -507,8 +508,8 @@ mod tests {
     fn history_size_matches_papers_order_of_magnitude() {
         // 12 stations × 3 years ≈ 70k charging events in the paper.
         let w = world();
-        let mut rng = EctRng::seed_from(9);
-        let records = w.generate_history(24 * 365 * 3, &mut rng);
+        let rng = EctRng::seed_from(9);
+        let records = w.generate_history(24 * 365 * 3, &rng);
         let sessions = records.iter().filter(|r| r.charged).count();
         assert!((50_000..150_000).contains(&sessions), "sessions {sessions}");
     }
@@ -597,12 +598,9 @@ mod tests {
     #[test]
     fn history_is_deterministic_per_seed() {
         let w = world();
-        let mut r1 = EctRng::seed_from(11);
-        let mut r2 = EctRng::seed_from(11);
-        assert_eq!(
-            w.generate_history(240, &mut r1),
-            w.generate_history(240, &mut r2)
-        );
+        let r1 = EctRng::seed_from(11);
+        let r2 = EctRng::seed_from(11);
+        assert_eq!(w.generate_history(240, &r1), w.generate_history(240, &r2));
     }
 
     proptest! {
@@ -615,8 +613,8 @@ mod tests {
                 label_noise: 0.0,
                 ..ChargingConfig::default()
             }).unwrap();
-            let mut rng = EctRng::seed_from(seed);
-            for r in w.generate_history(slots, &mut rng) {
+            let rng = EctRng::seed_from(seed);
+            for r in w.generate_history(slots, &rng) {
                 prop_assert_eq!(r.charged, r.stratum.outcome(r.treated));
             }
         }

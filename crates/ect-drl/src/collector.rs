@@ -113,9 +113,9 @@ pub fn collect_fleet_episode(
     check_lanes("collector policies", fleet.num_lanes(), policies.len())?;
     collect_episode(fleet, rngs, buffers, initial_soc, |fleet, rngs, pending| {
         for (lane, t) in pending.iter_mut().enumerate() {
-            let state = fleet.lane_obs(lane);
-            let (action, prob, value) = policies[lane].sample_action(state, &mut rngs[lane]);
-            t.state = state.to_vec();
+            t.state = vec![0.0; fleet.state_dim()];
+            fleet.observe_into(lane, &mut t.state);
+            let (action, prob, value) = policies[lane].sample_action(&t.state, &mut rngs[lane]);
             t.action = action.index();
             t.action_prob = prob;
             t.value = value;
@@ -141,7 +141,7 @@ pub fn collect_shared_policy_episode(
 ) -> ect_types::Result<Vec<f64>> {
     let mut states = Matrix::zeros(fleet.num_lanes(), fleet.state_dim());
     collect_episode(fleet, rngs, buffers, initial_soc, |fleet, rngs, pending| {
-        states.as_mut_slice().copy_from_slice(fleet.obs());
+        fleet.observe_all_into(states.as_mut_slice());
         // One batched forward pass for every lane.
         let (probs, values) = policy.infer(&states);
         for (lane, t) in pending.iter_mut().enumerate() {
@@ -326,8 +326,11 @@ pub fn evaluate_fleet_greedy<F: FleetFactory>(
     seeds: &[u64],
 ) -> ect_types::Result<Vec<EvalSummary>> {
     check_lanes("evaluate_fleet seeds", policies.len(), seeds.len())?;
+    let mut state = Vec::new();
     evaluate_lanes(factory, episodes, seeds, |fleet, lane| {
-        policies[lane].greedy_action(fleet.lane_obs(lane))
+        state.resize(fleet.state_dim(), 0.0);
+        fleet.observe_into(lane, &mut state);
+        policies[lane].greedy_action(&state)
     })
 }
 

@@ -387,8 +387,9 @@ where
         }
         fleet.reset(&initial_soc);
         let mut slot_rewards: Vec<Vec<f64>> = vec![Vec::with_capacity(fleet.horizon()); lanes];
-        let mut states = Matrix::from_vec(lanes, dim, fleet.obs().to_vec());
+        let mut states = Matrix::zeros(lanes, dim);
         loop {
+            fleet.observe_all_into(states.as_mut_slice());
             // One batched greedy forward pass for every lane.
             let (prob_rows, _) = policy.infer(&states);
             for (lane, action) in actions.iter_mut().enumerate() {
@@ -409,7 +410,6 @@ where
             if step.done {
                 break;
             }
-            states.as_mut_slice().copy_from_slice(fleet.obs());
         }
         for lane_rewards in &slot_rewards {
             total += lane_rewards.iter().sum::<f64>();

@@ -16,8 +16,9 @@ pub trait Scheduler {
     fn name(&self) -> &'static str;
 
     /// Picks the action for lane `lane` of `fleet` at the current slot from
-    /// the Eq. 24 observation ([`FleetEnv::lane_obs`]) or the lane's raw
-    /// exogenous series. One scheduler serves every lane of a fleet.
+    /// the Eq. 24 observation (built on demand by
+    /// [`FleetEnv::observe_into`]) or the lane's raw exogenous series. One
+    /// scheduler serves every lane of a fleet.
     fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction;
 }
 
@@ -97,12 +98,17 @@ impl Scheduler for TimeOfUse {
 #[derive(Debug, Clone)]
 pub struct DrlScheduler {
     policy: ActorCritic,
+    /// Observation scratch, reused across lanes and slots.
+    state: Vec<f64>,
 }
 
 impl DrlScheduler {
     /// Wraps a trained actor-critic.
     pub fn new(policy: ActorCritic) -> Self {
-        Self { policy }
+        Self {
+            policy,
+            state: Vec::new(),
+        }
     }
 
     /// The wrapped policy.
@@ -117,7 +123,9 @@ impl Scheduler for DrlScheduler {
     }
 
     fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction {
-        self.policy.greedy_action(fleet.lane_obs(lane))
+        self.state.resize(fleet.state_dim(), 0.0);
+        fleet.observe_into(lane, &mut self.state);
+        self.policy.greedy_action(&self.state)
     }
 }
 

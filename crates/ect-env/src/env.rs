@@ -612,7 +612,8 @@ impl HubEnv {
     /// Resets to slot 0 with the given initial SoC fraction; returns the
     /// initial observation. The paper randomises the SoC at episode start.
     pub fn reset(&mut self, initial_soc_fraction: f64) -> Vec<f64> {
-        self.fleet.reset(&[initial_soc_fraction]).to_vec()
+        self.fleet.reset(&[initial_soc_fraction]);
+        self.observe()
     }
 
     /// Writes the observation at the current slot (Eq. 24) into a
@@ -627,7 +628,7 @@ impl HubEnv {
 
     /// Builds the observation at the current slot (Eq. 24).
     pub fn observe(&self) -> Vec<f64> {
-        self.fleet.lane_obs(0).to_vec()
+        self.fleet.observe(0)
     }
 
     /// Observation window length in slots.
@@ -642,9 +643,9 @@ impl HubEnv {
     /// Panics if called after the episode finished (reset first).
     pub fn step(&mut self, action: BpAction) -> StepResult {
         let step = self.fleet.step_batch_soa(&[action]);
-        let (state, reward, done) = (step.obs.to_vec(), step.rewards[0], step.done);
+        let (reward, done) = (step.rewards[0], step.done);
         StepResult {
-            state,
+            state: self.observe(),
             reward,
             done,
             breakdown: self.fleet.breakdown(0),
@@ -657,16 +658,17 @@ impl HubEnv {
     where
         P: FnMut(&[f64], &Self) -> BpAction,
     {
-        let mut state = self.reset(initial_soc);
+        self.fleet.reset(&[initial_soc]);
+        let mut state = vec![0.0; self.state_dim()];
         let mut breakdowns = Vec::with_capacity(self.episode_len());
         let mut total = Money::ZERO;
         loop {
-            let action = policy(&state, self);
-            let step = self.step(action);
-            total += step.breakdown.reward;
-            breakdowns.push(step.breakdown);
-            state = step.state;
-            if step.done {
+            self.observe_into(&mut state);
+            let done = self.fleet.step_batch_soa(&[policy(&state, self)]).done;
+            let breakdown = self.fleet.breakdown(0);
+            total += breakdown.reward;
+            breakdowns.push(breakdown);
+            if done {
                 break;
             }
         }

@@ -849,7 +849,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(none.state_dim(), plain.state_dim());
-        assert_eq!(none.obs(), plain.obs());
+        assert_eq!(none.observe_all(), plain.observe_all());
 
         // SCENARIO appends the per-spec block: zero for baseline, the storm
         // spec's feature vector on lane 1.
@@ -898,7 +898,7 @@ mod tests {
             &mut rngs,
         )
         .unwrap();
-        assert_eq!(by_worlds.obs(), by_hubs.obs());
+        assert_eq!(by_worlds.observe_all(), by_hubs.observe_all());
         assert_eq!(
             by_worlds.series()[0].rtp.as_ptr(),
             by_worlds.series()[1].rtp.as_ptr(),
@@ -1034,7 +1034,7 @@ mod tests {
         let overridden =
             fleet_env_for_hubs_with_traffic(&w, &hubs, 24, 48, &discounts, 6, &own, &mut rngs)
                 .unwrap();
-        assert_eq!(overridden.obs(), plain.obs());
+        assert_eq!(overridden.observe_all(), plain.observe_all());
         for lane in 0..3 {
             assert_eq!(
                 &*overridden.series()[lane].traffic,
@@ -1060,7 +1060,7 @@ mod tests {
             &mut rngs,
         )
         .unwrap();
-        assert_eq!(by_worlds.obs(), plain.obs());
+        assert_eq!(by_worlds.observe_all(), plain.observe_all());
     }
 
     #[test]

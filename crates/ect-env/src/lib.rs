@@ -12,9 +12,9 @@
 //! * [`hub`] — the assembled [`hub::HubConfig`] with urban/rural presets;
 //! * [`vec_env`] — [`vec_env::FleetEnv`], the one stepping engine: N hubs
 //!   advance in lockstep over `Arc`-shared series through one struct-of-arrays
-//!   slot kernel (the private `soa` module), with an allocation-free
-//!   observation path and the [`env::SlotBreakdown`] audit trail assembled
-//!   on demand by [`vec_env::FleetEnv::breakdown`];
+//!   slot kernel (the private `soa` module), with the Eq. 24 state and the
+//!   [`env::SlotBreakdown`] audit trail both assembled on demand
+//!   ([`vec_env::FleetEnv::observe_into`], [`vec_env::FleetEnv::breakdown`]);
 //! * [`env`](mod@env) — [`env::HubEnv`], a one-lane `FleetEnv` whose
 //!   [`env::HubEnv::step`] advances one hourly slot and returns the Eq. 12
 //!   profit as the reward, the Eq. 24 observation and the slot's audit trail;

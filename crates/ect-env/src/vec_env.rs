@@ -3,9 +3,11 @@
 //! The paper evaluates 12 ECT-Hubs. [`FleetEnv`] keeps struct-of-arrays
 //! state over all lanes — configs, `Arc`-shared exogenous series and the
 //! slot kernel's per-lane battery lanes — advancing every hub one slot per
-//! [`FleetEnv::step_batch_soa`] call and writing all observations into one
-//! flat reusable buffer. After warm-up the stepping and observation paths
-//! perform no heap allocations.
+//! [`FleetEnv::step_batch_soa`] call, a pure battery-and-reward pass. The
+//! Eq. 24 state is never stored: [`FleetEnv::observe_into`] and
+//! [`FleetEnv::observe_all_into`] assemble it at the current slot into
+//! caller-owned memory, so the rule-based baselines and the sweeps that
+//! never read it never pay for it. After warm-up neither path allocates.
 //!
 //! This is the one stepping engine: the single-hub [`HubEnv`] is a one-lane
 //! fleet, and the training loops, evaluation, the metro sweep and the
@@ -103,29 +105,16 @@ impl HubSeries {
     }
 }
 
-/// Result of one batched step, borrowing the engine's reusable buffers.
+/// Result of one batched step, borrowing the engine's reusable reward
+/// buffer. The next observations are read on demand with
+/// [`FleetEnv::observe_into`] / [`FleetEnv::observe_all_into`].
 #[derive(Debug)]
 pub struct BatchStep<'a> {
-    /// All observations, lane-major: lane `i` occupies
-    /// `obs[i * state_dim .. (i + 1) * state_dim]`.
-    pub obs: &'a [f64],
     /// Per-lane reward (Eq. 12 profit).
     pub rewards: &'a [f64],
     /// `true` when every lane's episode has ended (lanes share one horizon,
     /// so all end together).
     pub done: bool,
-}
-
-impl BatchStep<'_> {
-    /// Observation slice of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_obs(&self, lane: usize) -> &[f64] {
-        let dim = self.obs.len() / self.rewards.len();
-        &self.obs[lane * dim..(lane + 1) * dim]
-    }
 }
 
 /// Live coupling state of a coupled fleet: the configuration plus reusable
@@ -217,15 +206,14 @@ pub struct FleetEnv {
     aug: Vec<f64>,
     aug_dim: usize,
     // Multi-hub coupling (shared feeder / EV spillover / mutual obs);
-    // `None` for the plain uncoupled fleet, whose fused stepping pass never
+    // `None` for the plain uncoupled fleet, whose per-lane stepping pass never
     // touches this state.
     coupling: Option<CouplingState>,
     // Per-lane mutual-observation blocks, lane-major (`n × mutual_dim`),
     // appended after the conditioning block; empty when mutual obs are off.
     mutual: Vec<f64>,
     mutual_dim: usize,
-    // Reusable output buffers (the zero-allocation hot path).
-    obs: Vec<f64>,
+    // Reusable reward buffer (the zero-allocation hot path).
     rewards: Vec<f64>,
     // The slot kernel: precomputed slot lanes plus the live SoC of every
     // lane (the only copy of the fleet's battery state).
@@ -271,7 +259,7 @@ impl FleetEnv {
         for (lane, config) in configs.iter().enumerate() {
             kernel.set_soc(lane, config.battery.clamped_soc(0.5).as_f64());
         }
-        let mut fleet = Self {
+        Ok(Self {
             configs,
             series,
             window,
@@ -283,14 +271,9 @@ impl FleetEnv {
             coupling: None,
             mutual: Vec::new(),
             mutual_dim: 0,
-            obs: vec![0.0; n * state_dim],
             rewards: vec![0.0; n],
             lanes: kernel,
-        };
-        // Populate real slot-0 observations so a freshly built fleet reads
-        // like a reset one instead of returning zero vectors.
-        fleet.refresh_observations();
-        Ok(fleet)
+        })
     }
 
     /// Builds a fleet from existing single-hub environments (they must share
@@ -348,7 +331,6 @@ impl FleetEnv {
         for (lane, &soc) in socs.iter().enumerate() {
             fleet.lanes.set_soc(lane, soc);
         }
-        fleet.refresh_observations();
         Ok(fleet)
     }
 
@@ -384,8 +366,6 @@ impl FleetEnv {
         self.aug = features.into_iter().flatten().collect();
         self.aug_dim = aug_dim;
         self.state_dim = 5 * self.window + 1 + aug_dim + self.mutual_dim;
-        self.obs = vec![0.0; n * self.state_dim];
-        self.refresh_observations();
         Ok(self)
     }
 
@@ -393,7 +373,7 @@ impl FleetEnv {
     /// demand spillover and/or mutual observations (see [`crate::coupling`]).
     ///
     /// An inactive configuration (no feeder, no spillover, no mutual obs)
-    /// leaves the fleet uncoupled, on the fused per-lane stepping pass. With
+    /// leaves the fleet uncoupled, on the plain per-lane stepping pass. With
     /// mutual observations on, every lane's state gains a
     /// [`crate::coupling::MUTUAL_OBS_DIM`]-wide block after the conditioning
     /// block, zero-filled until the first step.
@@ -413,9 +393,7 @@ impl FleetEnv {
         self.mutual_dim = config.mutual_obs_dim();
         self.mutual = vec![0.0; n * self.mutual_dim];
         self.state_dim = 5 * self.window + 1 + self.aug_dim + self.mutual_dim;
-        self.obs = vec![0.0; n * self.state_dim];
         self.coupling = Some(CouplingState::new(config, n));
-        self.refresh_observations();
         Ok(self)
     }
 
@@ -503,51 +481,62 @@ impl FleetEnv {
         KiloWattHour::new(self.lanes.soc(lane))
     }
 
-    /// All current observations, lane-major (`num_lanes × state_dim`).
-    pub fn obs(&self) -> &[f64] {
-        &self.obs
-    }
-
-    /// Observation slice of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_obs(&self, lane: usize) -> &[f64] {
-        &self.obs[lane * self.state_dim..(lane + 1) * self.state_dim]
-    }
-
-    /// Writes lane `lane`'s current observation into `out`.
+    /// Writes lane `lane`'s Eq. 24 state at the current slot into `out`:
+    /// the kernel's core (five windows plus SoC), then the conditioning and
+    /// mutual-observation blocks. Built on demand; nothing is cached.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or `out.len() != state_dim`.
     pub fn observe_into(&self, lane: usize, out: &mut [f64]) {
-        out.copy_from_slice(self.lane_obs(lane));
+        let (head, rest) = out.split_at_mut(5 * self.window + 1);
+        self.lanes.write_obs(lane, self.t, self.window, head);
+        let (aug, mutual) = rest.split_at_mut(self.aug_dim);
+        aug.copy_from_slice(self.lane_features(lane));
+        mutual.copy_from_slice(self.lane_mutual(lane));
     }
 
-    /// Rewrites every lane's observation at the current slot: the kernel's
-    /// Eq. 24 core, then the conditioning and mutual-observation blocks.
-    fn refresh_observations(&mut self) {
-        let (t, window, core) = (self.t, self.window, 5 * self.window + 1);
-        let (aug_dim, mutual_dim) = (self.aug_dim, self.mutual_dim);
-        for (lane, chunk) in self.obs.chunks_exact_mut(self.state_dim).enumerate() {
-            let (head, rest) = chunk.split_at_mut(core);
-            self.lanes.write_obs(lane, t, window, head);
-            let (aug, mutual) = rest.split_at_mut(aug_dim);
-            aug.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
-            mutual.copy_from_slice(&self.mutual[lane * mutual_dim..(lane + 1) * mutual_dim]);
+    /// Writes every lane's state at the current slot into `out`, lane-major
+    /// (lane `i` fills `out[i * state_dim..(i + 1) * state_dim]`): the batch
+    /// a shared policy infers over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != num_lanes() * state_dim`.
+    pub fn observe_all_into(&self, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            self.num_lanes() * self.state_dim,
+            "one state per lane"
+        );
+        for (lane, row) in out.chunks_exact_mut(self.state_dim).enumerate() {
+            self.observe_into(lane, row);
         }
     }
 
+    /// One lane's state at the current slot, freshly allocated.
+    pub(crate) fn observe(&self, lane: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.state_dim];
+        self.observe_into(lane, &mut out);
+        out
+    }
+
+    /// Every lane's state at the current slot, lane-major, freshly allocated.
+    #[cfg(test)]
+    pub(crate) fn observe_all(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.num_lanes() * self.state_dim];
+        self.observe_all_into(&mut out);
+        out
+    }
+
     /// Resets every lane to slot 0 with per-lane initial SoC fractions
-    /// (clamped into each battery's bounds); returns the initial
-    /// observations, lane-major.
+    /// (clamped into each battery's bounds). Read the initial states with
+    /// [`FleetEnv::observe_into`] / [`FleetEnv::observe_all_into`].
     ///
     /// # Panics
     ///
     /// Panics if `initial_soc.len() != num_lanes()`.
-    pub fn reset(&mut self, initial_soc: &[f64]) -> &[f64] {
+    pub fn reset(&mut self, initial_soc: &[f64]) {
         assert_eq!(
             initial_soc.len(),
             self.num_lanes(),
@@ -560,17 +549,16 @@ impl FleetEnv {
         // Mutual observations reset to zero — no step has exchanged yet.
         self.mutual.fill(0.0);
         self.t = 0;
-        self.refresh_observations();
-        &self.obs
     }
 
     /// Advances every lane one slot under its action, on the slot kernel:
-    /// one fused pass per lane (battery, power balance, reward, next
-    /// observation) when uncoupled, the battery pass plus the
-    /// [`crate::coupling`] exchange when coupled. Returns borrowed views of
-    /// the reusable reward/observation buffers — no heap allocation happens
-    /// on this path. The slot's audit trail is available afterwards from
-    /// [`FleetEnv::breakdown`].
+    /// one battery, power-balance and reward pass per lane when uncoupled,
+    /// the battery pass plus the [`crate::coupling`] exchange (and the
+    /// mutual-observation blocks) when coupled. Returns a borrowed view of
+    /// the reusable reward buffer — no heap allocation happens on this
+    /// path — and writes no observation: read the next states with
+    /// [`FleetEnv::observe_into`] / [`FleetEnv::observe_all_into`], the
+    /// slot's audit trail with [`FleetEnv::breakdown`].
     ///
     /// # Panics
     ///
@@ -586,22 +574,12 @@ impl FleetEnv {
             self.step_coupled(actions);
         } else {
             let t = self.t;
-            let (window, core, aug_dim) = (self.window, 5 * self.window + 1, self.aug_dim);
-            let lanes = self
-                .obs
-                .chunks_exact_mut(self.state_dim)
-                .zip(actions)
-                .zip(self.rewards.iter_mut());
-            for (lane, ((chunk, &action), reward)) in lanes.enumerate() {
+            for (lane, (reward, &action)) in self.rewards.iter_mut().zip(actions).enumerate() {
                 *reward = self.lanes.step(lane, t, action);
-                let (head, tail) = chunk.split_at_mut(core);
-                self.lanes.write_obs(lane, t + 1, window, head);
-                tail.copy_from_slice(&self.aug[lane * aug_dim..(lane + 1) * aug_dim]);
             }
             self.t = t + 1;
         }
         BatchStep {
-            obs: &self.obs,
             rewards: &self.rewards,
             done: self.t >= self.horizon,
         }
@@ -610,7 +588,7 @@ impl FleetEnv {
     /// The coupled step: the per-lane battery recurrence
     /// (`SlotLanes::coupled_inputs`), then one [`coupled_slot`] exchange
     /// (spillover → feeder bids → allocation → accounting), then the mutual
-    /// observations and every lane's next observation.
+    /// observation blocks.
     fn step_coupled(&mut self, actions: &[BpAction]) {
         let t = self.t;
         let n = self.num_lanes();
@@ -642,7 +620,6 @@ impl FleetEnv {
             }
         }
         self.t = t + 1;
-        self.refresh_observations();
     }
 
     /// The audit trail of the slot just stepped (`slot() - 1`) for one
@@ -687,9 +664,11 @@ impl FleetEnv {
         let mut totals = vec![Money::ZERO; n];
         let mut trails: Vec<Vec<SlotBreakdown>> = vec![Vec::with_capacity(self.horizon); n];
         let mut actions = vec![BpAction::Idle; n];
+        let mut obs = vec![0.0; self.state_dim];
         loop {
             for (lane, action) in actions.iter_mut().enumerate() {
-                *action = policy(lane, self.lane_obs(lane));
+                self.observe_into(lane, &mut obs);
+                *action = policy(lane, &obs);
             }
             let done = self.step_batch_soa(&actions).done;
             for lane in 0..n {
@@ -766,15 +745,13 @@ mod tests {
                 let step = plain.step_batch_soa(&actions);
                 (step.rewards.to_vec(), step.done)
             };
-            let step = augmented.step_batch_soa(&actions);
+            let rewards = augmented.step_batch_soa(&actions).rewards.to_vec();
             for lane in 0..3 {
-                assert_eq!(p_rewards[lane].to_bits(), step.rewards[lane].to_bits());
-                let obs = step.lane_obs(lane);
-                assert_eq!(&obs[..base], plain.lane_obs(lane));
+                assert_eq!(p_rewards[lane].to_bits(), rewards[lane].to_bits());
+                let obs = augmented.observe(lane);
+                assert_eq!(&obs[..base], plain.observe(lane).as_slice());
                 assert_eq!(&obs[base..], blocks[lane].as_slice());
-            }
-            for (lane, block) in blocks.iter().enumerate() {
-                assert_eq!(augmented.lane_features(lane), block.as_slice());
+                assert_eq!(augmented.lane_features(lane), blocks[lane].as_slice());
             }
             if p_done {
                 break;
@@ -815,7 +792,7 @@ mod tests {
         for lane in 0..2 {
             assert_eq!(fleet.lane_features(lane), features.as_slice());
             let dim = fleet.state_dim();
-            assert_eq!(&fleet.lane_obs(lane)[dim - 2..], features.as_slice());
+            assert_eq!(&fleet.observe(lane)[dim - 2..], features.as_slice());
         }
         // Mismatched widths across envs are rejected.
         let mismatched = vec![
@@ -831,14 +808,30 @@ mod tests {
         assert!(FleetEnv::from_envs(mismatched).is_err());
     }
 
+    /// The batch a shared policy reads is the per-lane states joined end
+    /// to end, at reset, after every step and after the last one, on a
+    /// coupled fleet with conditioning and mutual-observation blocks.
     #[test]
     fn observe_into_matches_flat_buffer() {
-        let mut fleet = fleet(4, 24);
-        fleet.reset(&[0.5; 4]);
-        let mut out = vec![0.0; fleet.state_dim()];
-        for lane in 0..4 {
-            fleet.observe_into(lane, &mut out);
-            assert_eq!(out.as_slice(), fleet.lane_obs(lane));
+        let blocks = vec![vec![0.1, -0.2], vec![0.3, 0.4], vec![0.0, 0.5]];
+        let mut fleet = varied_fleet(3, 24, true)
+            .with_lane_features(blocks)
+            .unwrap()
+            .with_coupling(binding_coupling(3, 4.0))
+            .unwrap();
+        let dim = fleet.state_dim();
+        fleet.reset(&[0.2, 0.5, 0.9]);
+        let (mut row, mut batch) = (vec![0.0; dim], vec![0.0; 3 * dim]);
+        loop {
+            fleet.observe_all_into(&mut batch);
+            for lane in 0..3 {
+                fleet.observe_into(lane, &mut row);
+                assert_eq!(obs_bits(&row), obs_bits(&batch[lane * dim..][..dim]));
+            }
+            if fleet.slot() == fleet.horizon() {
+                break;
+            }
+            fleet.step_batch_soa(&[BpAction::Charge, BpAction::Discharge, BpAction::Idle]);
         }
     }
 
@@ -846,7 +839,6 @@ mod tests {
     fn step_batch_does_not_grow_buffers() {
         let mut fleet = fleet(6, 24);
         fleet.reset(&[0.5; 6]);
-        let obs_ptr = fleet.obs.as_ptr();
         let rewards_ptr = fleet.rewards.as_ptr();
         let actions = vec![BpAction::Charge; 6];
         for _ in 0..24 {
@@ -855,7 +847,6 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(fleet.obs.as_ptr(), obs_ptr, "obs buffer reallocated");
         assert_eq!(fleet.rewards.as_ptr(), rewards_ptr, "rewards reallocated");
     }
 
@@ -959,32 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_fast_path_carries_lane_features() {
-        let blocks = vec![vec![0.1, -0.2], vec![0.3, 0.4], vec![0.0, 0.0]];
-        let mut plain = varied_fleet(3, 24, true);
-        let mut featured = plain.clone().with_lane_features(blocks.clone()).unwrap();
-        let base = plain.state_dim();
-        plain.reset(&[0.5; 3]);
-        featured.reset(&[0.5; 3]);
-        let actions = [BpAction::Charge, BpAction::Idle, BpAction::Discharge];
-        for _ in 0..24 {
-            let (p_obs, p_done) = {
-                let step = plain.step_batch_soa(&actions);
-                (step.obs.to_vec(), step.done)
-            };
-            let step = featured.step_batch_soa(&actions);
-            for (lane, block) in blocks.iter().enumerate() {
-                let obs = step.lane_obs(lane);
-                assert_eq!(&obs[..base], &p_obs[lane * base..(lane + 1) * base]);
-                assert_eq!(&obs[base..], block.as_slice());
-            }
-            if p_done {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn soa_groups_deduplicate_shared_lanes() {
         // 6 lanes replicated from 2 distinct (config, series) pairs via
         // Arc-shared series must collapse to 2 SoA groups.
@@ -1044,9 +1009,11 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// The kernel against the readable oracle (`env::oracle`): rewards,
-        /// observations and the assembled audit trail, bit for bit, over
-        /// generated fleets with outage masks, shifted discount schedules,
-        /// SoC at both bounds and windows longer than the first slots.
+        /// audit trail and the on-demand state (at reset, after every step
+        /// and at `slot() == horizon`), bit for bit, over generated fleets
+        /// with outage masks, shifted discount schedules, SoC at both bounds,
+        /// windows longer than the first slots, conditioning blocks and
+        /// mutual observations (a coupling that leaves the dynamics alone).
         #[test]
         fn soa_path_is_bit_identical_across_random_fleets(
             config_picks in proptest::collection::vec(0usize..3, 1..5),
@@ -1055,9 +1022,11 @@ mod tests {
             window in 1usize..9,
             action_seed in 0usize..1000,
             outage_phase in 0usize..7,
+            aug_dim in 0usize..3,
+            mutual_pick in 0usize..2,
         ) {
             use proptest::prelude::prop_assert_eq;
-            let slots = 30;
+            let (slots, mutual) = (30, mutual_pick == 1);
             let lanes: Vec<(HubConfig, EpisodeInputs, Vec<bool>)> = config_picks
                 .iter()
                 .enumerate()
@@ -1072,6 +1041,10 @@ mod tests {
                 })
                 .collect();
             let n = lanes.len();
+            let features: Vec<Vec<f64>> = (0..n)
+                .map(|l| (0..aug_dim).map(|k| 0.25 * (l + k) as f64 - 0.5).collect())
+                .collect();
+            let topology = HubTopology::ring(n).unwrap();
             let mut fleet = FleetEnv::new(
                 lanes
                     .iter()
@@ -1083,6 +1056,13 @@ mod tests {
                     .collect(),
                 window,
             )
+            .unwrap()
+            .with_lane_features(features.clone())
+            .unwrap()
+            .with_coupling(CouplingConfig {
+                mutual_obs: mutual,
+                ..CouplingConfig::inactive(topology.clone())
+            })
             .unwrap();
             let initial: Vec<f64> = (0..n)
                 .map(|l| match soc_picks[l] {
@@ -1096,28 +1076,35 @@ mod tests {
                 .zip(&initial)
                 .map(|((config, _, _), &soc)| BatteryPoint::new(config.battery.clone(), soc))
                 .collect();
+            // Mutual blocks are zero until the first exchange.
+            let mut blocks = vec![vec![0.0; fleet.mutual_obs_dim()]; n];
             fleet.reset(&initial);
-            let expected_obs = |t: usize, lane: usize, battery: &BatteryPoint| {
-                let (config, inputs, _) = &lanes[lane];
-                let mut out = vec![0.0; 5 * window + 1];
-                write_observation(
-                    &mut out,
-                    window,
-                    t,
-                    config,
-                    &inputs.rtp,
-                    &inputs.weather,
-                    &inputs.traffic,
-                    &inputs.discounts,
-                    battery.soc_fraction(),
-                    &[],
-                );
-                obs_bits(&out)
-            };
-            for (lane, battery) in batteries.iter().enumerate() {
-                prop_assert_eq!(expected_obs(0, lane, battery), obs_bits(fleet.lane_obs(lane)));
-            }
-            for t in 0..slots {
+            for t in 0..=slots {
+                for (lane, battery) in batteries.iter().enumerate() {
+                    let (config, inputs, _) = &lanes[lane];
+                    let mut out = vec![0.0; fleet.state_dim()];
+                    let extra = [features[lane].as_slice(), &blocks[lane]].concat();
+                    write_observation(
+                        &mut out,
+                        window,
+                        t,
+                        config,
+                        &inputs.rtp,
+                        &inputs.weather,
+                        &inputs.traffic,
+                        &inputs.discounts,
+                        battery.soc_fraction(),
+                        &extra,
+                    );
+                    prop_assert_eq!(
+                        obs_bits(&out),
+                        obs_bits(&fleet.observe(lane)),
+                        "obs diverged at slot {} lane {}", t, lane
+                    );
+                }
+                if t == slots {
+                    break;
+                }
                 let actions: Vec<BpAction> = (0..n)
                     .map(|l| BpAction::from_index((action_seed + 3 * t + 5 * l) % 3))
                     .collect();
@@ -1148,11 +1135,14 @@ mod tests {
                         breakdown_bits(&fleet.breakdown(lane)),
                         "breakdown diverged at slot {} lane {}", t, lane
                     );
-                    prop_assert_eq!(
-                        expected_obs(t + 1, lane, battery),
-                        obs_bits(fleet.lane_obs(lane)),
-                        "obs diverged at slot {} lane {}", t, lane
-                    );
+                }
+                if mutual {
+                    let socs: Vec<f64> = batteries.iter().map(BatteryPoint::soc_fraction).collect();
+                    let loads: Vec<f64> =
+                        lanes.iter().map(|(_, i, _)| i.traffic[t].load_rate.as_f64()).collect();
+                    for (lane, block) in blocks.iter_mut().enumerate() {
+                        write_mutual_obs(&topology, lane, &socs, &loads, &vec![0.0; n], block);
+                    }
                 }
             }
         }
@@ -1207,17 +1197,15 @@ mod tests {
         let cycle = [BpAction::Charge, BpAction::Discharge, BpAction::Idle];
         for t in 0..slots {
             let actions: Vec<BpAction> = (0..3).map(|l| cycle[(t + l) % 3]).collect();
-            let (p_rewards, p_obs) = {
-                let step = plain.step_batch_soa(&actions);
-                (step.rewards.to_vec(), step.obs.to_vec())
-            };
+            let p_rewards = plain.step_batch_soa(&actions).rewards.to_vec();
             let step = inactive.step_batch_soa(&actions);
             for (lane, reward) in p_rewards.iter().enumerate() {
                 assert_eq!(reward.to_bits(), step.rewards[lane].to_bits(), "slot {t}");
             }
-            for (a, b) in p_obs.iter().zip(step.obs) {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {t}");
-            }
+            assert_eq!(
+                obs_bits(&plain.observe_all()),
+                obs_bits(&inactive.observe_all())
+            );
             for lane in 0..3 {
                 assert_eq!(plain.breakdown(lane), inactive.breakdown(lane), "slot {t}");
             }

@@ -353,8 +353,8 @@ mod tests {
             ..ChargingConfig::default()
         })
         .unwrap();
-        let mut rng = EctRng::seed_from(5);
-        let records = world.generate_history(24 * 7 * 12, &mut rng);
+        let rng = EctRng::seed_from(5);
+        let records = world.generate_history(24 * 7 * 12, &rng);
         let space = FeatureSpace::new(4).unwrap();
         let data = PricingDataset::from_records(&space, &records);
         (space, data)

@@ -179,8 +179,8 @@ mod tests {
             ..ChargingConfig::default()
         })
         .unwrap();
-        let mut rng = EctRng::seed_from(21);
-        let records = world.generate_history(24 * 7 * 4, &mut rng);
+        let rng = EctRng::seed_from(21);
+        let records = world.generate_history(24 * 7 * 4, &rng);
         PricingDataset::from_records(&FeatureSpace::new(3).unwrap(), &records)
     }
 

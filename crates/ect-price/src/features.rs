@@ -200,8 +200,8 @@ mod tests {
             ..ChargingConfig::default()
         })
         .unwrap();
-        let mut rng = EctRng::seed_from(1);
-        world.generate_history(slots, &mut rng)
+        let rng = EctRng::seed_from(1);
+        world.generate_history(slots, &rng)
     }
 
     #[test]

@@ -123,8 +123,8 @@ mod tests {
             ..ChargingConfig::default()
         })
         .unwrap();
-        let mut rng = EctRng::seed_from(11);
-        let records = world.generate_history(24 * 7 * 10, &mut rng);
+        let rng = EctRng::seed_from(11);
+        let records = world.generate_history(24 * 7 * 10, &rng);
         let space = FeatureSpace::new(4).unwrap();
         let data = PricingDataset::from_records(&space, &records);
         (space, data)

@@ -431,7 +431,7 @@ mod tests {
         })
         .unwrap();
         let mut rng = EctRng::seed_from(99);
-        let records = world.generate_history(24 * 7 * 26, &mut rng);
+        let records = world.generate_history(24 * 7 * 26, &rng);
         let space = FeatureSpace::new(4).unwrap();
         let data = PricingDataset::from_records(&space, &records);
         let config = EctPriceConfig {

@@ -86,14 +86,12 @@ fn inactive_coupling_is_bit_identical_to_uncoupled_engine() {
     assert_eq!(inactive.state_dim(), plain.state_dim());
 
     let socs = [0.2, 0.4, 0.6, 0.8];
+    let dim = HUBS * plain.state_dim();
     plain.reset(&socs);
     inactive.reset(&socs);
     for t in 0..SLOTS {
         let actions = cycled_actions(t);
-        let (p_rewards, p_obs) = {
-            let step = plain.step_batch_soa(&actions);
-            (step.rewards.to_vec(), step.obs.to_vec())
-        };
+        let p_rewards = plain.step_batch_soa(&actions).rewards.to_vec();
         let step = inactive.step_batch_soa(&actions);
         for (lane, reward) in p_rewards.iter().enumerate() {
             assert_eq!(
@@ -102,7 +100,10 @@ fn inactive_coupling_is_bit_identical_to_uncoupled_engine() {
                 "slot {t} lane {lane} reward"
             );
         }
-        for (i, (a, b)) in p_obs.iter().zip(step.obs).enumerate() {
+        let (mut p_obs, mut obs) = (vec![0.0; dim], vec![0.0; dim]);
+        plain.observe_all_into(&mut p_obs);
+        inactive.observe_all_into(&mut obs);
+        for (i, (a, b)) in p_obs.iter().zip(&obs).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slot {t} obs idx {i}");
         }
         for lane in 0..HUBS {

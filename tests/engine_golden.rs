@@ -122,7 +122,9 @@ fn fleet_checksums(fleet: &FleetEnv) -> (u64, u64, TrailFacts) {
         calls += 1;
         cycled(t, lane)
     });
-    hash.slice(trail_fleet.obs());
+    let mut obs = vec![0.0; n * fleet.state_dim()];
+    trail_fleet.observe_all_into(&mut obs);
+    hash.slice(&obs);
     let mut facts = TrailFacts::default();
     for (total, trail) in totals.iter().zip(&trails) {
         assert_eq!(trail.len(), fleet.horizon());
@@ -138,7 +140,8 @@ fn fleet_checksums(fleet: &FleetEnv) -> (u64, u64, TrailFacts) {
     let mut soa_fleet = fleet.clone();
     let mut hash = Fnv::new();
     soa_fleet.reset(&socs);
-    hash.slice(soa_fleet.obs());
+    soa_fleet.observe_all_into(&mut obs);
+    hash.slice(&obs);
     let mut actions = vec![BpAction::Idle; n];
     for t in 0..fleet.horizon() {
         for (lane, action) in actions.iter_mut().enumerate() {
@@ -146,8 +149,9 @@ fn fleet_checksums(fleet: &FleetEnv) -> (u64, u64, TrailFacts) {
         }
         let step = soa_fleet.step_batch_soa(&actions);
         hash.slice(step.rewards);
-        hash.slice(step.obs);
         assert_eq!(step.done, t + 1 == fleet.horizon());
+        soa_fleet.observe_all_into(&mut obs);
+        hash.slice(&obs);
     }
     (trail_sum, hash.0, facts)
 }
@@ -262,7 +266,9 @@ impl<S: Scheduler> Scheduler for Hashing<'_, S> {
     }
 
     fn act(&mut self, fleet: &FleetEnv, lane: usize) -> BpAction {
-        self.hash.slice(fleet.lane_obs(lane));
+        let mut obs = vec![0.0; fleet.state_dim()];
+        fleet.observe_into(lane, &mut obs);
+        self.hash.slice(&obs);
         self.inner.act(fleet, lane)
     }
 }

@@ -85,11 +85,11 @@ fn baseline_scenario_matches_pre_refactor_generation_bit_for_bit() {
             ..world.config.charging.clone()
         })
         .unwrap();
-        let mut r1 = EctRng::seed_from(99);
-        let mut r2 = EctRng::seed_from(99);
+        let r1 = EctRng::seed_from(99);
+        let r2 = EctRng::seed_from(99);
         assert_eq!(
-            world.charging.generate_history(240, &mut r1),
-            expected.generate_history(240, &mut r2)
+            world.charging.generate_history(240, &r1),
+            expected.generate_history(240, &r2)
         );
     }
     assert_eq!(generate.trace_checksum(), baseline.trace_checksum());
