@@ -1,5 +1,5 @@
 //! The SoA particle engine: UE mobility on the road graph, per-slot
-//! association through the nearest-hub candidate table, and
+//! association through the per-segment nearest-hub candidate lists, and
 //! pathloss-weighted aggregation into per-hub demand series.
 //!
 //! # Determinism contract
@@ -9,7 +9,10 @@
 //! can be cut into any number of contiguous [`UeChunk`]s and each chunk
 //! stepped on any thread: a UE's position, hub and demand never depend on
 //! the cut. The cut is sized for load balance (equal chunks, a multiple
-//! of the worker count).
+//! of the worker count). Nor do they depend on which thread owns a chunk:
+//! the lockstep driver gives each worker a fixed run of chunks for the
+//! whole horizon, and needs only that a slot's fold runs after every chunk
+//! stepped through that slot and before any steps through the next.
 //!
 //! The floating-point sums are the part that must not depend on it. The
 //! fold ([`MicrosimEngine::fold`]) walks the UEs of a slot in global order
@@ -22,7 +25,7 @@
 //! checksums of the output bits.
 
 use crate::config::MicrosimConfig;
-use crate::grid::SpatialHash;
+use crate::grid::{nearest_brute_force, SegmentIndex};
 use ect_data::rtp::demand_shape;
 use ect_data::spatial::{Point, Region, RoadKind};
 use ect_data::traffic::TrafficSample;
@@ -40,7 +43,7 @@ pub const SHARD_UES: usize = 4096;
 const CROWD_SAMPLES: usize = 2048;
 
 /// UEs per pass of [`MicrosimEngine::step_chunk`]: small enough that the
-/// block's positions stay in L1.
+/// block's lanes stay in L1 between passes.
 const STEP_BLOCK: usize = 256;
 
 /// Stream separators for the stateless per-UE hash draws.
@@ -76,14 +79,10 @@ fn spread(ue: u64) -> u64 {
     ue.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Flattened road geometry: everything the hot loop needs per segment,
-/// laid out as parallel arrays.
+/// Per-segment mobility data, laid out as parallel arrays (the segment
+/// geometry lives in the [`SegmentIndex`]).
 #[derive(Debug, Clone)]
 struct RoadTable {
-    ax: Vec<f64>,
-    ay: Vec<f64>,
-    dx: Vec<f64>,
-    dy: Vec<f64>,
     len_km: Vec<f64>,
     speed_kmh: Vec<f64>,
     /// Cumulative segment length, for length-weighted sampling.
@@ -95,20 +94,12 @@ impl RoadTable {
     fn new(region: &Region, config: &MicrosimConfig) -> Self {
         let n = region.roads.len();
         let mut table = Self {
-            ax: Vec::with_capacity(n),
-            ay: Vec::with_capacity(n),
-            dx: Vec::with_capacity(n),
-            dy: Vec::with_capacity(n),
             len_km: Vec::with_capacity(n),
             speed_kmh: Vec::with_capacity(n),
             cum_len: Vec::with_capacity(n),
             total_len: 0.0,
         };
         for road in &region.roads {
-            table.ax.push(road.a.0);
-            table.ay.push(road.a.1);
-            table.dx.push(road.b.0 - road.a.0);
-            table.dy.push(road.b.1 - road.a.1);
             table.len_km.push(road.length().max(1e-9));
             table.speed_kmh.push(match road.kind {
                 RoadKind::Highway => config.highway_speed_kmh,
@@ -127,12 +118,6 @@ impl RoadTable {
         self.cum_len
             .partition_point(|&c| c <= x)
             .min(self.cum_len.len() - 1) as u32
-    }
-
-    #[inline]
-    fn point_at(&self, seg: u32, t: f64) -> Point {
-        let s = seg as usize;
-        (self.ax[s] + t * self.dx[s], self.ay[s] + t * self.dy[s])
     }
 }
 
@@ -299,14 +284,14 @@ pub fn hub_sites(region: &Region, num_hubs: usize) -> ect_types::Result<Vec<Poin
 }
 
 /// The microsimulation engine: immutable shared state (road table, hub
-/// grid, config) plus the pure chunk-step kernel. `Sync`, so chunks can be
-/// stepped from any number of worker threads.
+/// segment index, config) plus the pure chunk-step kernel. `Sync`, so
+/// chunks can be stepped from any number of worker threads.
 #[derive(Debug, Clone)]
 pub struct MicrosimEngine {
     config: MicrosimConfig,
     roads: RoadTable,
-    grid: SpatialHash,
-    sites: Vec<Point>,
+    /// The hub sites and their per-segment candidate lists.
+    index: SegmentIndex,
     slots: usize,
     seed: u64,
     /// Per crowd: sampled `(hub, pathloss weight)` pairs plus the
@@ -316,7 +301,7 @@ pub struct MicrosimEngine {
 
 impl MicrosimEngine {
     /// Validates the inputs and precomputes the road table, the hub
-    /// spatial hash and the flash-crowd associations.
+    /// segment index and the flash-crowd associations.
     ///
     /// # Errors
     ///
@@ -342,14 +327,12 @@ impl MicrosimEngine {
                 "microsim needs at least one slot".into(),
             ));
         }
-        let sites = hub_sites(region, num_hubs)?;
-        let grid = SpatialHash::new(&sites, region.size_km)?;
+        let index = SegmentIndex::new(&hub_sites(region, num_hubs)?, &region.roads)?;
         let roads = RoadTable::new(region, config);
         let mut engine = Self {
             config: config.clone(),
             roads,
-            grid,
-            sites,
+            index,
             slots,
             seed,
             crowd_assoc: Vec::new(),
@@ -382,7 +365,7 @@ impl MicrosimEngine {
                         let r = crowd.spread_km * (-2.0 * u1.ln()).sqrt();
                         let theta = std::f64::consts::TAU * u2;
                         let p = (anchor.0 + r * theta.cos(), anchor.1 + r * theta.sin());
-                        let (hub, d) = self.grid.nearest(p);
+                        let (hub, d) = nearest_brute_force(self.index.sites(), p);
                         (hub as u32, self.pathloss(d))
                     })
                     .collect();
@@ -400,7 +383,7 @@ impl MicrosimEngine {
     /// Hub count the demand aggregates onto.
     #[must_use]
     pub fn num_hubs(&self) -> usize {
-        self.sites.len()
+        self.index.sites().len()
     }
 
     /// Horizon in slots.
@@ -498,10 +481,9 @@ impl MicrosimEngine {
         // out-of-order core (about 9% less step time than one fused loop on
         // the metro geometry); every UE sees the same operations as in the
         // fused loop.
-        let mut points = [(0.0, 0.0); STEP_BLOCK];
         for start in (0..chunk.len()).step_by(STEP_BLOCK) {
             let ues = start..(start + STEP_BLOCK).min(chunk.len());
-            for (i, point) in ues.clone().zip(&mut points) {
+            for i in ues.clone() {
                 let ue = chunk.base + i as u64;
                 let h = mix64(step_base ^ spread(ue));
                 // Rewire: hop to a fresh length-weighted segment, keeping
@@ -524,11 +506,10 @@ impl MicrosimEngine {
                 } else {
                     chunk.t[i] = pos;
                 }
-                *point = self.roads.point_at(chunk.seg[i], chunk.t[i]);
             }
             // Associate; `demand` holds the hub distance until the last pass.
-            for (i, &point) in ues.clone().zip(&points) {
-                let (hub, d, sites) = self.grid.nearest_tested(point);
+            for i in ues.clone() {
+                let (hub, d, sites) = self.index.nearest(chunk.seg[i], chunk.t[i]);
                 tested += sites;
                 chunk.hub[i] = hub as u32;
                 chunk.demand[i] = d;
@@ -543,7 +524,7 @@ impl MicrosimEngine {
     /// A zeroed accumulator sized for this engine's horizon.
     #[must_use]
     pub fn accumulator(&self) -> DemandAccumulator {
-        let hubs = self.sites.len();
+        let hubs = self.num_hubs();
         DemandAccumulator {
             load: vec![vec![0.0; hubs]; self.slots],
             ev: vec![vec![0.0; hubs]; self.slots],
@@ -558,7 +539,12 @@ impl MicrosimEngine {
     /// it): the fold sums UEs in that order within each [`SHARD_UES`]
     /// shard, then adds the shard partials in shard order, so the sums do
     /// not depend on how the population was cut.
-    pub fn fold(&self, slot: usize, chunks: &[UeChunk], acc: &mut DemandAccumulator) {
+    pub fn fold<'a>(
+        &self,
+        slot: usize,
+        chunks: impl IntoIterator<Item = &'a UeChunk>,
+        acc: &mut DemandAccumulator,
+    ) {
         let mut ue = 0;
         for chunk in chunks {
             debug_assert_eq!(chunk.base, ue as u64, "chunks must tile the population");
@@ -584,7 +570,7 @@ impl MicrosimEngine {
     /// matrix into per-hub [`TrafficSample`] and EV-arrival series.
     #[must_use]
     pub fn finish(&self, mut acc: DemandAccumulator) -> MicrosimDemand {
-        let hubs = self.sites.len();
+        let hubs = self.num_hubs();
         for (crowd, (assoc, scale)) in self.config.flash_crowds.iter().zip(&self.crowd_assoc) {
             for slot in crowd.start_slot..(crowd.start_slot + crowd.len_slots).min(self.slots) {
                 let per_head = self.base_demand(slot % SLOTS_PER_DAY) * scale;
@@ -619,7 +605,7 @@ impl MicrosimEngine {
             num_ues: self.config.num_ues,
             num_hubs: hubs,
             slots: self.slots,
-            hub_sites: self.sites.clone(),
+            hub_sites: self.index.sites().to_vec(),
             traffic,
             ev_arrivals,
             total_associations: acc.associations,
@@ -628,7 +614,7 @@ impl MicrosimEngine {
 
     /// Runs the whole simulation on the calling thread — the sequential
     /// reference path. `ect_core::microsim::synthesize_demand_parallel`
-    /// steps chunks on the dispatch layer and is pinned bit-identical to
+    /// steps chunks on lockstep workers and is pinned bit-identical to
     /// this.
     ///
     /// # Errors

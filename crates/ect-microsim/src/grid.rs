@@ -1,190 +1,159 @@
-//! Exact nearest-hub association through per-cell candidate lists.
+//! Exact nearest-hub association through per-road-segment candidate lists.
 //!
 //! The association step runs once per UE per slot, so a full scan over hub
-//! sites would put an `O(hubs)` factor on the hottest loop. Instead the
-//! `[0, size_km]²` square is cut into a fine table of cells, and each cell
-//! stores, once, every site that can be the nearest site of *some* point in
-//! the cell. A query inside the square scans only its own cell's list.
+//! sites would put an `O(hubs)` factor on the hottest loop. UEs never leave
+//! their road segment, so the index is built over the roads themselves:
+//! each segment is cut into bins of [`BIN_KM`] along its parameter
+//! `t ∈ [0, 1]`, and each bin stores, once, every site that can be the
+//! nearest site of *some* point the segment yields in that bin. A query
+//! `(segment, t)` scans only its own bin's list.
 //!
-//! # The candidate table
+//! # The candidate lists
 //!
-//! For a cell `C` with centre `m`, let `d_m` be the distance from `m` to its
-//! nearest site and `h` half the cell diagonal. Every point `p ∈ C` has a
-//! site within `U = d_m + h` (the centre's nearest, by the triangle
-//! inequality), so the nearest site `s*` of `p` satisfies
+//! Bin `k` of a segment cut into `n` bins covers `t ∈ [k/n, (k+1)/n]`,
+//! widened by `BIN_MARGIN_T` on both sides so the rounding of a query's
+//! bin index `⌊t·n⌋` cannot carry its `t` out of the bin. The segment's
+//! points in that range lie in the bounding box `B` of its two end points
+//! (the point `a + t·d` is monotone in `t`, in floating point too), padded
+//! by `BOX_PAD_KM`.
+//!
+//! Let `m` be the centre of `B`, `d_m` the distance from `m` to its nearest
+//! site and `h` half the diagonal of `B`. Every point `p ∈ B` has a site
+//! within `U = d_m + h` (the centre's nearest, by the triangle inequality),
+//! so the nearest site `s*` of `p` satisfies
 //!
 //! ```text
-//! mindist(s*, C) ≤ d(p, s*) ≤ U
+//! mindist(s*, B) ≤ d(p, s*) ≤ U
 //! ```
 //!
-//! where `mindist` is the distance from a site to the cell rectangle. The
-//! cell's candidates are therefore every site with `mindist(s, C) ≤ U`: a
-//! superset of the nearest sites of all its points, exact ties included
-//! (a tied site is exactly as far as `s*`). `U` is padded by a relative
-//! plus absolute slack so floating-point rounding — of the distances, of
-//! the cell edges and of the query's cell index — can only add candidates,
-//! never drop one.
+//! where `mindist` is the distance from a site to the box. The bin's
+//! candidates are therefore every site with `mindist(s, B) ≤ U`: a superset
+//! of the nearest sites of all its points, exact ties included (a tied site
+//! is exactly as far as `s*`). `U` is padded by a relative plus absolute
+//! slack so floating-point rounding of the distances can only add
+//! candidates, never drop one.
 //!
-//! Each row of cells keeps its lists end to end in one array of site ids,
-//! ascending within each list, and each cell holds the `(start, len)` of
-//! its own, so a query that keeps the first strictly smaller distance
-//! returns the lowest index on exact ties. It uses the same `dist` as
-//! [`nearest_brute_force`] and so returns the same index and the same
-//! distance bits.
+//! Site ids ascend within each list, so a query that keeps the first
+//! strictly smaller distance returns the lowest index on exact ties. It
+//! computes the point as [`RoadSegment::point_at`] does and uses the same
+//! `dist` as [`nearest_brute_force`], so it returns the same index and the
+//! same distance bits.
 //!
-//! The table is built top-down, not by brute force: a rectangle of cells
-//! takes its candidates from its parent's list (the argument above holds
-//! for any rectangle, and the parent's list already holds the nearest site
-//! of the rectangle's centre), then splits along its longer side until
-//! single cells remain, each appending its list to its row. Near the
-//! leaves the lists are a handful of sites, so the build costs about a
-//! distance test per site per level at the top and a few per cell at the
-//! bottom.
-//!
-//! # Points outside the square
-//!
-//! `Region::generate` clamps roads and sites into the square, so road
-//! points leave it only by a rounding error at an edge; flash-crowd
-//! scatter can leave it, but it is associated once per engine, a bounded
-//! sample per crowd. Such points run the brute-force scan itself, so the
-//! table is the only index.
-//!
-//! Queries are pinned against the brute-force scan by proptests over
-//! uniform scatters and over the clustered, duplicated sites of generated
-//! regions.
+//! The lists are built top-down: a run of bins filters its parent run's
+//! list (the argument above holds for any run, whose box lies inside its
+//! parent's, and the parent's list holds the nearest site of the run's
+//! centre), then splits in two until single bins remain. Points off the
+//! roads (flash-crowd scatter, a bounded sample per crowd, associated once
+//! per engine) run [`nearest_brute_force`] itself.
 
-use ect_data::spatial::Point;
+use ect_data::spatial::{Point, RoadSegment};
 
 fn dist(a: Point, b: Point) -> f64 {
     ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
 }
 
-/// Table cells per side per `√sites`: about sixteen cells per site keeps
-/// the per-cell lists at a few sites on clustered geometry.
-const TABLE_CELLS_PER_SQRT_SITE: f64 = 4.0;
+/// Bin length along a segment, km. A bin's box is at most this long
+/// diagonally, so its bound `U` exceeds its centre's nearest-site distance
+/// by at most `BIN_KM / 2`; a quarter kilometre keeps the lists at a few
+/// sites on the metro geometry, where finer bins measured no faster.
+pub const BIN_KM: f64 = 0.25;
 
-/// Cap on table cells per side (the spans take `8 · side²` bytes).
-const MAX_TABLE_SIDE: usize = 512;
+/// Cap on bins per segment, so each segment's list starts stay a small
+/// allocation (see the crate docs on allocation size); a segment longer
+/// than `MAX_SEGMENT_BINS · BIN_KM` gets wider bins.
+const MAX_SEGMENT_BINS: usize = 4096;
 
-/// Relative and absolute padding of a cell's bound `U`: many orders of
-/// magnitude above the rounding of km-scale distances and cell edges.
+/// Cap on sites, so every segment's id count fits a `u32` list start.
+const MAX_SITES: usize = u32::MAX as usize / MAX_SEGMENT_BINS;
+
+/// Widening of every bin's `t` range on each side: far above the rounding
+/// of a bin edge `k/n` and of the query's `t·n`.
+const BIN_MARGIN_T: f64 = 1e-9;
+
+/// Padding of every bin's box, km.
+const BOX_PAD_KM: f64 = 1e-9;
+
+/// Relative and absolute padding of a bin's bound `U`: many orders of
+/// magnitude above the rounding of km-scale distances.
 const BOUND_REL_SLACK: f64 = 1e-9;
 const BOUND_ABS_SLACK_KM: f64 = 1e-9;
 
-/// Nearest-site index over hub sites: the candidate table for queries
-/// inside the region square, a brute-force scan outside it.
+/// Nearest-site index over hub sites for points on road segments.
 #[derive(Debug, Clone)]
-pub struct SpatialHash {
-    size_km: f64,
+pub(crate) struct SegmentIndex {
     sites: Vec<Point>,
-    /// Candidate-table cell side and cells per side.
-    table_cell_km: f64,
-    table_side: usize,
-    /// The candidate table, one row of cells per entry.
-    rows: Vec<TableRow>,
+    segments: Vec<SegmentBins>,
 }
 
-/// One row of the candidate table, its own small allocations (see the
-/// crate docs on allocation size).
+/// One segment's geometry and candidate lists, its own small allocations
+/// (see the crate docs on allocation size).
 #[derive(Debug, Clone)]
-struct TableRow {
-    /// Per cell of the row: `(start, len)` of its list in `ids`.
-    spans: Vec<(u32, u32)>,
-    /// The row's candidate site ids, ascending within each cell's list.
+struct SegmentBins {
+    /// Start point and `end − start`, as [`RoadSegment::point_at`] uses.
+    a: Point,
+    d: Point,
+    /// Bin count, as the query's scale from `t` to a bin.
+    bins: f64,
+    /// Bin `k` lists `ids[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    /// The candidate site ids, ascending within each bin's list.
     ids: Vec<u32>,
 }
 
-impl SpatialHash {
-    /// Builds the candidate table for `sites` over the `[0, size_km]²`
-    /// region. Sites outside the square are allowed.
+impl SegmentBins {
+    fn point_at(&self, t: f64) -> Point {
+        (self.a.0 + t * self.d.0, self.a.1 + t * self.d.1)
+    }
+}
+
+impl SegmentIndex {
+    /// Builds the candidate lists of every segment of `roads` over `sites`.
     ///
     /// # Errors
     ///
-    /// Returns [`ect_types::EctError::InvalidConfig`] for an empty site
-    /// list, more than `u32::MAX` sites or a non-positive region size.
-    pub fn new(sites: &[Point], size_km: f64) -> ect_types::Result<Self> {
-        if sites.is_empty() {
-            return Err(ect_types::EctError::InvalidConfig(
-                "spatial hash needs at least one site".into(),
-            ));
-        }
-        if u32::try_from(sites.len()).is_err() {
+    /// Returns [`ect_types::EctError::InvalidConfig`] for no sites or
+    /// more than about a million.
+    pub fn new(sites: &[Point], roads: &[RoadSegment]) -> ect_types::Result<Self> {
+        if !(1..=MAX_SITES).contains(&sites.len()) {
             return Err(ect_types::EctError::InvalidConfig(format!(
-                "spatial hash indexes sites as u32, got {}",
+                "segment index takes 1 to {MAX_SITES} sites, got {}",
                 sites.len()
             )));
         }
-        if !size_km.is_finite() || size_km <= 0.0 {
-            return Err(ect_types::EctError::InvalidConfig(format!(
-                "spatial hash region size must be positive, got {size_km}"
-            )));
-        }
-        let table_side = (((sites.len() as f64).sqrt() * TABLE_CELLS_PER_SQRT_SITE).ceil()
-            as usize)
-            .clamp(1, MAX_TABLE_SIDE);
-        let mut hash = Self {
-            size_km,
+        let mut builder = BinBuilder {
+            levels: vec![SiteList {
+                ids: (0..sites.len() as u32).collect(),
+                xs: sites.iter().map(|s| s.0).collect(),
+                ys: sites.iter().map(|s| s.1).collect(),
+            }],
+        };
+        Ok(Self {
             sites: sites.to_vec(),
-            table_cell_km: size_km / table_side as f64,
-            table_side,
-            rows: Vec::new(),
-        };
-        hash.build_table();
-        Ok(hash)
+            segments: roads.iter().map(|road| builder.segment(road)).collect(),
+        })
     }
 
-    /// Number of sites in the hash.
+    /// The indexed sites.
     #[must_use]
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
+    pub fn sites(&self) -> &[Point] {
+        &self.sites
     }
 
-    fn build_table(&mut self) {
-        let side = self.table_side;
-        let all = SiteList {
-            ids: (0..self.sites.len() as u32).collect(),
-            xs: self.sites.iter().map(|s| s.0).collect(),
-            ys: self.sites.iter().map(|s| s.1).collect(),
-        };
-        let mut builder = TableBuilder {
-            cell_km: self.table_cell_km,
-            levels: vec![all],
-            rows: vec![
-                TableRow {
-                    spans: vec![(0, 0); side],
-                    ids: Vec::new(),
-                };
-                side
-            ],
-        };
-        builder.split(0, 0..side, 0..side);
-        self.rows = builder.rows;
-    }
-
-    fn inside(&self, p: Point) -> bool {
-        (0.0..=self.size_km).contains(&p.0) && (0.0..=self.size_km).contains(&p.1)
-    }
-
-    /// The site nearest to `p` (lowest index on exact ties) and its
-    /// distance — identical to a brute-force scan over all sites.
+    /// The site nearest to the point at `t ∈ [0, 1]` along segment `seg`
+    /// (lowest index on exact ties), its distance and the number of sites
+    /// distance-tested — the cost telemetry counts, so a degraded index
+    /// shows. Index and distance are identical to [`nearest_brute_force`]
+    /// at the point [`RoadSegment::point_at`] yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seg` is out of range.
     #[must_use]
-    pub fn nearest(&self, p: Point) -> (usize, f64) {
-        let (idx, d, _) = self.nearest_tested(p);
-        (idx, d)
-    }
-
-    /// [`Self::nearest`] plus the number of sites it distance-tested — the
-    /// cost telemetry counts, so a degraded table shows.
-    #[must_use]
-    pub fn nearest_tested(&self, p: Point) -> (usize, f64, usize) {
-        if !self.inside(p) {
-            let (idx, d) = nearest_brute_force(&self.sites, p);
-            return (idx, d, self.sites.len());
-        }
-        let side = self.table_side;
-        let row = &self.rows[axis_cell(p.1, self.table_cell_km, side)];
-        let (start, len) = row.spans[axis_cell(p.0, self.table_cell_km, side)];
-        let ids = &row.ids[start as usize..(start + len) as usize];
+    pub fn nearest(&self, seg: u32, t: f64) -> (usize, f64, usize) {
+        let segment = &self.segments[seg as usize];
+        let p = segment.point_at(t);
+        let bin = ((t * segment.bins) as usize).min(segment.starts.len() - 2);
+        let ids = &segment.ids[segment.starts[bin] as usize..segment.starts[bin + 1] as usize];
         let mut best: (u32, f64) = (u32::MAX, f64::INFINITY);
         for &idx in ids {
             let d = dist(p, self.sites[idx as usize]);
@@ -194,18 +163,9 @@ impl SpatialHash {
                 best = (idx, d);
             }
         }
-        debug_assert!(best.0 != u32::MAX, "every cell lists a site");
+        debug_assert!(best.0 != u32::MAX, "every bin lists a site");
         (best.0 as usize, best.1, ids.len())
     }
-}
-
-/// Cell index of one coordinate on a table of `n` cells of side `cell_km`,
-/// clamped into `[0, n)`.
-fn axis_cell(v: f64, cell_km: f64, n: usize) -> usize {
-    if v <= 0.0 {
-        return 0;
-    }
-    ((v / cell_km) as usize).min(n - 1)
 }
 
 /// Candidate sites with their coordinates alongside, so a filter reads
@@ -228,31 +188,40 @@ impl SiteList {
     }
 }
 
-/// Top-down candidate-table construction (see the module docs).
+/// Top-down candidate-list construction (see the module docs).
 ///
-/// `levels[d]` holds the list of the rectangle at bisection depth `d` on
-/// the current path (`levels[0]` every site); a rectangle overwrites its
-/// depth's list, which its sibling no longer needs. Distances are compared
+/// `levels[d]` holds the list of the bin run at bisection depth `d` on the
+/// current path (`levels[0]` every site); a run overwrites its depth's
+/// list, which its sibling no longer needs. Distances are compared
 /// squared; the bound's slack covers the rounding that saves.
-struct TableBuilder {
-    cell_km: f64,
+struct BinBuilder {
     levels: Vec<SiteList>,
-    rows: Vec<TableRow>,
 }
 
-impl TableBuilder {
+impl BinBuilder {
+    fn segment(&mut self, road: &RoadSegment) -> SegmentBins {
+        let bins = ((road.length() / BIN_KM).ceil() as usize).clamp(1, MAX_SEGMENT_BINS);
+        let mut segment = SegmentBins {
+            a: road.a,
+            d: (road.b.0 - road.a.0, road.b.1 - road.a.1),
+            bins: bins as f64,
+            starts: Vec::with_capacity(bins + 1),
+            ids: Vec::new(),
+        };
+        segment.starts.push(0);
+        self.split(0, &mut segment, 0..bins);
+        segment
+    }
+
     /// Filters the list at `levels[depth]` down to the candidates of the
-    /// cell rectangle `cols × rows` into `levels[depth + 1]`, then records
-    /// it (one cell) or bisects the longer side.
-    fn split(&mut self, depth: usize, cols: std::ops::Range<usize>, rows: std::ops::Range<usize>) {
-        let lo = (
-            cols.start as f64 * self.cell_km,
-            rows.start as f64 * self.cell_km,
-        );
-        let hi = (
-            cols.end as f64 * self.cell_km,
-            rows.end as f64 * self.cell_km,
-        );
+    /// bin run `bins` of `segment` into `levels[depth + 1]`, then records
+    /// it (one bin) or bisects the run.
+    fn split(&mut self, depth: usize, segment: &mut SegmentBins, bins: std::ops::Range<usize>) {
+        let t0 = (bins.start as f64 / segment.bins - BIN_MARGIN_T).max(0.0);
+        let t1 = (bins.end as f64 / segment.bins + BIN_MARGIN_T).min(1.0);
+        let (p0, p1) = (segment.point_at(t0), segment.point_at(t1));
+        let lo = (p0.0.min(p1.0) - BOX_PAD_KM, p0.1.min(p1.1) - BOX_PAD_KM);
+        let hi = (p0.0.max(p1.0) + BOX_PAD_KM, p0.1.max(p1.1) + BOX_PAD_KM);
         if self.levels.len() == depth + 1 {
             self.levels.push(SiteList::default());
         }
@@ -284,24 +253,19 @@ impl TableBuilder {
         own.ids.truncate(top);
         own.xs.truncate(top);
         own.ys.truncate(top);
-        if cols.len() == 1 && rows.len() == 1 {
-            let row = &mut self.rows[rows.start];
-            row.spans[cols.start] = (row.ids.len() as u32, top as u32);
-            row.ids.extend_from_slice(&own.ids);
-        } else if cols.len() >= rows.len() {
-            let mid = cols.start + cols.len() / 2;
-            self.split(depth + 1, cols.start..mid, rows.clone());
-            self.split(depth + 1, mid..cols.end, rows);
+        if bins.len() == 1 {
+            segment.ids.extend_from_slice(&own.ids);
+            segment.starts.push(segment.ids.len() as u32);
         } else {
-            let mid = rows.start + rows.len() / 2;
-            self.split(depth + 1, cols.clone(), rows.start..mid);
-            self.split(depth + 1, cols, mid..rows.end);
+            let mid = bins.start + bins.len() / 2;
+            self.split(depth + 1, segment, bins.start..mid);
+            self.split(depth + 1, segment, mid..bins.end);
         }
     }
 }
 
 /// Brute-force nearest site (lowest index on ties) — the reference the
-/// hash must match, public for the correctness proptests.
+/// index must match, and the association of off-road points.
 #[must_use]
 pub fn nearest_brute_force(sites: &[Point], p: Point) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
@@ -317,56 +281,87 @@ pub fn nearest_brute_force(sites: &[Point], p: Point) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ect_data::spatial::{Region, RegionConfig};
+    use ect_data::spatial::{Region, RegionConfig, RoadKind};
     use ect_types::rng::EctRng;
     use proptest::prelude::*;
 
+    fn road(a: Point, b: Point) -> RoadSegment {
+        RoadSegment {
+            a,
+            b,
+            kind: RoadKind::Urban,
+        }
+    }
+
+    /// Asserts the index answer at `(seg, t)` equals the brute-force scan
+    /// at the point `RoadSegment::point_at` yields there.
+    fn check(index: &SegmentIndex, roads: &[RoadSegment], seg: usize, t: f64) {
+        let p = roads[seg].point_at(t);
+        assert_eq!(index.segments[seg].point_at(t), p, "point bits at t = {t}");
+        let (idx, d, _) = index.nearest(seg as u32, t);
+        assert_eq!(
+            (idx, d),
+            nearest_brute_force(&index.sites, p),
+            "segment {seg} at t = {t:e}"
+        );
+    }
+
+    /// `t` at every bin edge `k/n` of a segment, the floats either side of
+    /// each, and both segment ends.
+    fn edge_ts(index: &SegmentIndex, seg: usize) -> Vec<f64> {
+        let n = index.segments[seg].bins;
+        let mut ts = vec![0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
+        for k in 1..n as usize {
+            let edge = k as f64 / n;
+            ts.extend([
+                edge,
+                f64::from_bits(edge.to_bits() - 1),
+                f64::from_bits(edge.to_bits() + 1),
+            ]);
+        }
+        ts
+    }
+
     #[test]
     fn rejects_degenerate_inputs() {
-        assert!(SpatialHash::new(&[], 100.0).is_err());
-        assert!(SpatialHash::new(&[(1.0, 1.0)], 0.0).is_err());
+        assert!(SegmentIndex::new(&[], &[road((0.0, 0.0), (1.0, 1.0))]).is_err());
     }
 
     #[test]
     fn single_site_is_always_nearest() {
-        let hash = SpatialHash::new(&[(40.0, 60.0)], 100.0).unwrap();
-        let (idx, d) = hash.nearest((0.0, 0.0));
-        assert_eq!(idx, 0);
+        let roads = [road((0.0, 0.0), (10.0, 0.0))];
+        let index = SegmentIndex::new(&[(40.0, 60.0)], &roads).unwrap();
+        let (idx, d, tested) = index.nearest(0, 0.0);
+        assert_eq!((idx, tested), (0, 1));
         assert!((d - (40.0f64.powi(2) + 60.0f64.powi(2)).sqrt()).abs() < 1e-12);
     }
 
     #[test]
-    fn matches_brute_force_on_a_seeded_scatter() {
-        let mut rng = EctRng::seed_from(7);
-        let sites: Vec<Point> = (0..50)
-            .map(|_| (rng.uniform_in(0.0, 200.0), rng.uniform_in(0.0, 200.0)))
-            .collect();
-        let hash = SpatialHash::new(&sites, 200.0).unwrap();
-        for _ in 0..500 {
-            let p = (rng.uniform_in(-10.0, 210.0), rng.uniform_in(-10.0, 210.0));
-            assert_eq!(hash.nearest(p), nearest_brute_force(&sites, p));
-        }
-    }
-
-    #[test]
-    fn every_cell_lists_a_site_and_inside_queries_test_only_their_cell() {
+    fn every_bin_lists_a_site_and_queries_test_only_their_bin() {
         let mut rng = EctRng::seed_from(3);
         let sites: Vec<Point> = (0..200)
             .map(|_| (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)))
             .collect();
-        let hash = SpatialHash::new(&sites, 100.0).unwrap();
-        assert!(hash
-            .rows
-            .iter()
-            .flat_map(|row| &row.spans)
-            .all(|&(_, len)| len > 0));
-        let listed: usize = hash.rows.iter().map(|row| row.ids.len()).sum();
-        let lists = listed as f64 / (hash.table_side as f64).powi(2);
-        assert!(
-            lists < 10.0,
-            "{lists} candidates per cell on a uniform scatter"
-        );
-        let (_, _, tested) = hash.nearest_tested((50.0, 50.0));
+        let roads = [
+            road((0.0, 50.0), (100.0, 50.0)),
+            road((10.0, 0.0), (90.0, 100.0)),
+            road((30.0, 30.0), (30.1, 30.05)),
+        ];
+        let index = SegmentIndex::new(&sites, &roads).unwrap();
+        for (segment, road) in index.segments.iter().zip(&roads) {
+            let bins = (road.length() / BIN_KM).ceil().max(1.0);
+            assert_eq!(segment.starts.len() - 1, bins as usize);
+            assert!(segment.starts.windows(2).all(|w| w[0] < w[1]));
+            let lists = segment.ids.len() as f64 / bins;
+            assert!(
+                lists < 4.0,
+                "{lists} candidates per bin on a uniform scatter"
+            );
+        }
+        let (_, _, tested) = index.nearest(0, 0.5);
+        let bin = &index.segments[0];
+        let k = (0.5 * bin.bins) as usize;
+        assert_eq!(tested, (bin.starts[k + 1] - bin.starts[k]) as usize);
         assert!(tested < sites.len() / 4, "{tested} sites tested");
     }
 
@@ -398,8 +393,10 @@ mod tests {
     }
 
     proptest! {
-        /// The satellite pin: hash association equals brute-force
-        /// nearest-hub on random scatters, queries included off-grid.
+        /// The association pin: the segment index equals brute-force
+        /// nearest-hub on random scatters, at random `t`, at every bin edge
+        /// and the floats either side, and at both ends, on segments longer
+        /// and shorter than one bin.
         #[test]
         fn hash_matches_brute_force(
             seed in 0u64..1_000,
@@ -409,16 +406,33 @@ mod tests {
             let sites: Vec<Point> = (0..num_sites)
                 .map(|_| (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)))
                 .collect();
-            let hash = SpatialHash::new(&sites, 100.0).unwrap();
-            for _ in 0..32 {
-                let p = (rng.uniform_in(-20.0, 120.0), rng.uniform_in(-20.0, 120.0));
-                prop_assert_eq!(hash.nearest(p), nearest_brute_force(&sites, p));
+            let mut roads: Vec<RoadSegment> = (0..4)
+                .map(|_| road(
+                    (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)),
+                    (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0)),
+                ))
+                .collect();
+            // Shorter than one bin, and a point.
+            let a = (rng.uniform_in(0.0, 100.0), rng.uniform_in(0.0, 100.0));
+            let short = rng.uniform_in(0.0, BIN_KM);
+            roads.push(road(a, (a.0 + 0.6 * short, a.1 - 0.8 * short)));
+            roads.push(road(a, a));
+            let index = SegmentIndex::new(&sites, &roads).unwrap();
+            for seg in 0..roads.len() {
+                for _ in 0..16 {
+                    check(&index, &roads, seg, rng.uniform());
+                }
+                let edges = edge_ts(&index, seg);
+                for k in (0..4).chain((0..16).map(|_| rng.below(edges.len()))) {
+                    check(&index, &roads, seg, edges[k]);
+                }
             }
         }
 
-        /// Clustered geometry: generated cities and highways, duplicated
-        /// sites, and queries on roads, on table-cell edges and corners,
-        /// and outside the square.
+        /// Clustered geometry: the roads and strided sites of generated
+        /// cities and highways, duplicated sites whose ties go to the
+        /// lowest index, queries at random `t` and at bin edges; off-road
+        /// and outside-the-square crowd points take the brute-force path.
         #[test]
         fn hash_matches_brute_force_on_clustered_sites(
             seed in 0u64..1_000,
@@ -427,21 +441,17 @@ mod tests {
         ) {
             let region = clustered_sites(seed, 600, hubs, dup_every);
             let sites = &region.base_stations;
-            let hash = SpatialHash::new(sites, region.size_km).unwrap();
+            let index = SegmentIndex::new(sites, &region.roads).unwrap();
             let mut rng = EctRng::seed_from(seed ^ 0x5EED);
-            let edge = hash.table_cell_km;
-            let side = hash.table_side;
             for _ in 0..48 {
-                let road = &region.roads[rng.below(region.roads.len())];
-                let on_road = road.point_at(rng.uniform());
-                let (i, j) = (rng.below(side + 1), rng.below(side + 1));
-                let corner = (i as f64 * edge, j as f64 * edge);
-                let on_edge = (corner.0, rng.uniform_in(0.0, region.size_km));
-                let outside = (rng.uniform_in(-30.0, 130.0), rng.uniform_in(100.0, 140.0));
-                for p in [on_road, corner, on_edge, (on_edge.1, on_edge.0), outside] {
-                    prop_assert_eq!(hash.nearest(p), nearest_brute_force(sites, p), "at {:?}", p);
-                }
+                let seg = rng.below(region.roads.len());
+                check(&index, &region.roads, seg, rng.uniform());
+                let edges = edge_ts(&index, seg);
+                check(&index, &region.roads, seg, edges[rng.below(edges.len())]);
             }
+            // A duplicate (listed after every original) never wins a tie.
+            let off_road = (rng.uniform_in(-30.0, 130.0), rng.uniform_in(100.0, 140.0));
+            prop_assert!(nearest_brute_force(sites, off_road).0 < hubs);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! individual UEs moving on the [`ect_data::spatial::Region`] road graph —
 //! structure-of-arrays position/route/speed/activity lanes, commute waves
 //! and scripted flash-crowd surges — associates every UE to its nearest
-//! hub each slot through per-cell candidate lists, and aggregates
+//! hub each slot through per-road-segment candidate lists, and aggregates
 //! distance-weighted (pathloss) per-UE load into per-hub traffic and
 //! EV-arrival series.
 //!
@@ -26,12 +26,13 @@
 //! # Allocation size
 //!
 //! The session and benchmark layers rebuild the engine for every
-//! synthesis, so its working buffers — the candidate table, the UE chunks,
-//! the demand accumulator — are cut into rows or chunks that each stay
-//! well below glibc's 128 KiB `mmap` threshold at metro scale (2,000 hubs,
-//! 20,000 UEs). Freeing a larger block raises that threshold and the
-//! allocator's trim threshold for the rest of the process, after which
-//! every worker thread's arena keeps about 1 MB of freed memory resident.
+//! synthesis, so its working buffers — the candidate lists (about 8 KiB
+//! for the longest metro road), the UE chunks, the demand accumulator —
+//! are cut per segment, chunk or slot, each well below glibc's 128 KiB
+//! `mmap` threshold at metro scale (2,000 hubs, 20,000 UEs). Freeing a
+//! larger block raises that threshold and the allocator's trim threshold
+//! for the rest of the process, after which every worker thread's arena
+//! keeps about 1 MB of freed memory resident.
 //!
 //! # Example
 //!
@@ -60,4 +61,4 @@ pub use engine::{
     hub_sites, record_throughput, synthesize_demand, DemandAccumulator, MicrosimDemand,
     MicrosimEngine, UeChunk, SHARD_UES,
 };
-pub use grid::{nearest_brute_force, SpatialHash};
+pub use grid::nearest_brute_force;

@@ -3,7 +3,7 @@
 //! Three contracts:
 //!
 //! 1. **Thread-count invariance** — the parallel driver
-//!    (`synthesize_demand_parallel` over the work-stealing dispatch) is
+//!    (`synthesize_demand_parallel`, lockstep workers) is
 //!    bit-identical to the sequential engine at every worker count:
 //!    parallelism never leaks into the demand artifact.
 //! 2. **Purity** — the synthesized demand is a pure function of
