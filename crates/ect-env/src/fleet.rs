@@ -13,9 +13,11 @@ use ect_data::charging::Stratum;
 use ect_data::dataset::{WorldConfig, WorldDataset};
 use ect_data::scenario::ScenarioSpec;
 use ect_data::traffic::TrafficSample;
+use ect_data::weather::WeatherSample;
 use ect_types::ids::{HubId, StationId};
 use ect_types::rng::EctRng;
 use ect_types::time::SlotIndex;
+use ect_types::units::DollarsPerKwh;
 use std::sync::Arc;
 
 /// Draws the ground-truth stratum series for one station over a slot range.
@@ -182,94 +184,153 @@ pub fn outage_mask(world: &WorldDataset, start_slot: usize, len: usize) -> Vec<b
     mask
 }
 
-/// Slices the world's shared RTP series for one episode window into an
-/// `Arc` every lane of that world can clone.
-fn shared_rtp_slice(
-    world: &WorldDataset,
+/// One hub's weather slice and per-slot stratum probabilities over an
+/// episode window.
+type HubSlices = (Arc<[WeatherSample]>, Vec<[f64; 3]>);
+
+/// What the lanes of one world share within one fleet build: the RTP slice
+/// and outage mask of the episode window, plus each hub's weather slice and
+/// stratum probabilities, sliced and evaluated on the first lane that plays
+/// the hub. Lanes are `Arc` clones of these, never copies.
+struct WorldSlices<'w> {
+    world: &'w WorldDataset,
     start_slot: usize,
     len: usize,
-) -> ect_types::Result<Arc<[ect_types::units::DollarsPerKwh]>> {
-    match world.rtp.get(start_slot..start_slot + len) {
-        Some(slice) => Ok(slice.into()),
-        None => Err(ect_types::EctError::InsufficientData(format!(
-            "episode [{start_slot}, {}) exceeds world horizon {}",
-            start_slot + len,
-            world.horizon()
-        ))),
+    rtp: Arc<[DollarsPerKwh]>,
+    outages: Arc<[bool]>,
+    hubs: Vec<Option<HubSlices>>,
+}
+
+impl<'w> WorldSlices<'w> {
+    fn new(world: &'w WorldDataset, start_slot: usize, len: usize) -> ect_types::Result<Self> {
+        let Some(rtp) = world.rtp.get(start_slot..start_slot + len) else {
+            return Err(ect_types::EctError::InsufficientData(format!(
+                "episode [{start_slot}, {}) exceeds world horizon {}",
+                start_slot + len,
+                world.horizon()
+            )));
+        };
+        Ok(Self {
+            world,
+            start_slot,
+            len,
+            rtp: rtp.into(),
+            outages: outage_mask(world, start_slot, len).into(),
+            hubs: vec![None; world.hubs.len()],
+        })
+    }
+
+    /// Builds one fleet lane: same validation and strata draws as
+    /// [`episode_for_hub`], assembled straight into `Arc` series. The
+    /// traffic series is `traffic` when given (a microsim demand source),
+    /// otherwise the world's own. The single lane constructor behind every
+    /// fleet builder — they cannot drift from each other or from the
+    /// single-hub [`env_for_hub`].
+    fn lane(
+        &mut self,
+        hub: HubId,
+        schedule: &DiscountSchedule,
+        traffic: Option<&Arc<[TrafficSample]>>,
+        rng: &mut EctRng,
+    ) -> ect_types::Result<(HubConfig, HubSeries)> {
+        let (world, start, len) = (self.world, self.start_slot, self.len);
+        validate_episode_request(world, hub, start, len, schedule.len())?;
+        let traces = &world.hubs[hub.index()];
+        let (weather, probs) = self.hubs[hub.index()].get_or_insert_with(|| {
+            let station = StationId::new(hub.as_u32());
+            assert!(
+                station.as_u32() < world.charging.num_stations(),
+                "station {station} outside world"
+            );
+            let probs = (start..start + len)
+                .map(|t| world.charging.stratum_probs(station, SlotIndex::new(t)));
+            (traces.weather[start..start + len].into(), probs.collect())
+        });
+        let series = HubSeries {
+            rtp: Arc::clone(&self.rtp),
+            weather: Arc::clone(weather),
+            traffic: traffic.map_or_else(|| traces.traffic[start..start + len].into(), Arc::clone),
+            discounts: Arc::new(schedule.clone()),
+            // The draws `ChargingWorld::sample_stratum` makes, on
+            // probabilities evaluated once per hub.
+            strata: probs
+                .iter()
+                .map(|p| Stratum::ALL[rng.categorical(p)])
+                .collect(),
+            outages: Arc::clone(&self.outages),
+        };
+        Ok((HubConfig::for_siting(traces.siting), series))
     }
 }
 
-/// Builds one fleet lane: same validation and strata draws as
-/// [`episode_for_hub`], but assembled straight into `Arc` series so the
-/// shared RTP slice is never copied per lane. The single lane constructor
-/// behind every fleet builder — they cannot drift from each other or from
-/// the single-hub [`env_for_hub`].
-fn build_lane(
-    world: &WorldDataset,
-    shared_rtp: &Arc<[ect_types::units::DollarsPerKwh]>,
-    hub: HubId,
-    start_slot: usize,
-    len: usize,
-    schedule: &DiscountSchedule,
-    rng: &mut EctRng,
-) -> ect_types::Result<(HubConfig, HubSeries)> {
-    validate_episode_request(world, hub, start_slot, len, schedule.len())?;
-    let traces = &world.hubs[hub.index()];
-    let strata = draw_strata(world, StationId::new(hub.as_u32()), start_slot, len, rng);
-    let series = HubSeries {
-        rtp: Arc::clone(shared_rtp),
-        weather: traces.weather[start_slot..start_slot + len].into(),
-        traffic: traces.traffic[start_slot..start_slot + len].into(),
-        discounts: Arc::new(schedule.clone()),
-        strata: strata.into(),
-        outages: outage_mask(world, start_slot, len).into(),
-    };
-    Ok((HubConfig::for_siting(traces.siting), series))
-}
-
-/// Rejects per-lane `discounts`/`rngs` whose counts differ from the lane
-/// count; `contexts` names the two shapes in the error.
-fn check_lane_counts(
-    lanes: usize,
-    discounts: usize,
-    rngs: usize,
-    contexts: (&'static str, &'static str),
-) -> ect_types::Result<()> {
-    for (context, actual) in [(contexts.0, discounts), (contexts.1, rngs)] {
-        if actual != lanes {
-            return Err(ect_types::EctError::ShapeMismatch {
-                context,
-                expected: lanes,
-                actual,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One lane per hub of `world`, all sharing the world's RTP slice.
+/// One lane per hub of `world`, all sharing the world's [`WorldSlices`];
+/// lane `i` carries `traffic[i]` when given.
 fn hub_lanes(
     world: &WorldDataset,
     hubs: &[HubId],
     start_slot: usize,
     len: usize,
     discounts: &[DiscountSchedule],
+    traffic: Option<&[Arc<[TrafficSample]>]>,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<Vec<(HubConfig, HubSeries)>> {
-    check_lane_counts(
-        hubs.len(),
-        discounts.len(),
-        rngs.len(),
-        ("fleet discount schedules", "fleet strata rngs"),
-    )?;
-    let shared_rtp = shared_rtp_slice(world, start_slot, len)?;
-    hubs.iter()
-        .zip(discounts)
-        .zip(rngs.iter_mut())
-        .map(|((&hub, schedule), rng)| {
-            build_lane(world, &shared_rtp, hub, start_slot, len, schedule, rng)
-        })
-        .collect()
+    let lanes: Vec<(&WorldDataset, HubId)> = hubs.iter().map(|&hub| (world, hub)).collect();
+    let contexts = ("fleet discount schedules", "fleet strata rngs");
+    world_lanes(&lanes, start_slot, len, discounts, traffic, rngs, contexts)
+}
+
+/// One lane per `(world, hub)` pair, lane `i` carrying `traffic[i]` when
+/// given (an alternative demand source such as the UE microsimulation,
+/// which replaces exactly the series the world's aggregate
+/// [`TrafficGenerator`](ect_data::traffic) supplies and nothing else).
+/// Lanes of one world (pointer identity: callers pass the same reference
+/// for lanes of the same world) share its [`WorldSlices`]. Rejects
+/// per-lane `discounts`/`rngs` whose counts differ from the lane count
+/// (`contexts` names the two in the error) and `traffic` that is not one
+/// `len`-slot series per lane.
+fn world_lanes(
+    lanes: &[(&WorldDataset, HubId)],
+    start_slot: usize,
+    len: usize,
+    discounts: &[DiscountSchedule],
+    traffic: Option<&[Arc<[TrafficSample]>]>,
+    rngs: &mut [EctRng],
+    contexts: (&'static str, &'static str),
+) -> ect_types::Result<Vec<(HubConfig, HubSeries)>> {
+    let n = lanes.len();
+    let traffic_len = traffic.and_then(|t| t.iter().map(|s| s.len()).find(|&l| l != len));
+    let shapes = [
+        (contexts.0, n, discounts.len()),
+        (contexts.1, n, rngs.len()),
+        ("fleet traffic overrides", n, traffic.map_or(n, <[_]>::len)),
+        (
+            "fleet traffic override length",
+            len,
+            traffic_len.unwrap_or(len),
+        ),
+    ];
+    if let Some(&(context, expected, actual)) = shapes.iter().find(|(_, e, a)| e != a) {
+        return Err(ect_types::EctError::ShapeMismatch {
+            context,
+            expected,
+            actual,
+        });
+    }
+    let mut worlds: Vec<WorldSlices<'_>> = Vec::new();
+    let mut built = Vec::with_capacity(n);
+    for (i, ((&(world, hub), schedule), rng)) in
+        lanes.iter().zip(discounts).zip(rngs.iter_mut()).enumerate()
+    {
+        let k = match worlds.iter().position(|w| std::ptr::eq(w.world, world)) {
+            Some(k) => k,
+            None => {
+                worlds.push(WorldSlices::new(world, start_slot, len)?);
+                worlds.len() - 1
+            }
+        };
+        built.push(worlds[k].lane(hub, schedule, traffic.map(|t| &t[i]), rng)?);
+    }
+    Ok(built)
 }
 
 /// Builds a batched [`FleetEnv`] over several hubs of the world, one lane
@@ -295,48 +356,18 @@ pub fn fleet_env_for_hubs(
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
     FleetEnv::new(
-        hub_lanes(world, hubs, start_slot, len, discounts, rngs)?,
+        hub_lanes(world, hubs, start_slot, len, discounts, None, rngs)?,
         window,
     )
 }
 
-/// Swaps each lane's traffic series for the matching entry of `traffic` —
-/// the single injection point behind both `*_with_traffic` builders, so an
-/// alternative demand source (the UE microsimulation) replaces exactly the
-/// series the world's aggregate [`TrafficGenerator`](ect_data::traffic)
-/// supplied and nothing else. Strata were already drawn when the lanes were
-/// built, so overriding afterwards leaves every other draw untouched.
-fn override_lane_traffic(
-    lanes: &mut [(HubConfig, HubSeries)],
-    traffic: &[Arc<[TrafficSample]>],
-    len: usize,
-) -> ect_types::Result<()> {
-    if traffic.len() != lanes.len() {
-        return Err(ect_types::EctError::ShapeMismatch {
-            context: "fleet traffic overrides",
-            expected: lanes.len(),
-            actual: traffic.len(),
-        });
-    }
-    for (lane, series) in lanes.iter_mut().zip(traffic) {
-        if series.len() != len {
-            return Err(ect_types::EctError::ShapeMismatch {
-                context: "fleet traffic override length",
-                expected: len,
-                actual: series.len(),
-            });
-        }
-        lane.1.traffic = Arc::clone(series);
-    }
-    Ok(())
-}
-
 /// [`fleet_env_for_hubs`] with the per-lane traffic series replaced by
 /// `traffic[i]` — how microsim-synthesized demand plugs into a fleet in
-/// place of the world's aggregate traffic traces. Every other series (RTP,
-/// weather, discounts, strata, outages) is built exactly as
-/// [`fleet_env_for_hubs`] builds it, from the same rng draws; passing each
-/// lane's own `world` traffic reproduces the plain builder bit for bit.
+/// place of the world's aggregate traffic traces, which are then never
+/// sliced. Every other series (RTP, weather, discounts, strata, outages) is
+/// built exactly as [`fleet_env_for_hubs`] builds it, from the same rng
+/// draws; passing each lane's own `world` traffic reproduces the plain
+/// builder bit for bit.
 ///
 /// # Errors
 ///
@@ -354,9 +385,10 @@ pub fn fleet_env_for_hubs_with_traffic(
     traffic: &[Arc<[TrafficSample]>],
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    let mut lanes = hub_lanes(world, hubs, start_slot, len, discounts, rngs)?;
-    override_lane_traffic(&mut lanes, traffic, len)?;
-    FleetEnv::new(lanes, window)
+    FleetEnv::new(
+        hub_lanes(world, hubs, start_slot, len, discounts, Some(traffic), rngs)?,
+        window,
+    )
 }
 
 /// Builds a batched [`FleetEnv`] whose lanes run **heterogeneous scenarios
@@ -382,40 +414,28 @@ pub fn fleet_env_for_scenarios(
     window: usize,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    check_lane_counts(
-        lanes.len(),
-        discounts.len(),
-        rngs.len(),
-        (
-            "scenario fleet discount schedules",
-            "scenario fleet strata rngs",
-        ),
-    )?;
-    // One world and one shared RTP slice per distinct spec.
-    let mut worlds: Vec<(
-        &ScenarioSpec,
-        WorldDataset,
-        Arc<[ect_types::units::DollarsPerKwh]>,
-    )> = Vec::new();
+    // One world per distinct spec, shared by the lanes that request it.
+    let mut worlds: Vec<(&ScenarioSpec, WorldDataset)> = Vec::new();
     for (spec, _) in lanes {
-        if worlds.iter().any(|(s, _, _)| *s == spec) {
-            continue;
+        if !worlds.iter().any(|(s, _)| *s == spec) {
+            worlds.push((spec, WorldDataset::generate_scenario(config.clone(), spec)?));
         }
-        let world = WorldDataset::generate_scenario(config.clone(), spec)?;
-        let rtp = shared_rtp_slice(&world, start_slot, len)?;
-        worlds.push((spec, world, rtp));
     }
-
-    let mut built = Vec::with_capacity(lanes.len());
-    for (((spec, hub), schedule), rng) in lanes.iter().zip(discounts).zip(rngs.iter_mut()) {
-        let (_, world, shared_rtp) = worlds
-            .iter()
-            .find(|(s, _, _)| *s == spec)
-            .expect("every lane spec was generated above");
-        built.push(build_lane(
-            world, shared_rtp, *hub, start_slot, len, schedule, rng,
-        )?);
-    }
+    let lanes: Vec<(&WorldDataset, HubId)> = lanes
+        .iter()
+        .map(|(spec, hub)| {
+            let generated = worlds.iter().find(|(s, _)| *s == spec);
+            (
+                &generated.expect("every lane spec was generated above").1,
+                *hub,
+            )
+        })
+        .collect();
+    let contexts = (
+        "scenario fleet discount schedules",
+        "scenario fleet strata rngs",
+    );
+    let built = world_lanes(&lanes, start_slot, len, discounts, None, rngs, contexts)?;
     FleetEnv::new(built, window)
 }
 
@@ -448,45 +468,6 @@ pub fn fleet_env_for_scenarios_augmented(
         .map(|(spec, _)| augment.features_for(spec, config.horizon_slots))
         .collect();
     fleet.with_lane_features(features)
-}
-
-/// One lane per `(world, hub)` pair; lanes sharing one `&WorldDataset`
-/// share one RTP allocation (pointer identity: callers pass the same
-/// reference for lanes of the same world).
-fn world_lanes(
-    lanes: &[(&WorldDataset, HubId)],
-    start_slot: usize,
-    len: usize,
-    discounts: &[DiscountSchedule],
-    rngs: &mut [EctRng],
-) -> ect_types::Result<Vec<(HubConfig, HubSeries)>> {
-    check_lane_counts(
-        lanes.len(),
-        discounts.len(),
-        rngs.len(),
-        ("world fleet discount schedules", "world fleet strata rngs"),
-    )?;
-    let mut shared: Vec<(*const WorldDataset, Arc<[ect_types::units::DollarsPerKwh]>)> = Vec::new();
-    for (world, _) in lanes {
-        let key: *const WorldDataset = *world;
-        if shared.iter().any(|(k, _)| *k == key) {
-            continue;
-        }
-        shared.push((key, shared_rtp_slice(world, start_slot, len)?));
-    }
-    lanes
-        .iter()
-        .zip(discounts)
-        .zip(rngs.iter_mut())
-        .map(|(((world, hub), schedule), rng)| {
-            let key: *const WorldDataset = *world;
-            let (_, shared_rtp) = shared
-                .iter()
-                .find(|(k, _)| *k == key)
-                .expect("every lane world was sliced above");
-            build_lane(world, shared_rtp, *hub, start_slot, len, schedule, rng)
-        })
-        .collect()
 }
 
 /// Attaches each lane's conditioning block, derived from its world's own
@@ -531,7 +512,8 @@ pub fn fleet_env_for_worlds(
     augment: &ObsAugmentation,
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    let built = world_lanes(lanes, start_slot, len, discounts, rngs)?;
+    let contexts = ("world fleet discount schedules", "world fleet strata rngs");
+    let built = world_lanes(lanes, start_slot, len, discounts, None, rngs, contexts)?;
     with_world_features(FleetEnv::new(built, window)?, lanes, augment)
 }
 
@@ -556,8 +538,16 @@ pub fn fleet_env_for_worlds_with_traffic(
     traffic: &[Arc<[TrafficSample]>],
     rngs: &mut [EctRng],
 ) -> ect_types::Result<FleetEnv> {
-    let mut built = world_lanes(lanes, start_slot, len, discounts, rngs)?;
-    override_lane_traffic(&mut built, traffic, len)?;
+    let contexts = ("world fleet discount schedules", "world fleet strata rngs");
+    let built = world_lanes(
+        lanes,
+        start_slot,
+        len,
+        discounts,
+        Some(traffic),
+        rngs,
+        contexts,
+    )?;
     with_world_features(FleetEnv::new(built, window)?, lanes, augment)
 }
 

@@ -2,12 +2,13 @@
 //!
 //! The paper evaluates 12 ECT-Hubs. [`FleetEnv`] keeps struct-of-arrays
 //! state over all lanes — configs, `Arc`-shared exogenous series and the
-//! slot kernel's per-lane battery lanes — advancing every hub one slot per
-//! [`FleetEnv::step_batch_soa`] call, a pure battery-and-reward pass. The
-//! Eq. 24 state is never stored: [`FleetEnv::observe_into`] and
-//! [`FleetEnv::observe_all_into`] assemble it at the current slot into
-//! caller-owned memory, so the rule-based baselines and the sweeps that
-//! never read it never pay for it. After warm-up neither path allocates.
+//! slot kernel's precomputed slot cells and per-lane SoC — advancing every
+//! hub one slot per [`FleetEnv::step_batch_soa`] call, one battery-and-reward
+//! pass over all lanes. The Eq. 24 state is never stored:
+//! [`FleetEnv::observe_into`] and [`FleetEnv::observe_all_into`] assemble it
+//! at the current slot into caller-owned memory, so the rule-based baselines
+//! and the sweeps that never read it never pay for it. After warm-up neither
+//! path allocates.
 //!
 //! This is the one stepping engine: the single-hub [`HubEnv`] is a one-lane
 //! fleet, and the training loops, evaluation, the metro sweep and the
@@ -206,7 +207,7 @@ pub struct FleetEnv {
     aug: Vec<f64>,
     aug_dim: usize,
     // Multi-hub coupling (shared feeder / EV spillover / mutual obs);
-    // `None` for the plain uncoupled fleet, whose per-lane stepping pass never
+    // `None` for the plain uncoupled fleet, whose one-pass step never
     // touches this state.
     coupling: Option<CouplingState>,
     // Per-lane mutual-observation blocks, lane-major (`n × mutual_dim`),
@@ -373,7 +374,7 @@ impl FleetEnv {
     /// demand spillover and/or mutual observations (see [`crate::coupling`]).
     ///
     /// An inactive configuration (no feeder, no spillover, no mutual obs)
-    /// leaves the fleet uncoupled, on the plain per-lane stepping pass. With
+    /// leaves the fleet uncoupled, on the plain one-pass step. With
     /// mutual observations on, every lane's state gains a
     /// [`crate::coupling::MUTUAL_OBS_DIM`]-wide block after the conditioning
     /// block, zero-filled until the first step.
@@ -483,14 +484,17 @@ impl FleetEnv {
 
     /// Writes lane `lane`'s Eq. 24 state at the current slot into `out`:
     /// the kernel's core (five windows plus SoC), then the conditioning and
-    /// mutual-observation blocks. Built on demand; nothing is cached.
+    /// mutual-observation blocks. Built on demand; only the kernel's
+    /// normalised input lanes are cached, from the first observation on, so
+    /// a fleet that is never observed never builds them.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or `out.len() != state_dim`.
     pub fn observe_into(&self, lane: usize, out: &mut [f64]) {
         let (head, rest) = out.split_at_mut(5 * self.window + 1);
-        self.lanes.write_obs(lane, self.t, self.window, head);
+        self.lanes
+            .write_obs(lane, self.t, self.window, &self.series, head);
         let (aug, mutual) = rest.split_at_mut(self.aug_dim);
         aug.copy_from_slice(self.lane_features(lane));
         mutual.copy_from_slice(self.lane_mutual(lane));
@@ -552,13 +556,16 @@ impl FleetEnv {
     }
 
     /// Advances every lane one slot under its action, on the slot kernel:
-    /// one battery, power-balance and reward pass per lane when uncoupled,
-    /// the battery pass plus the [`crate::coupling`] exchange (and the
-    /// mutual-observation blocks) when coupled. Returns a borrowed view of
-    /// the reusable reward buffer — no heap allocation happens on this
-    /// path — and writes no observation: read the next states with
-    /// [`FleetEnv::observe_into`] / [`FleetEnv::observe_all_into`], the
-    /// slot's audit trail with [`FleetEnv::breakdown`].
+    /// uncoupled, one pass over all lanes that runs the battery recurrence
+    /// and then the power balance and reward of each, branch-free in the
+    /// arithmetic (both battery moves are evaluated and the action selects
+    /// one); coupled, the same battery recurrence plus the
+    /// [`crate::coupling`] exchange (and the mutual-observation blocks).
+    /// Returns a borrowed view of the reusable reward buffer — no heap
+    /// allocation happens on this path — and writes no observation: read
+    /// the next states with [`FleetEnv::observe_into`] /
+    /// [`FleetEnv::observe_all_into`], the slot's audit trail with
+    /// [`FleetEnv::breakdown`].
     ///
     /// # Panics
     ///
@@ -573,11 +580,8 @@ impl FleetEnv {
         if self.coupling.is_some() {
             self.step_coupled(actions);
         } else {
-            let t = self.t;
-            for (lane, (reward, &action)) in self.rewards.iter_mut().zip(actions).enumerate() {
-                *reward = self.lanes.step(lane, t, action);
-            }
-            self.t = t + 1;
+            self.lanes.step(self.t, actions, &mut self.rewards);
+            self.t += 1;
         }
         BatchStep {
             rewards: &self.rewards,
@@ -597,7 +601,7 @@ impl FleetEnv {
             cs.inputs[lane] = self
                 .lanes
                 .coupled_inputs(lane, t, action, cs.demand_scale(lane));
-            cs.loads[lane] = self.lanes.slot_cell(lane, t).load_rate;
+            cs.loads[lane] = self.series[lane].traffic[t].load_rate.as_f64();
         }
         coupled_slot(&cs.config, &cs.inputs, &mut cs.outputs, &mut cs.bid_scratch);
         for (reward, o) in self.rewards.iter_mut().zip(&cs.outputs) {
@@ -1146,6 +1150,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Lanes that share one group (`Arc`-cloned series and an equal
+    /// config) interleaved with lanes that carry their own traffic, under
+    /// per-lane mixed actions, an outage mask and SoC at both bounds: the
+    /// one-pass step must match the oracle lane by lane, bit for bit, at
+    /// every slot, through the `group_of` indirection. The clamps
+    /// (`gain ≤ EPS`, `drawn ≤ EPS`) and the outage's `Charge → Idle`
+    /// degradation all fire along the way.
+    #[test]
+    fn shared_groups_match_the_oracle() {
+        let (slots, window) = (36, 4);
+        let mut shared = HubSeries::from_inputs(varied_inputs(slots, 1));
+        shared.outages = (0..slots).map(|t| t % 5 == 2).collect::<Vec<_>>().into();
+        let own = |lane: usize| {
+            let mut series = shared.clone();
+            series.traffic = (0..slots)
+                .map(|t| TrafficSample {
+                    load_rate: LoadRate::new(0.05 * ((t + 3 * lane) % 20) as f64).unwrap(),
+                    volume_gb: t as f64,
+                })
+                .collect::<Vec<_>>()
+                .into();
+            series
+        };
+        // Distinct battery, station and VoLL constants per config, so a lane
+        // that read another group's record would diverge.
+        let (urban, mut rural) = (HubConfig::urban(), HubConfig::rural());
+        rural.battery.capacity_kwh *= 1.5;
+        rural.battery.charge_rate_kw *= 0.5;
+        rural.battery.op_cost_per_slot *= 2.0;
+        rural.charging_station.rate_kw *= 0.5;
+        rural.outage_voll = DollarsPerKwh::new(2.0 * rural.outage_voll.as_f64());
+        let lanes = vec![
+            (urban.clone(), shared.clone()),
+            (urban.clone(), own(1)),
+            (urban.clone(), shared.clone()),
+            (rural.clone(), own(3)),
+            (urban, shared.clone()),
+            (rural, shared.clone()),
+        ];
+        let n = lanes.len();
+        let mut fleet = FleetEnv::new(lanes.clone(), window).unwrap();
+        // Shared urban lanes 0/2/4, own-traffic lanes 1 and 3, and lane 5
+        // (shared series, different config).
+        assert_eq!(fleet.soa_group_count(), 4);
+        let initial = [0.0, 1.0, 1.0, 0.0, 0.5, 1.0];
+        let mut batteries: Vec<BatteryPoint> = lanes
+            .iter()
+            .zip(initial)
+            .map(|((config, _), soc)| BatteryPoint::new(config.battery.clone(), soc))
+            .collect();
+        fleet.reset(&initial);
+        let (mut gain_clamps, mut drawn_clamps, mut degraded) = (0, 0, 0);
+        for t in 0..slots {
+            // Runs of one action per lane, offset across lanes, so every
+            // battery reaches both bounds and keeps pushing against them.
+            let actions: Vec<BpAction> = (0..n)
+                .map(|lane| BpAction::from_index(((t + 4 * lane) / 6) % 3))
+                .collect();
+            let rewards = fleet.step_batch_soa(&actions).rewards.to_vec();
+            for (lane, (battery, (config, series))) in batteries.iter_mut().zip(&lanes).enumerate()
+            {
+                let oracle = compute_slot(
+                    config,
+                    SlotInputs {
+                        rtp: series.rtp[t],
+                        weather: &series.weather[t],
+                        traffic: &series.traffic[t],
+                        discount_level: series.discounts.level(t),
+                        stratum: series.strata[t],
+                        outage: series.outages[t],
+                    },
+                    battery,
+                    actions[lane],
+                    t,
+                );
+                assert_eq!(oracle.reward.as_f64().to_bits(), rewards[lane].to_bits());
+                assert_eq!(
+                    breakdown_bits(&oracle),
+                    breakdown_bits(&fleet.breakdown(lane))
+                );
+                let mut expected = vec![0.0; fleet.state_dim()];
+                write_observation(
+                    &mut expected,
+                    window,
+                    t + 1,
+                    config,
+                    &series.rtp,
+                    &series.weather,
+                    &series.traffic,
+                    &series.discounts,
+                    battery.soc_fraction(),
+                    &[],
+                );
+                assert_eq!(obs_bits(&expected), obs_bits(&fleet.observe(lane)));
+                let idle = oracle.effective_action == BpAction::Idle;
+                match actions[lane] {
+                    BpAction::Charge if series.outages[t] => degraded += 1,
+                    BpAction::Charge if idle => gain_clamps += 1,
+                    BpAction::Discharge if idle => drawn_clamps += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(gain_clamps > 0 && drawn_clamps > 0 && degraded > 0);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!
 //! # The candidate lists
 //!
-//! Bin `k` of a segment cut into `n` bins covers `t ∈ [k/n, (k+1)/n]`,
-//! widened by `BIN_MARGIN_T` on both sides so the rounding of a query's
-//! bin index `⌊t·n⌋` cannot carry its `t` out of the bin. The segment's
-//! points in that range lie in the bounding box `B` of its two end points
-//! (the point `a + t·d` is monotone in `t`, in floating point too), padded
-//! by `BOX_PAD_KM`.
+//! Bin `k` of a segment cut into `n` bins covers `t ∈ [k/n, (k+1)/n]`. The
+//! segment's points in that range lie in the bounding box `B` of its two
+//! end points (the point `a + t·d` is monotone in `t`, in floating point
+//! too). A query's bin index `⌊t·n⌋` and the bin edges `k/n` are rounded,
+//! so a `t` within an ulp or two of an edge may land in the neighbouring
+//! bin; its point then lies outside that bin's box by about
+//! `1e-16 × |d|`, some 1e-14 km on metro roads, which the bound's slack
+//! below covers many times over.
 //!
 //! Let `m` be the centre of `B`, `d_m` the distance from `m` to its nearest
 //! site and `h` half the diagonal of `B`. Every point `p ∈ B` has a site
@@ -66,15 +68,13 @@ const MAX_SEGMENT_BINS: usize = 4096;
 /// Cap on sites, so every segment's id count fits a `u32` list start.
 const MAX_SITES: usize = u32::MAX as usize / MAX_SEGMENT_BINS;
 
-/// Widening of every bin's `t` range on each side: far above the rounding
-/// of a bin edge `k/n` and of the query's `t·n`.
-const BIN_MARGIN_T: f64 = 1e-9;
-
-/// Padding of every bin's box, km.
-const BOX_PAD_KM: f64 = 1e-9;
-
 /// Relative and absolute padding of a bin's bound `U`: many orders of
-/// magnitude above the rounding of km-scale distances.
+/// magnitude above the rounding of km-scale distances. They also cover a
+/// query point up to `δ` outside its bin's box (a `t` that rounding put in
+/// the neighbouring bin, see the module docs): its nearest site is within
+/// `U + 2δ` of the box, and `δ ≈ 1e-14 km` is five orders of magnitude
+/// below the 1e-9 km absolute slack, so bins need no widening of their
+/// own.
 const BOUND_REL_SLACK: f64 = 1e-9;
 const BOUND_ABS_SLACK_KM: f64 = 1e-9;
 
@@ -217,11 +217,11 @@ impl BinBuilder {
     /// bin run `bins` of `segment` into `levels[depth + 1]`, then records
     /// it (one bin) or bisects the run.
     fn split(&mut self, depth: usize, segment: &mut SegmentBins, bins: std::ops::Range<usize>) {
-        let t0 = (bins.start as f64 / segment.bins - BIN_MARGIN_T).max(0.0);
-        let t1 = (bins.end as f64 / segment.bins + BIN_MARGIN_T).min(1.0);
+        let t0 = bins.start as f64 / segment.bins;
+        let t1 = bins.end as f64 / segment.bins;
         let (p0, p1) = (segment.point_at(t0), segment.point_at(t1));
-        let lo = (p0.0.min(p1.0) - BOX_PAD_KM, p0.1.min(p1.1) - BOX_PAD_KM);
-        let hi = (p0.0.max(p1.0) + BOX_PAD_KM, p0.1.max(p1.1) + BOX_PAD_KM);
+        let lo = (p0.0.min(p1.0), p0.1.min(p1.1));
+        let hi = (p0.0.max(p1.0), p0.1.max(p1.1));
         if self.levels.len() == depth + 1 {
             self.levels.push(SiteList::default());
         }

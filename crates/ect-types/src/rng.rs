@@ -170,14 +170,28 @@ impl EctRng {
             })
             .sum();
         assert!(total > 0.0, "categorical weights sum to zero");
+        // The first index whose weight the running remainder falls below
+        // (the last index if rounding leaves none).
         let mut u = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if u < w {
-                return i;
+        if weights.len() > 4 {
+            // A long draw (road weights) stops at its hit.
+            for (i, &w) in weights.iter().enumerate() {
+                if u < w {
+                    return i;
+                }
+                u -= w;
             }
+            return weights.len() - 1;
+        }
+        // A short draw (strata, actions) scans every weight without a
+        // data-dependent branch, so a random outcome mispredicts nothing.
+        let (mut index, mut found) = (0, false);
+        for &w in weights {
+            found |= u < w;
+            index += usize::from(!found);
             u -= w;
         }
-        weights.len() - 1
+        index.min(weights.len() - 1)
     }
 
     /// Fisher-Yates shuffle of a slice.
@@ -378,6 +392,32 @@ mod tests {
             let mut rng = EctRng::seed_from(seed);
             let w: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
             prop_assert!(rng.categorical(&w) < n);
+        }
+
+        /// Short and long draws pick what an early-returning scan picks,
+        /// zero weights and the rounding fall-through included.
+        #[test]
+        fn categorical_matches_an_early_return_scan(
+            seed in 0u64..500,
+            w in proptest::collection::vec(0.0f64..3.0, 1..14),
+            zero in 0usize..14,
+        ) {
+            let mut w = w;
+            let z = zero % w.len();
+            w[z] = 0.0;
+            if w.iter().sum::<f64>() > 0.0 {
+                let mut rng = EctRng::seed_from(seed);
+                let mut u = rng.clone().uniform() * w.iter().sum::<f64>();
+                let expected = w
+                    .iter()
+                    .position(|&x| {
+                        let hit = u < x;
+                        u -= x;
+                        hit
+                    })
+                    .unwrap_or(w.len() - 1);
+                prop_assert_eq!(rng.categorical(&w), expected);
+            }
         }
     }
 }
