@@ -294,13 +294,13 @@ fn fleet_pass(system: &EctHubSystem, hubs: &[HubId]) -> std::time::Duration {
     t0.elapsed()
 }
 
-/// The wall-clock half of the telemetry contract. A debug build's timings
-/// say little about the release cost, so this runs in release only:
-/// `cargo test --release --test telemetry_determinism -- --ignored` (a CI
-/// step). The on/off bit-identity tests above stay in every test run.
+/// The wall-clock half of the telemetry contract. The workspace's dev
+/// profile compiles the crates a pass runs through optimised, which keeps
+/// a test-build pass near 0.35 s instead of 10 s, short enough for the
+/// min-of-5 to find quiet windows on a shared host. CI also runs it on
+/// release code (`Test telemetry overhead (release)`).
 #[test]
-#[ignore = "wall-clock bound, checked in release: cargo test --release --test telemetry_determinism -- --ignored"]
-fn telemetry_overhead_on_a_twelve_hub_fleet_stays_under_two_percent_in_release() {
+fn telemetry_overhead_on_a_twelve_hub_fleet_stays_under_two_percent() {
     let _guard = serial();
     ect_obs::uninstall();
     let system = EctHubSystem::new(mini(12)).expect("12-hub system builds");
