@@ -14,7 +14,6 @@
 //! identical evaluation seeds. JSON lands in `results/coordination.json`.
 
 use crate::output::{save_json, upsert_bench_summary, BenchSummaryEntry};
-use ect_core::coordination::run_coordination;
 use ect_core::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -66,7 +65,14 @@ impl From<&CoordinationOutcome> for CoordinationResult {
 pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
     let mut config = SystemConfig::miniature();
     match scale {
-        crate::Scale::Smoke => return smoke_config(),
+        // Small enough for the test suite and CI, with enough episodes that
+        // coupling-aware training shows.
+        crate::Scale::Smoke => {
+            config.world.num_hubs = 2;
+            config.world.horizon_slots = 24 * 4;
+            config.trainer.episodes = 4;
+            config.test_episodes = 2;
+        }
         crate::Scale::Quick => {
             config.world.num_hubs = 4;
             config.world.horizon_slots = 24 * 7;
@@ -80,17 +86,6 @@ pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
             config.test_episodes = 8;
         }
     }
-    config
-}
-
-/// A smoke-sized configuration: small enough for the test suite and CI,
-/// but with enough episodes that coupling-aware training shows.
-pub fn smoke_config() -> SystemConfig {
-    let mut config = SystemConfig::miniature();
-    config.world.num_hubs = 2;
-    config.world.horizon_slots = 24 * 4;
-    config.trainer.episodes = 4;
-    config.test_episodes = 2;
     config
 }
 
@@ -133,30 +128,6 @@ pub fn run_in_session(
 ) -> ect_types::Result<CoordinationResult> {
     let outcome = session.coordination_for(&config, &options)?;
     Ok(CoordinationResult::from(&*outcome))
-}
-
-/// Runs the study over caller-supplied configurations through the direct
-/// engine path — kept for the session-equivalence pins and the smoke test.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-pub fn run_with_config(
-    config: SystemConfig,
-    options: &CoordinationOptions,
-) -> ect_types::Result<CoordinationResult> {
-    let system = EctHubSystem::new(config)?;
-    let outcome = run_coordination(&system, options)?;
-    Ok(CoordinationResult::from(&outcome))
-}
-
-/// Runs the coordination experiment at the given scale.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-pub fn run(scale: crate::Scale) -> ect_types::Result<CoordinationResult> {
-    run_with_config(experiment_config(scale), &options_for(scale))
 }
 
 fn print_arm(label: &str, arm: &CoordinationArm) {
@@ -277,7 +248,12 @@ mod tests {
 
     #[test]
     fn smoke_coordination_meets_the_acceptance_bar() {
-        let result = run_with_config(smoke_config(), &options_for(crate::Scale::Smoke)).unwrap();
+        let result = run_in_session(
+            &crate::experiments::smoke_session(),
+            experiment_config(crate::Scale::Smoke),
+            options_for(crate::Scale::Smoke),
+        )
+        .unwrap();
         assert_eq!(result.num_hubs, 2);
         assert_eq!(
             result.coordinated_obs_dim,

@@ -34,7 +34,14 @@ impl GeneralizationResult {
 pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
     let mut config = SystemConfig::miniature();
     match scale {
-        crate::Scale::Smoke => return smoke_config(),
+        // Small enough for the test suite and CI, with enough episodes that
+        // the generalist's learning signal shows.
+        crate::Scale::Smoke => {
+            config.world.num_hubs = 2;
+            config.world.horizon_slots = 24 * 4;
+            config.trainer.episodes = 4;
+            config.test_episodes = 2;
+        }
         crate::Scale::Quick => {
             config.world.num_hubs = 3;
             config.world.horizon_slots = 24 * 7;
@@ -51,17 +58,6 @@ pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
     config
 }
 
-/// A smoke-sized configuration: small enough for the test suite and CI,
-/// but with enough episodes that the generalist's learning signal shows.
-pub fn smoke_config() -> SystemConfig {
-    let mut config = SystemConfig::miniature();
-    config.world.num_hubs = 2;
-    config.world.horizon_slots = 24 * 4;
-    config.trainer.episodes = 4;
-    config.test_episodes = 2;
-    config
-}
-
 /// Runs both arms over a caller-supplied system configuration inside a
 /// session — the registry path. The held-out baselines and each arm's
 /// trained generalist are memoised in the session's artifact store, so a
@@ -74,13 +70,11 @@ pub fn run_in_session(
     session: &Session,
     config: SystemConfig,
 ) -> ect_types::Result<GeneralizationResult> {
-    let threads = session.threads();
     let conditioned = session.generalist_for(
         &config,
         &GeneralistOptions {
             augmentation: ObsAugmentation::SCENARIO,
             lanes: 0,
-            threads,
         },
     )?;
     let blind = session.generalist_for(
@@ -88,60 +82,12 @@ pub fn run_in_session(
         &GeneralistOptions {
             augmentation: ObsAugmentation::NONE,
             lanes: 0,
-            threads,
         },
     )?;
     Ok(GeneralizationResult {
         conditioned: conditioned.report.clone(),
         blind: blind.report.clone(),
     })
-}
-
-/// Runs both arms over a caller-supplied system configuration through the
-/// **legacy free-function path** — kept for the session-equivalence pins
-/// (`tests/session_equivalence.rs`) and the smoke test.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-pub fn run_with_config(
-    config: SystemConfig,
-    threads: usize,
-) -> ect_types::Result<GeneralizationResult> {
-    let system = EctHubSystem::new(config)?;
-    // Specialists and heuristics are independent of the generalist's
-    // augmentation, so both arms score against one shared baseline pass.
-    let baselines = heldout_baselines(&system, threads)?;
-    let conditioned = run_generalist_against(
-        &system,
-        &GeneralistOptions {
-            augmentation: ObsAugmentation::SCENARIO,
-            lanes: 0,
-            threads,
-        },
-        &baselines,
-    )?
-    .report;
-    let blind = run_generalist_against(
-        &system,
-        &GeneralistOptions {
-            augmentation: ObsAugmentation::NONE,
-            lanes: 0,
-            threads,
-        },
-        &baselines,
-    )?
-    .report;
-    Ok(GeneralizationResult { conditioned, blind })
-}
-
-/// Runs the generalisation experiment at the given scale.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-pub fn run(scale: crate::Scale, threads: usize) -> ect_types::Result<GeneralizationResult> {
-    run_with_config(experiment_config(scale), threads)
 }
 
 fn print_report(label: &str, report: &GeneralistReport) {
@@ -209,7 +155,11 @@ mod tests {
 
     #[test]
     fn smoke_generalization_meets_the_acceptance_bar() {
-        let result = run_with_config(smoke_config(), 4).unwrap();
+        let result = run_in_session(
+            &crate::experiments::smoke_session(),
+            experiment_config(crate::Scale::Smoke),
+        )
+        .unwrap();
         for (report, arm) in [
             (&result.conditioned, "conditioned"),
             (&result.blind, "blind"),

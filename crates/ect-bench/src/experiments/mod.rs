@@ -40,6 +40,16 @@ pub struct PricingArtifacts {
     pub model: EctPriceModel,
 }
 
+/// The smoke-scale session the experiments' own tests run in.
+#[cfg(test)]
+pub(crate) fn smoke_session() -> Session {
+    SessionBuilder::new(system_config(Scale::Smoke))
+        .scale(Scale::Smoke)
+        .threads(4)
+        .build()
+        .expect("smoke session builds")
+}
+
 /// System configuration at the given experiment scale.
 pub fn system_config(scale: Scale) -> SystemConfig {
     let mut config = SystemConfig::default();

@@ -40,10 +40,16 @@ pub struct ScenarioSweepResult {
 }
 
 /// The sweep's experiment scale knobs.
-pub fn sweep_config(scale: crate::Scale) -> SystemConfig {
+pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
     let mut config = SystemConfig::miniature();
     match scale {
-        crate::Scale::Smoke => return smoke_config(),
+        // Small enough for the test suite and CI.
+        crate::Scale::Smoke => {
+            config.world.num_hubs = 2;
+            config.world.horizon_slots = 24 * 4;
+            config.trainer.episodes = 2;
+            config.test_episodes = 1;
+        }
         crate::Scale::Quick => {
             config.world.num_hubs = 4;
             config.world.horizon_slots = 24 * 14;
@@ -57,16 +63,6 @@ pub fn sweep_config(scale: crate::Scale) -> SystemConfig {
             config.test_episodes = 20;
         }
     }
-    config
-}
-
-/// A smoke-sized configuration: small enough for the test suite and CI.
-pub fn smoke_config() -> SystemConfig {
-    let mut config = SystemConfig::miniature();
-    config.world.num_hubs = 2;
-    config.world.horizon_slots = 24 * 4;
-    config.trainer.episodes = 2;
-    config.test_episodes = 1;
     config
 }
 
@@ -127,34 +123,6 @@ pub fn run_in_session(
     Ok(ScenarioSweepResult { grid, summaries })
 }
 
-/// Runs the sweep over a caller-supplied system configuration through the
-/// **legacy free-function path** — kept for the session-equivalence pins
-/// (`tests/session_equivalence.rs`) and the smoke test.
-///
-/// # Errors
-///
-/// Propagates system construction and grid failures.
-#[allow(deprecated)] // the legacy shim must stay green and bit-identical
-pub fn run_with_config(
-    config: SystemConfig,
-    threads: usize,
-) -> ect_types::Result<ScenarioSweepResult> {
-    let base = EctHubSystem::new(config)?;
-    let scenarios = scenario_library(base.config().world.horizon_slots);
-    let grid = run_scenario_grid(&base, &scenarios, &engines, threads)?;
-    let summaries = summarise(&grid);
-    Ok(ScenarioSweepResult { grid, summaries })
-}
-
-/// Runs the scenario sweep at the given experiment scale.
-///
-/// # Errors
-///
-/// Propagates system construction and grid failures.
-pub fn run(scale: crate::Scale, threads: usize) -> ect_types::Result<ScenarioSweepResult> {
-    run_with_config(sweep_config(scale), threads)
-}
-
 /// Prints the sweep as a scenario × metric table.
 pub fn print(result: &ScenarioSweepResult) {
     println!("== Scenario sweep: stress library × pricing methods ==\n");
@@ -212,7 +180,7 @@ impl ect_core::Experiment for ScenarioSweepExperiment {
     }
     fn run(&self, session: &ect_core::Session) -> ect_types::Result<ect_core::ExperimentOutput> {
         session.report("sweeping the stress library …");
-        let result = run_in_session(session, sweep_config(session.scale()))?;
+        let result = run_in_session(session, experiment_config(session.scale()))?;
         print(&result);
         crate::output::save_json(self.id(), &result);
         Ok(
@@ -229,7 +197,11 @@ mod tests {
 
     #[test]
     fn smoke_sweep_covers_the_whole_library() {
-        let result = run_with_config(smoke_config(), 4).unwrap();
+        let result = run_in_session(
+            &crate::experiments::smoke_session(),
+            experiment_config(crate::Scale::Smoke),
+        )
+        .unwrap();
         assert_eq!(result.grid.len(), SCENARIO_NAMES.len());
         assert_eq!(result.summaries.len(), SCENARIO_NAMES.len());
         for (summary, name) in result.summaries.iter().zip(SCENARIO_NAMES) {

@@ -28,52 +28,20 @@ impl SeveritySweepResult {
     }
 }
 
-/// The experiment's scale knobs.
-pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
-    let mut config = SystemConfig::miniature();
-    match scale {
-        crate::Scale::Smoke => return smoke_config(),
-        crate::Scale::Quick => {
-            config.world.num_hubs = 3;
-            config.world.horizon_slots = 24 * 7;
-            config.trainer.episodes = 12;
-            config.test_episodes = 4;
-        }
-        crate::Scale::Paper => {
-            config.world.num_hubs = 12;
-            config.world.horizon_slots = 24 * 30;
-            config.trainer.episodes = 120;
-            config.test_episodes = 20;
-        }
-    }
-    config
-}
+/// The experiment's scale knobs are the generalisation study's, so a
+/// combined run of both shares one world and one assembled system.
+pub use super::generalization::experiment_config;
 
-/// A smoke-sized configuration: small enough for the test suite and CI.
-pub fn smoke_config() -> SystemConfig {
-    let mut config = SystemConfig::miniature();
-    config.world.num_hubs = 2;
-    config.world.horizon_slots = 24 * 4;
-    config.trainer.episodes = 4;
-    config.test_episodes = 2;
-    config
-}
-
-/// The smoke-sized ladder: three rungs, all five axes, a deliberately tight
-/// world cache so the eviction path is exercised in CI.
-pub fn smoke_options() -> SeverityOptions {
-    SeverityOptions {
-        intensities: vec![0.0, 0.5, 1.0],
-        cache_capacity: 4,
-        ..SeverityOptions::default()
-    }
-}
-
-/// The sweep options of one experiment scale (the smoke ladder exercises
-/// the tight world cache; the other scales use the defaults).
+/// The sweep options of one experiment scale. The smoke ladder has three
+/// rungs on all five axes and a deliberately tight world cache, so the
+/// eviction path is exercised in CI; the other scales use the defaults.
 pub fn options_for(scale: crate::Scale) -> SeverityOptions {
     match scale {
-        crate::Scale::Smoke => smoke_options(),
+        crate::Scale::Smoke => SeverityOptions {
+            intensities: vec![0.0, 0.5, 1.0],
+            cache_capacity: 4,
+            ..SeverityOptions::default()
+        },
         _ => SeverityOptions::default(),
     }
 }
@@ -94,34 +62,6 @@ pub fn run_in_session(
     Ok(SeveritySweepResult {
         report: outcome.report.clone(),
     })
-}
-
-/// Runs the sweep over caller-supplied configurations through the **legacy
-/// free-function path** — kept for the session-equivalence pins
-/// (`tests/session_equivalence.rs`) and the smoke test.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-#[allow(deprecated)] // the legacy shim must stay green and bit-identical
-pub fn run_with_config(
-    config: SystemConfig,
-    options: SeverityOptions,
-) -> ect_types::Result<SeveritySweepResult> {
-    let system = EctHubSystem::new(config)?;
-    let outcome = run_severity_sweep(&system, &options)?;
-    Ok(SeveritySweepResult {
-        report: outcome.report,
-    })
-}
-
-/// Runs the severity sweep at the given experiment scale.
-///
-/// # Errors
-///
-/// Propagates system construction, training and evaluation failures.
-pub fn run(scale: crate::Scale) -> ect_types::Result<SeveritySweepResult> {
-    run_with_config(experiment_config(scale), SeverityOptions::default())
 }
 
 /// Registry face of this experiment (see [`crate::registry`]).
@@ -202,7 +142,12 @@ mod tests {
 
     #[test]
     fn smoke_severity_sweep_meets_the_acceptance_bar() {
-        let result = run_with_config(smoke_config(), smoke_options()).unwrap();
+        let result = run_in_session(
+            &crate::experiments::smoke_session(),
+            experiment_config(crate::Scale::Smoke),
+            options_for(crate::Scale::Smoke),
+        )
+        .unwrap();
         let report = &result.report;
 
         // Acceptance bar: monotone intensity ladders for at least three

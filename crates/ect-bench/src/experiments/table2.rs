@@ -19,13 +19,12 @@ pub const DISCOUNTS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
 /// # Errors
 ///
 /// Propagates baseline-training failures.
-// The legacy shim is pinned on purpose: this rng stream (seed ^ 0x7AB2)
-// reproduces the historical Table II bit for bit, whereas the session's
-// memoised `pricing_table` uses its own decorrelated stream.
-#[allow(deprecated)]
+// This rng stream (seed ^ 0x7AB2) reproduces the historical Table II bit for
+// bit, whereas the session's memoised `pricing_table` uses its own
+// decorrelated stream.
 pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<Table2Result> {
     let mut rng = EctRng::seed_from(artifacts.system.config().seed ^ 0x7AB2);
-    let mut table = ect_core::pricing_table(
+    let mut table = ect_core::pricing::pricing_table(
         &artifacts.system,
         &artifacts.train,
         &artifacts.test,

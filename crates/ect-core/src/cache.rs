@@ -38,10 +38,11 @@
 //! ```
 //!
 //! The header records the cache-format version, the producing crate
-//! version, the key (kind + digest), a payload checksum, and provenance
-//! (producing experiment label, master seed, run scale). Any mismatch
-//! between the header and the requested key, the running crate version, or
-//! the payload checksum is a miss.
+//! version, the key (kind + digest), provenance (producing experiment
+//! label, master seed, run scale) and a checksum over the provenance and
+//! the payload. Any mismatch between the header and the requested key, the
+//! running crate version, or the checksum is a miss, so no single flipped
+//! or truncated byte of an entry is ever served.
 
 use crate::artifact::ArtifactKey;
 use serde::{Deserialize, Serialize};
@@ -50,7 +51,7 @@ use std::time::SystemTime;
 
 /// Version of the on-disk entry format. Bump on any layout change: entries
 /// written by other versions are treated as misses and swept.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Magic first line of every cache entry.
 const MAGIC: &str = "ECTC1";
@@ -62,13 +63,19 @@ const ENTRY_EXT: &str = "ectc";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// Continues an FNV-1a hash from state `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// FNV-1a over the provenance JSON followed by the payload bytes.
+fn entry_checksum(provenance: &CacheProvenance, payload: &[u8]) -> Option<u64> {
+    let provenance = serde_json::to_string(provenance).ok()?;
+    Some(fnv1a(fnv1a(FNV_OFFSET, provenance.as_bytes()), payload))
 }
 
 /// Build provenance stamped into every entry header: which experiment (or
@@ -108,8 +115,9 @@ struct CacheHeader {
     digest: String,
     /// Payload length in bytes (truncation check).
     payload_len: u64,
-    /// FNV-1a checksum of the payload bytes (corruption check).
-    payload_fnv: u64,
+    /// FNV-1a over the provenance JSON and the payload bytes (corruption
+    /// check).
+    checksum: u64,
     /// Build provenance.
     provenance: CacheProvenance,
 }
@@ -208,7 +216,7 @@ impl DiskCache {
             && header.kind == key.kind
             && header.digest == format!("{:016x}", key.digest)
             && header.payload_len == payload.len() as u64
-            && header.payload_fnv == fnv1a(payload);
+            && Some(header.checksum) == entry_checksum(&header.provenance, payload);
         valid.then_some(header_end + 1)
     }
 
@@ -216,13 +224,16 @@ impl DiskCache {
     /// by LRU eviction down to the byte budget. Best-effort — failures are
     /// silently dropped (the cache must never turn into an error).
     pub fn store(&self, key: &ArtifactKey, provenance: &CacheProvenance, payload: &[u8]) {
+        let Some(checksum) = entry_checksum(provenance, payload) else {
+            return;
+        };
         let header = CacheHeader {
             format: CACHE_FORMAT_VERSION,
             crate_version: env!("CARGO_PKG_VERSION").to_string(),
             kind: key.kind.to_string(),
             digest: format!("{:016x}", key.digest),
             payload_len: payload.len() as u64,
-            payload_fnv: fnv1a(payload),
+            checksum,
             provenance: provenance.clone(),
         };
         let Ok(header_json) = serde_json::to_string(&header) else {
@@ -414,8 +425,8 @@ mod tests {
             ("format-version mismatch", {
                 Box::new(|b: Vec<u8>| {
                     let text = String::from_utf8(b).unwrap();
-                    text.replacen("\"format\":1", "\"format\":999", 1)
-                        .into_bytes()
+                    let format = format!("\"format\":{CACHE_FORMAT_VERSION}");
+                    text.replacen(&format, "\"format\":999", 1).into_bytes()
                 })
             }),
             ("crate-version mismatch", {
@@ -549,6 +560,67 @@ mod tests {
                 );
             }
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The bytes of one valid entry for `key`, as `store` publishes them.
+    fn entry_bytes(key: &ArtifactKey, payload: &[u8]) -> Vec<u8> {
+        let dir = scratch("entry");
+        let cache = DiskCache::new(&dir);
+        let provenance = CacheProvenance {
+            experiment: "run_all".into(),
+            seed: 1234,
+            scale: "smoke".into(),
+        };
+        cache.store(key, &provenance, payload);
+        let bytes = std::fs::read(cache.entry_path(key)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes — raw, or behind the magic line so the header
+        /// parser sees them — never panic `load` and are swept as a miss.
+        #[test]
+        fn arbitrary_bytes_are_a_miss(
+            raw in collection::vec(0u16..256, 0..256),
+            behind_magic in 0u8..2,
+        ) {
+            let mut bytes = if behind_magic == 1 { b"ECTC1\n".to_vec() } else { Vec::new() };
+            bytes.extend(raw.iter().map(|&b| b as u8));
+            let dir = scratch("fuzz-load");
+            let cache = DiskCache::new(&dir);
+            let k = key("fuzz", 1);
+            let path = cache.entry_path(&k);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
+            prop_assert_eq!(cache.load(&k), None);
+            prop_assert!(!path.exists(), "garbage must be swept");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// A valid entry with any single byte flipped is a miss.
+        #[test]
+        fn every_single_byte_flip_is_a_miss(mask in 1u16..256) {
+            let k = key("fuzz", 2);
+            let entry = entry_bytes(&k, b"[1.5,-0.0,3e-310]");
+            prop_assert!(DiskCache::validate(&k, &entry).is_some());
+            for at in 0..entry.len() {
+                let mut flipped = entry.clone();
+                flipped[at] ^= mask as u8;
+                prop_assert_eq!(DiskCache::validate(&k, &flipped), None, "byte {} ^ {:#x}", at, mask);
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_a_miss() {
+        let k = key("fuzz", 3);
+        let entry = entry_bytes(&k, b"{\"reward\":310.25}");
+        for cut in 0..entry.len() {
+            assert_eq!(DiskCache::validate(&k, &entry[..cut]), None, "cut at {cut}");
         }
     }
 }

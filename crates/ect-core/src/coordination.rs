@@ -5,7 +5,9 @@
 //! ways: a shared distribution feeder with an aggregate grid-import cap
 //! (proportional-fairness curtailment), EV demand spillover to topology
 //! neighbours, and a mutual-observation block exposing neighbour SoC, load
-//! and curtailment pressure. [`run_coordination`] turns that machinery into
+//! and curtailment pressure.
+//! [`Session::coordination`](crate::session::Session::coordination) turns
+//! that machinery into
 //! the repo's first *multi-agent* headline number:
 //!
 //! 1. **Independent arm** — one PPO policy per hub, trained on the
@@ -331,27 +333,15 @@ fn eval_joint(
     })
 }
 
-/// Runs the coordination study directly on an assembled system.
-///
-/// Prefer [`Session::coordination`](crate::session::Session::coordination),
-/// which memoises the trained arms (and spills them to the persistent
-/// cache); this entry point is for callers that manage their own system —
-/// the bench smoke tests and the session-equivalence pins.
+/// Runs the coordination study on an assembled system — see the module
+/// docs for the full protocol. The engine behind
+/// [`Session::coordination`](crate::session::Session::coordination), which
+/// memoises the trained arms.
 ///
 /// # Errors
 ///
 /// Propagates option validation, training and evaluation failures.
-pub fn run_coordination(
-    system: &EctHubSystem,
-    options: &CoordinationOptions,
-) -> ect_types::Result<CoordinationOutcome> {
-    coordination_impl(system, options)
-}
-
-/// The coordination study engine behind
-/// [`Session::coordination`](crate::session::Session::coordination) — see
-/// the module docs for the full protocol.
-pub(crate) fn coordination_impl(
+pub(crate) fn run_coordination(
     system: &EctHubSystem,
     options: &CoordinationOptions,
 ) -> ect_types::Result<CoordinationOutcome> {
@@ -447,12 +437,7 @@ mod tests {
     use ect_env::coupling::MUTUAL_OBS_DIM;
 
     fn tiny_system() -> EctHubSystem {
-        let mut config = SystemConfig::miniature();
-        config.world.num_hubs = 2;
-        config.world.horizon_slots = 24 * 4;
-        config.trainer.episodes = 2;
-        config.test_episodes = 1;
-        EctHubSystem::new(config).unwrap()
+        EctHubSystem::new(SystemConfig::tiny()).unwrap()
     }
 
     fn tiny_options() -> CoordinationOptions {
@@ -567,7 +552,7 @@ mod tests {
     fn coordination_study_produces_consistent_scorecards() {
         let system = tiny_system();
         let options = tiny_options();
-        let outcome = coordination_impl(&system, &options).unwrap();
+        let outcome = run_coordination(&system, &options).unwrap();
 
         assert_eq!(outcome.num_hubs, 2);
         assert_eq!(outcome.train_episodes, options.episodes);
@@ -601,7 +586,7 @@ mod tests {
         );
 
         // Determinism: the same system + options reproduce the same gap.
-        let again = coordination_impl(&system, &options).unwrap();
+        let again = run_coordination(&system, &options).unwrap();
         assert_eq!(
             again.coordination_gap.to_bits(),
             outcome.coordination_gap.to_bits()

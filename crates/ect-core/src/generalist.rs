@@ -2,17 +2,18 @@
 //! its zero-shot generalisation against per-scenario specialists and the
 //! rule-based schedulers.
 //!
-//! [`run_generalist`] is the operator-facing entry point:
+//! [`Session::generalist`](crate::session::Session::generalist) is the
+//! operator-facing entry point:
 //!
 //! 1. split the stress library into training and held-out specs
 //!    ([`ect_drl::generalist::train_holdout_split`]);
-//! 2. score the held-out **baselines** ([`heldout_baselines`]): the
-//!    per-scenario specialists that
-//!    [`run_scenario_grid`](crate::scenario_grid::run_scenario_grid) trains
-//!    inside each held-out world, plus the rule-based schedulers
+//! 2. score the held-out **baselines**
+//!    ([`Session::heldout_baselines`](crate::session::Session::heldout_baselines)): the
+//!    per-scenario specialists that the batched scenario grid trains inside
+//!    each held-out world, plus the rule-based schedulers
 //!    (NoBattery, GreedyPrice, TimeOfUse) — these are independent of any
 //!    generalist choice, so ablation sweeps compute them **once** and share
-//!    them across arms via [`run_generalist_against`];
+//!    them across arms;
 //! 3. train a single shared policy over the training mixture — worlds are
 //!    generated once per spec and re-sliced every episode through
 //!    [`fleet_env_for_worlds`], with the [`ObsAugmentation`] scenario block
@@ -24,7 +25,7 @@
 //! number isolates *battery scheduling* quality under world shift rather
 //! than pricing-policy differences.
 
-use crate::scenario_grid::{scenario_grid_impl, NamedEngines};
+use crate::scenario_grid::{scenario_grid, NamedEngines};
 use crate::scheduling::{rule_based_anchors, OBS_WINDOW};
 use crate::system::EctHubSystem;
 use ect_data::dataset::WorldDataset;
@@ -52,7 +53,7 @@ const GENERALIST_SEED_STREAM: u64 = 0x6E4E_7A11;
 /// Seed-stream separator for zero-shot evaluation draws.
 const GENERALIST_EVAL_STREAM: u64 = 0xE7A1_6E4E;
 
-/// Knobs of [`run_generalist`].
+/// Knobs of [`Session::generalist`](crate::session::Session::generalist).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GeneralistOptions {
     /// Observation augmentation for the generalist (specialists always use
@@ -60,8 +61,6 @@ pub struct GeneralistOptions {
     pub augmentation: ObsAugmentation,
     /// Mixture lanes per training episode (0 = one lane per hub).
     pub lanes: usize,
-    /// Worker threads for the specialist grid (0 = one per job).
-    pub threads: usize,
 }
 
 impl Default for GeneralistOptions {
@@ -69,7 +68,6 @@ impl Default for GeneralistOptions {
         Self {
             augmentation: ObsAugmentation::SCENARIO,
             lanes: 0,
-            threads: 4,
         }
     }
 }
@@ -82,7 +80,7 @@ pub struct HeldOutBaseline {
     /// Held-out scenario name.
     pub scenario: String,
     /// Mean reward of the specialists trained inside this world, one per
-    /// hub (the `run_scenario_grid` cells).
+    /// hub (the scenario-grid cells).
     pub specialist: f64,
     /// Rule-based baselines, `(name, reward)` pairs.
     pub heuristics: Vec<(String, f64)>,
@@ -100,7 +98,7 @@ pub struct HeldOutComparison {
     /// Zero-shot generalist reward (never trained on this world).
     pub generalist: f64,
     /// Mean reward of the specialists trained *inside* this world, one per
-    /// hub (the `run_scenario_grid` cells).
+    /// hub (the scenario-grid cells).
     pub specialist: f64,
     /// Generalisation gap `specialist − generalist` (smaller is better;
     /// negative means the generalist beat the specialists).
@@ -115,7 +113,7 @@ pub struct HeldOutComparison {
     pub beats_any_heuristic: bool,
 }
 
-/// The full generalisation report of one [`run_generalist`] run.
+/// The full generalisation report of one generalist run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeneralistReport {
     /// Observation augmentation the generalist trained with.
@@ -210,13 +208,13 @@ fn no_discount_engines(_system: &EctHubSystem) -> ect_types::Result<NamedEngines
 /// # Errors
 ///
 /// Propagates world-generation, training and evaluation failures.
-pub fn heldout_baselines(
+pub(crate) fn heldout_baselines(
     system: &EctHubSystem,
     threads: usize,
 ) -> ect_types::Result<Vec<HeldOutBaseline>> {
     let horizon = system.world().horizon();
     let (_, heldout_specs) = train_holdout_split(horizon);
-    let grid = scenario_grid_impl(system, &heldout_specs, &no_discount_engines, threads)?;
+    let grid = scenario_grid(system, &heldout_specs, &no_discount_engines, threads)?;
 
     let mut baselines = Vec::with_capacity(heldout_specs.len());
     for (spec, grid_result) in heldout_specs.iter().zip(&grid) {
@@ -234,15 +232,14 @@ pub fn heldout_baselines(
 
 /// Trains the scenario-mixture generalist and scores zero-shot
 /// generalisation against **precomputed** held-out baselines
-/// ([`heldout_baselines`]). Use this directly when sweeping generalist
-/// variants (augmentation on/off, lane counts) so the specialists and
-/// heuristics are trained once, not per arm.
+/// ([`heldout_baselines`]), so augmentation and lane-count ablations train
+/// the specialists and heuristics once, not per arm.
 ///
 /// # Errors
 ///
 /// Propagates training and evaluation failures, and rejects baselines that
 /// do not cover the held-out split in order.
-pub fn run_generalist_against(
+pub(crate) fn run_generalist_against(
     system: &EctHubSystem,
     options: &GeneralistOptions,
     baselines: &[HeldOutBaseline],
@@ -356,26 +353,6 @@ pub fn run_generalist_against(
     Ok(GeneralistOutcome { report, policy })
 }
 
-/// Trains the scenario-mixture generalist and scores zero-shot
-/// generalisation on the held-out stress worlds — the one-call convenience
-/// over [`heldout_baselines`] + [`run_generalist_against`].
-///
-/// # Errors
-///
-/// Propagates world-generation, training and evaluation failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "route through the unified experiment API: `Session::generalist` \
-            (crate::session) memoises the baselines and the trained policy"
-)]
-pub fn run_generalist(
-    system: &EctHubSystem,
-    options: &GeneralistOptions,
-) -> ect_types::Result<GeneralistOutcome> {
-    let baselines = heldout_baselines(system, options.threads)?;
-    run_generalist_against(system, options, &baselines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,19 +361,16 @@ mod tests {
     use ect_drl::generalist::HELDOUT_SCENARIOS;
 
     fn tiny_system() -> EctHubSystem {
-        let mut config = SystemConfig::miniature();
-        config.world.num_hubs = 2;
-        config.world.horizon_slots = 24 * 4;
-        config.trainer.episodes = 2;
-        config.test_episodes = 1;
-        EctHubSystem::new(config).unwrap()
+        EctHubSystem::new(SystemConfig::tiny()).unwrap()
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn generalist_report_covers_every_heldout_scenario() {
-        let system = tiny_system();
-        let outcome = run_generalist(&system, &GeneralistOptions::default()).unwrap();
+        let session = crate::session::SessionBuilder::new(SystemConfig::tiny())
+            .threads(4)
+            .build()
+            .unwrap();
+        let outcome = session.generalist(&GeneralistOptions::default()).unwrap();
         let report = &outcome.report;
         assert_eq!(report.heldout.len(), HELDOUT_SCENARIOS.len());
         assert_eq!(
@@ -443,7 +417,6 @@ mod tests {
             &GeneralistOptions {
                 augmentation: ObsAugmentation::SCENARIO,
                 lanes: 0,
-                threads: 2,
             },
             &baselines,
         )
@@ -453,7 +426,6 @@ mod tests {
             &GeneralistOptions {
                 augmentation: ObsAugmentation::NONE,
                 lanes: 3,
-                threads: 2,
             },
             &baselines,
         )

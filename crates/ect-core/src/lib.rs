@@ -40,10 +40,7 @@
 //! ```
 //!
 //! Evaluation units implement the [`Experiment`] trait (`ect-bench` keeps a
-//! registry of every paper figure/table); the legacy free functions
-//! (`run_fleet`, `run_scenario_grid`, `run_generalist`,
-//! `run_severity_sweep`, `pricing_table`) remain as deprecated shims over
-//! the same engines.
+//! registry of every paper figure/table).
 //!
 //! The [`prelude`] re-exports the types most applications need.
 
@@ -65,34 +62,22 @@ pub mod system;
 pub use artifact::{ArtifactKey, ArtifactStore, KindStats};
 pub use cache::{CacheProvenance, DiskCache, CACHE_FORMAT_VERSION};
 pub use coordination::{
-    run_coordination, CoordinationArm, CoordinationOptions, CoordinationOutcome, RoadGraphTopology,
-    TopologySource,
+    CoordinationArm, CoordinationOptions, CoordinationOutcome, RoadGraphTopology, TopologySource,
 };
 pub use dispatch::{run_dag, run_indexed};
 pub use experiment::{run_timed, Experiment, ExperimentOutput};
-#[allow(deprecated)]
-pub use generalist::run_generalist;
 pub use generalist::{
-    heldout_baselines, run_generalist_against, GeneralistOptions, GeneralistOutcome,
-    GeneralistReport, HeldOutBaseline, HeldOutComparison,
+    GeneralistOptions, GeneralistOutcome, GeneralistReport, HeldOutBaseline, HeldOutComparison,
 };
 pub use microsim::{synthesize_demand_parallel, MicrosimDemandOptions};
-#[allow(deprecated)]
-pub use pricing::pricing_table;
-pub use pricing::{train_engine, MethodPricingResults, PricingTable};
+pub use pricing::{pricing_table, train_engine, MethodPricingResults, PricingTable};
 pub use report::FleetReport;
-#[allow(deprecated)]
-pub use scenario_grid::run_scenario_grid;
 pub use scenario_grid::{scenario_stress, NamedEngines, ScenarioGridResult, ScenarioHubStress};
-#[allow(deprecated)]
-pub use scheduling::run_fleet;
 pub use scheduling::{
     run_hubs_method_batched, run_hubs_scheduler_batched, schedule_for_hub, HubExperimentResult,
     OBS_WINDOW,
 };
 pub use session::{kind_versions, ProgressSink, RunScale, Session, SessionBuilder};
-#[allow(deprecated)]
-pub use severity::run_severity_sweep;
 pub use severity::{
     SeverityCurve, SeverityOptions, SeverityOutcome, SeverityPoint, SeverityReport,
 };
@@ -103,34 +88,23 @@ pub mod prelude {
     pub use crate::artifact::{ArtifactKey, ArtifactStore, KindStats};
     pub use crate::cache::{CacheProvenance, DiskCache};
     pub use crate::coordination::{
-        run_coordination, CoordinationArm, CoordinationOptions, CoordinationOutcome,
-        RoadGraphTopology, TopologySource,
+        CoordinationArm, CoordinationOptions, CoordinationOutcome, RoadGraphTopology,
+        TopologySource,
     };
     pub use crate::experiment::{run_timed, Experiment, ExperimentOutput};
-    #[allow(deprecated)]
-    pub use crate::generalist::run_generalist;
     pub use crate::generalist::{
-        heldout_baselines, run_generalist_against, GeneralistOptions, GeneralistOutcome,
-        GeneralistReport, HeldOutBaseline, HeldOutComparison,
+        GeneralistOptions, GeneralistOutcome, GeneralistReport, HeldOutBaseline, HeldOutComparison,
     };
     pub use crate::microsim::{synthesize_demand_parallel, MicrosimDemandOptions};
-    #[allow(deprecated)]
-    pub use crate::pricing::pricing_table;
-    pub use crate::pricing::{train_engine, PricingTable};
+    pub use crate::pricing::{pricing_table, train_engine, PricingTable};
     pub use crate::report::FleetReport;
-    #[allow(deprecated)]
-    pub use crate::scenario_grid::run_scenario_grid;
     pub use crate::scenario_grid::{
         scenario_stress, NamedEngines, ScenarioGridResult, ScenarioHubStress,
     };
-    #[allow(deprecated)]
-    pub use crate::scheduling::run_fleet;
     pub use crate::scheduling::{
         run_hubs_method_batched, run_hubs_scheduler_batched, schedule_for_hub, HubExperimentResult,
     };
     pub use crate::session::{ProgressSink, RunScale, Session, SessionBuilder};
-    #[allow(deprecated)]
-    pub use crate::severity::run_severity_sweep;
     pub use crate::severity::{
         SeverityCurve, SeverityOptions, SeverityOutcome, SeverityPoint, SeverityReport,
     };

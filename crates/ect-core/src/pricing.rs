@@ -97,29 +97,14 @@ impl PricingTable {
 ///
 /// Discount-dependent decisions are re-evaluated per level with the same
 /// trained models, mirroring the paper's protocol of training per discount
-/// with shared data.
+/// with shared data. The caller owns the rng stream: Table II draws it from
+/// `seed ^ 0x7AB2`, [`Session::pricing_table`](crate::session::Session::pricing_table)
+/// from its own memoised stream.
 ///
 /// # Errors
 ///
 /// Propagates training failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "route through the unified experiment API: `Session::pricing_table` \
-            (crate::session) memoises the trained table per (config, discounts)"
-)]
 pub fn pricing_table(
-    system: &EctHubSystem,
-    train_data: &PricingDataset,
-    test_data: &PricingDataset,
-    discounts: &[f64],
-    rng: &mut EctRng,
-) -> ect_types::Result<PricingTable> {
-    pricing_table_impl(system, train_data, test_data, discounts, rng)
-}
-
-/// The Table II engine behind [`pricing_table`] and
-/// [`Session::pricing_table`](crate::session::Session::pricing_table).
-pub(crate) fn pricing_table_impl(
     system: &EctHubSystem,
     train_data: &PricingDataset,
     test_data: &PricingDataset,
@@ -173,7 +158,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn table_contains_all_methods_and_oracle() {
         let system = EctHubSystem::new(SystemConfig::miniature()).unwrap();
         let (train, test) = system.pricing_datasets();
@@ -191,7 +175,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn oracle_reward_upper_bounds_all_methods() {
         let system = EctHubSystem::new(SystemConfig::miniature()).unwrap();
         let (train, test) = system.pricing_datasets();

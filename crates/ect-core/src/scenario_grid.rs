@@ -1,8 +1,9 @@
 //! Scenario-sweep dispatch: a pricing-method × stress-scenario matrix fanned
 //! across the batched fleet workers.
 //!
-//! [`run_scenario_grid`] is the scenario-engine face of
-//! [`run_fleet`](crate::scheduling::run_fleet): one
+//! [`Session::scenario_grid`](crate::session::Session::scenario_grid) is
+//! the scenario-engine face of
+//! [`Session::fleet`](crate::session::Session::fleet): one
 //! [`EctHubSystem`] per [`ScenarioSpec`], the full `scenario × method ×
 //! hub-chunk` job list spread over worker threads, and every chunk trained
 //! as one lockstep [`ect_env::vec_env::FleetEnv`] batch via
@@ -142,11 +143,13 @@ pub fn scenario_stress(system: &EctHubSystem) -> ect_types::Result<Vec<ScenarioH
 }
 
 /// The labelled pricing engines one scenario system runs under — the same
-/// shape [`run_fleet`](crate::scheduling::run_fleet) consumes.
+/// shape [`Session::fleet`](crate::session::Session::fleet) consumes.
 pub type NamedEngines = Vec<(String, Box<dyn PricingEngine>)>;
 
 /// Runs the full method × scenario matrix over every hub of the base
-/// system's world.
+/// system's world — the engine behind
+/// [`Session::scenario_grid`](crate::session::Session::scenario_grid) and
+/// the held-out specialists of [`crate::generalist::heldout_baselines`].
 ///
 /// `engines_for` builds the named pricing engines *per scenario system*
 /// (engines may train on the scenario's own observational history).
@@ -159,23 +162,7 @@ pub type NamedEngines = Vec<(String, Box<dyn PricingEngine>)>;
 ///
 /// Returns the first scenario-construction, engine-construction or training
 /// error encountered.
-#[deprecated(
-    since = "0.2.0",
-    note = "route through the unified experiment API: `Session::scenario_grid` \
-            (crate::session) shares the base system via the artifact store"
-)]
-pub fn run_scenario_grid(
-    base: &EctHubSystem,
-    scenarios: &[ScenarioSpec],
-    engines_for: &(dyn Fn(&EctHubSystem) -> ect_types::Result<NamedEngines> + Sync),
-    threads: usize,
-) -> ect_types::Result<Vec<ScenarioGridResult>> {
-    scenario_grid_impl(base, scenarios, engines_for, threads)
-}
-
-/// The scenario-grid engine behind [`run_scenario_grid`] and
-/// [`Session::scenario_grid`](crate::session::Session::scenario_grid).
-pub(crate) fn scenario_grid_impl(
+pub(crate) fn scenario_grid(
     base: &EctHubSystem,
     scenarios: &[ScenarioSpec],
     engines_for: &(dyn Fn(&EctHubSystem) -> ect_types::Result<NamedEngines> + Sync),
@@ -252,12 +239,7 @@ mod tests {
     use ect_price::engine::{AlwaysDiscount, NeverDiscount};
 
     fn small_system() -> EctHubSystem {
-        let mut config = SystemConfig::miniature();
-        config.world.num_hubs = 2;
-        config.world.horizon_slots = 24 * 4;
-        config.trainer.episodes = 2;
-        config.test_episodes = 1;
-        EctHubSystem::new(config).unwrap()
+        EctHubSystem::new(SystemConfig::tiny()).unwrap()
     }
 
     fn cheap_engines(
@@ -280,7 +262,7 @@ mod tests {
             ScenarioSpec::baseline(),
             scenario_by_name("rtp-price-spike", horizon).unwrap(),
         ];
-        let grid = scenario_grid_impl(&base, &scenarios, &cheap_engines, 4).unwrap();
+        let grid = scenario_grid(&base, &scenarios, &cheap_engines, 4).unwrap();
         assert_eq!(grid.len(), 2);
         for (result, spec) in grid.iter().zip(&scenarios) {
             assert_eq!(result.scenario, spec.name);
@@ -304,15 +286,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn grid_results_match_direct_fleet_runs() {
-        // A grid over the baseline scenario must reproduce run_fleet's cells
-        // bit for bit (same seeds, same batched engine underneath).
+        // A grid over the baseline scenario must reproduce the session
+        // fleet's cells bit for bit (same seeds, same batched engine
+        // underneath).
         let base = small_system();
-        let grid =
-            scenario_grid_impl(&base, &[ScenarioSpec::baseline()], &cheap_engines, 2).unwrap();
+        let grid = scenario_grid(&base, &[ScenarioSpec::baseline()], &cheap_engines, 2).unwrap();
         let engines = cheap_engines(&base).unwrap();
-        let direct = crate::scheduling::run_fleet(&base, &engines, 2).unwrap();
+        let direct = crate::session::SessionBuilder::new(base.config().clone())
+            .threads(2)
+            .build()
+            .unwrap()
+            .fleet(&engines)
+            .unwrap();
         assert_eq!(grid[0].cells.len(), direct.len());
         for (a, b) in grid[0].cells.iter().zip(&direct) {
             assert_eq!(a.hub, b.hub);
@@ -340,7 +326,7 @@ mod tests {
     #[test]
     fn empty_grids_are_empty() {
         let base = small_system();
-        assert!(scenario_grid_impl(&base, &[], &cheap_engines, 2)
+        assert!(scenario_grid(&base, &[], &cheap_engines, 2)
             .unwrap()
             .is_empty());
         let no_engines =
@@ -348,7 +334,7 @@ mod tests {
                 Ok(Vec::new())
             };
         assert!(
-            scenario_grid_impl(&base, &[ScenarioSpec::baseline()], &no_engines, 2)
+            scenario_grid(&base, &[ScenarioSpec::baseline()], &no_engines, 2)
                 .unwrap()
                 .is_empty()
         );

@@ -4,8 +4,9 @@
 //! Every cell runs one lane per hub of a lockstep
 //! [`ect_env::vec_env::FleetEnv`]: [`run_hubs_method_batched`] trains and
 //! evaluates ECT-DRL, [`run_hubs_scheduler_batched`] evaluates a rule-based
-//! scheduler, and [`run_fleet`] dispatches `(method, hub-chunk)` DRL jobs
-//! over the work-stealing [`crate::dispatch`] pool. Lane RNG streams are
+//! scheduler, and [`Session::fleet`](crate::session::Session::fleet)
+//! dispatches `(method, hub-chunk)` DRL jobs over the work-stealing
+//! [`crate::dispatch`] pool. Lane RNG streams are
 //! isolated per hub, so a cell does not depend on which hubs share its
 //! fleet; whole cells are pinned by `tests/cells_golden.rs`.
 
@@ -265,61 +266,6 @@ pub(crate) fn hub_chunking(jobs: usize, num_hubs: usize, threads: usize) -> Opti
     Some((workers, num_hubs.div_ceil(chunks_per_job)))
 }
 
-/// Runs the full fleet: every hub × every named engine.
-///
-/// Execution rides the batched engine: the `hub × method` grid is split
-/// into per-method hub chunks, each job trains its chunk as one lockstep
-/// [`ect_env::vec_env::FleetEnv`] batch; jobs flow through the
-/// work-stealing [`crate::dispatch`] pool. Each cell's result is
-/// independent of the chunking and the worker count.
-///
-/// `threads` caps the worker count (0 = one worker per chunk).
-///
-/// # Errors
-///
-/// Returns the first job error encountered, if any.
-#[deprecated(
-    since = "0.2.0",
-    note = "route through the unified experiment API: `Session::fleet` \
-            (crate::session) shares the assembled system via the artifact store"
-)]
-pub fn run_fleet(
-    system: &EctHubSystem,
-    engines: &[(String, Box<dyn PricingEngine>)],
-    threads: usize,
-) -> ect_types::Result<Vec<HubExperimentResult>> {
-    run_fleet_impl(system, engines, threads)
-}
-
-/// The batched fleet engine behind [`run_fleet`] and
-/// [`Session::fleet`](crate::session::Session::fleet).
-pub(crate) fn run_fleet_impl(
-    system: &EctHubSystem,
-    engines: &[(String, Box<dyn PricingEngine>)],
-    threads: usize,
-) -> ect_types::Result<Vec<HubExperimentResult>> {
-    let num_hubs = system.world().num_hubs() as usize;
-    let hubs: Vec<HubId> = (0..num_hubs as u32).map(HubId::new).collect();
-    let Some((workers, chunk_len)) = hub_chunking(engines.len(), num_hubs, threads) else {
-        return Ok(Vec::new());
-    };
-    let jobs: Vec<(usize, &[HubId])> = (0..engines.len())
-        .flat_map(|e| hubs.chunks(chunk_len).map(move |chunk| (e, chunk)))
-        .collect();
-
-    // Work-stealing keeps all `workers` busy even when chunks train at
-    // uneven speeds; each job's result lands in its own slab slot, so the
-    // output is deterministic regardless of which worker ran what.
-    let per_job = crate::dispatch::run_indexed(jobs, workers, |_, (engine_idx, hub_chunk)| {
-        let (label, engine) = &engines[engine_idx];
-        run_hubs_method_batched(system, hub_chunk, engine.as_ref(), label)
-    })?;
-
-    let mut results: Vec<HubExperimentResult> = per_job.into_iter().flatten().collect();
-    results.sort_by(|a, b| (a.hub, &a.method).cmp(&(b.hub, &b.method)));
-    Ok(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,15 +310,30 @@ mod tests {
         assert!(r.final_training_return.is_nan());
     }
 
+    /// The miniature fleet on a session with `threads` workers.
+    fn fleet(
+        threads: usize,
+        engines: &[(String, Box<dyn PricingEngine>)],
+    ) -> Vec<HubExperimentResult> {
+        crate::session::SessionBuilder::new(SystemConfig::miniature())
+            .threads(threads)
+            .build()
+            .unwrap()
+            .fleet(engines)
+            .unwrap()
+    }
+
+    fn never_discount() -> Vec<(String, Box<dyn PricingEngine>)> {
+        vec![("NoDiscount".into(), Box::new(NeverDiscount))]
+    }
+
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn fleet_covers_all_cells_in_parallel() {
-        let s = system();
         let engines: Vec<(String, Box<dyn PricingEngine>)> = vec![
             ("NoDiscount".into(), Box::new(NeverDiscount)),
             ("AlwaysDiscount".into(), Box::new(AlwaysDiscount)),
         ];
-        let results = run_fleet(&s, &engines, 4).unwrap();
+        let results = fleet(4, &engines);
         assert_eq!(results.len(), 3 * 2);
         // Sorted by (hub, method).
         assert!(results
@@ -381,13 +342,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn run_fleet_matches_per_cell_results_regardless_of_chunking() {
-        let s = system();
-        let engines: Vec<(String, Box<dyn PricingEngine>)> =
-            vec![("NoDiscount".into(), Box::new(NeverDiscount))];
-        let wide = run_fleet(&s, &engines, 0).unwrap(); // one worker per chunk
-        let narrow = run_fleet(&s, &engines, 1).unwrap(); // single worker
+        let wide = fleet(0, &never_discount()); // one worker per chunk
+        let narrow = fleet(1, &never_discount()); // single worker
         assert_eq!(wide.len(), narrow.len());
         for (a, b) in wide.iter().zip(&narrow) {
             assert_eq!(a.hub, b.hub);
@@ -396,17 +353,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn work_stealing_fleet_is_bit_identical_across_thread_counts() {
         // The work-stealing pool hands jobs to whichever worker is free, so
         // execution order varies run to run — the slab-indexed results must
         // not. Pin bitwise identity against the single-worker inline path.
-        let s = system();
-        let engines: Vec<(String, Box<dyn PricingEngine>)> =
-            vec![("NoDiscount".into(), Box::new(NeverDiscount))];
-        let reference = run_fleet(&s, &engines, 1).unwrap();
+        let reference = fleet(1, &never_discount());
         for threads in [2, 3, 5] {
-            let stolen = run_fleet(&s, &engines, threads).unwrap();
+            let stolen = fleet(threads, &never_discount());
             assert_eq!(stolen.len(), reference.len(), "threads {threads}");
             for (a, b) in stolen.iter().zip(&reference) {
                 assert_eq!(a.hub, b.hub);

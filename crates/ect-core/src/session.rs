@@ -44,20 +44,21 @@
 
 use crate::artifact::{ArtifactKey, ArtifactStore};
 use crate::cache::{CacheProvenance, DiskCache};
-use crate::coordination::{coordination_impl, CoordinationOptions, CoordinationOutcome};
+use crate::coordination::{run_coordination, CoordinationOptions, CoordinationOutcome};
 use crate::generalist::{
     heldout_baselines, run_generalist_against, GeneralistOptions, GeneralistOutcome,
     HeldOutBaseline,
 };
 use crate::microsim::MicrosimDemandOptions;
-use crate::pricing::{pricing_table_impl, PricingTable};
-use crate::scenario_grid::{scenario_grid_impl, NamedEngines, ScenarioGridResult};
-use crate::scheduling::{run_fleet_impl, HubExperimentResult};
-use crate::severity::{severity_sweep_impl, SeverityOptions, SeverityOutcome};
+use crate::pricing::{pricing_table, PricingTable};
+use crate::scenario_grid::{scenario_grid, NamedEngines, ScenarioGridResult};
+use crate::scheduling::{hub_chunking, run_hubs_method_batched, HubExperimentResult};
+use crate::severity::{severity_sweep, SeverityOptions, SeverityOutcome};
 use crate::system::{EctHubSystem, SystemConfig};
 use ect_data::dataset::{WorldConfig, WorldDataset};
 use ect_data::scenario::ScenarioSpec;
 use ect_price::engine::PricingEngine;
+use ect_types::ids::HubId;
 use ect_types::rng::EctRng;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -507,7 +508,7 @@ impl Session {
         self.announce_build(&key, "training the domain-randomised generalist …");
         let system = self.system_for(config)?;
         self.store
-            .get_or_insert_cached(key, || severity_sweep_impl(&system, options))
+            .get_or_insert_cached(key, || severity_sweep(&system, options))
     }
 
     /// The severity sweep of the session's base configuration, memoised.
@@ -544,7 +545,7 @@ impl Session {
         self.announce_build(&key, "training coordinated vs independent hub policies …");
         let system = self.system_for(config)?;
         self.store
-            .get_or_insert_cached(key, || coordination_impl(&system, options))
+            .get_or_insert_cached(key, || run_coordination(&system, options))
     }
 
     /// The coordination study of the session's base configuration,
@@ -604,7 +605,7 @@ impl Session {
         self.store.get_or_insert_cached(key, || {
             let (train, test) = system.pricing_datasets();
             let mut rng = EctRng::seed_from(system.config().seed ^ PRICING_TABLE_SEED_STREAM);
-            pricing_table_impl(&system, &train, &test, discounts, &mut rng)
+            pricing_table(&system, &train, &test, discounts, &mut rng)
         })
     }
 
@@ -625,6 +626,12 @@ impl Session {
     /// Runs the full hub × engine fleet of an explicit configuration on the
     /// batched engine, using the session's worker-thread budget.
     ///
+    /// The `hub × method` grid is split into per-method hub chunks; each job
+    /// trains its chunk as one lockstep [`ect_env::vec_env::FleetEnv`]
+    /// batch, and jobs flow through the work-stealing [`crate::dispatch`]
+    /// pool. Each cell's result is independent of the chunking and the
+    /// worker count (0 = one worker per chunk).
+    ///
     /// # Errors
     ///
     /// Returns the first job error encountered, if any.
@@ -634,7 +641,25 @@ impl Session {
         engines: &[(String, Box<dyn PricingEngine>)],
     ) -> ect_types::Result<Vec<HubExperimentResult>> {
         let system = self.system_for(config)?;
-        run_fleet_impl(&system, engines, self.threads)
+        let num_hubs = system.world().num_hubs() as usize;
+        let hubs: Vec<HubId> = (0..num_hubs as u32).map(HubId::new).collect();
+        let Some((workers, chunk_len)) = hub_chunking(engines.len(), num_hubs, self.threads) else {
+            return Ok(Vec::new());
+        };
+        let jobs: Vec<(usize, &[HubId])> = (0..engines.len())
+            .flat_map(|e| hubs.chunks(chunk_len).map(move |chunk| (e, chunk)))
+            .collect();
+
+        // Each job's result lands in its own slab slot, so the output is
+        // deterministic regardless of which worker ran what.
+        let per_job = crate::dispatch::run_indexed(jobs, workers, |_, (engine_idx, hub_chunk)| {
+            let (label, engine) = &engines[engine_idx];
+            run_hubs_method_batched(&system, hub_chunk, engine.as_ref(), label)
+        })?;
+
+        let mut results: Vec<HubExperimentResult> = per_job.into_iter().flatten().collect();
+        results.sort_by(|a, b| (a.hub, &a.method).cmp(&(b.hub, &b.method)));
+        Ok(results)
     }
 
     /// Runs the fleet of the session's base configuration.
@@ -662,7 +687,7 @@ impl Session {
         engines_for: &(dyn Fn(&EctHubSystem) -> ect_types::Result<NamedEngines> + Sync),
     ) -> ect_types::Result<Vec<ScenarioGridResult>> {
         let system = self.system_for(config)?;
-        scenario_grid_impl(&system, scenarios, engines_for, self.threads)
+        scenario_grid(&system, scenarios, engines_for, self.threads)
     }
 
     /// Runs the scenario grid of the session's base configuration.
@@ -683,15 +708,6 @@ impl Session {
 mod tests {
     use super::*;
     use ect_price::engine::NeverDiscount;
-
-    fn tiny_config() -> SystemConfig {
-        let mut config = SystemConfig::miniature();
-        config.world.num_hubs = 2;
-        config.world.horizon_slots = 24 * 4;
-        config.trainer.episodes = 2;
-        config.test_episodes = 1;
-        config
-    }
 
     #[test]
     fn builder_validates_and_carries_knobs() {
@@ -743,7 +759,7 @@ mod tests {
 
     #[test]
     fn system_and_world_share_one_generation() {
-        let session = SessionBuilder::new(tiny_config()).build().unwrap();
+        let session = SessionBuilder::new(SystemConfig::tiny()).build().unwrap();
         let world = session.world().unwrap();
         let system = session.system().unwrap();
         // The system adopted the memoised world: no second generation.
@@ -752,23 +768,20 @@ mod tests {
         assert_eq!(system.world().rtp, world.rtp);
 
         // And the memoised system is bit-identical to a fresh assembly.
-        let fresh = EctHubSystem::new(tiny_config()).unwrap();
+        let fresh = EctHubSystem::new(SystemConfig::tiny()).unwrap();
         assert_eq!(system.world().rtp, fresh.world().rtp);
     }
 
     #[test]
     fn session_results_match_the_free_functions_bitwise() {
-        let config = tiny_config();
+        let config = SystemConfig::tiny();
         let session = SessionBuilder::new(config.clone())
             .threads(2)
             .build()
             .unwrap();
 
         // Generalist: session path vs the direct composition.
-        let options = GeneralistOptions {
-            threads: 2,
-            ..GeneralistOptions::default()
-        };
+        let options = GeneralistOptions::default();
         let via_session = session.generalist(&options).unwrap();
         let system = EctHubSystem::new(config.clone()).unwrap();
         let baselines = heldout_baselines(&system, 2).unwrap();
@@ -788,7 +801,6 @@ mod tests {
         // Changed options miss (different artifact).
         let blind = GeneralistOptions {
             augmentation: ect_env::env::ObsAugmentation::NONE,
-            threads: 2,
             ..GeneralistOptions::default()
         };
         session.generalist(&blind).unwrap();
@@ -799,7 +811,7 @@ mod tests {
 
     #[test]
     fn fleet_and_pricing_route_through_the_session() {
-        let session = SessionBuilder::new(tiny_config())
+        let session = SessionBuilder::new(SystemConfig::tiny())
             .threads(2)
             .build()
             .unwrap();
@@ -827,7 +839,7 @@ mod tests {
         dir.push(format!("session-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let config = tiny_config();
+        let config = SystemConfig::tiny();
         let cold = SessionBuilder::new(config.clone())
             .threads(2)
             .label("cold")

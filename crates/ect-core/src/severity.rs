@@ -1,6 +1,7 @@
 //! Severity sweeps: robustness curves of a domain-randomised generalist.
 //!
-//! [`run_severity_sweep`] is the operator-facing entry point:
+//! [`Session::severity_sweep`](crate::session::Session::severity_sweep) is
+//! the operator-facing entry point:
 //!
 //! 1. train one shared policy on **sampled** scenarios — every episode draws
 //!    fresh specs from a continuous [`ScenarioDistribution`] through
@@ -47,7 +48,7 @@ const SEVERITY_SEED_STREAM: u64 = 0x5E7E_21A7;
 /// Seed-stream separator for severity-ladder evaluation draws.
 const SEVERITY_EVAL_STREAM: u64 = 0xA75E_7E21;
 
-/// Knobs of [`run_severity_sweep`].
+/// Knobs of [`Session::severity_sweep`](crate::session::Session::severity_sweep).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeverityOptions {
     /// Distribution the generalist trains on (the evaluation ladders always
@@ -222,27 +223,15 @@ pub struct SeverityOutcome {
 }
 
 /// Trains a generalist on sampled scenarios and walks the per-axis severity
-/// ladders (see the module docs for the full protocol).
+/// ladders (see the module docs for the full protocol) — the engine behind
+/// [`Session::severity_sweep`](crate::session::Session::severity_sweep),
+/// which memoises the trained generalist and its curves.
 ///
 /// # Errors
 ///
 /// Propagates option validation, world-generation, training and evaluation
 /// failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "route through the unified experiment API: `Session::severity_sweep` \
-            (crate::session) memoises the trained generalist and its curves"
-)]
-pub fn run_severity_sweep(
-    system: &EctHubSystem,
-    options: &SeverityOptions,
-) -> ect_types::Result<SeverityOutcome> {
-    severity_sweep_impl(system, options)
-}
-
-/// The sweep engine behind [`run_severity_sweep`] and
-/// [`Session::severity_sweep`](crate::session::Session::severity_sweep).
-pub(crate) fn severity_sweep_impl(
+pub(crate) fn severity_sweep(
     system: &EctHubSystem,
     options: &SeverityOptions,
 ) -> ect_types::Result<SeverityOutcome> {
@@ -357,12 +346,7 @@ mod tests {
     use crate::system::SystemConfig;
 
     fn tiny_system() -> EctHubSystem {
-        let mut config = SystemConfig::miniature();
-        config.world.num_hubs = 2;
-        config.world.horizon_slots = 24 * 4;
-        config.trainer.episodes = 2;
-        config.test_episodes = 1;
-        EctHubSystem::new(config).unwrap()
+        EctHubSystem::new(SystemConfig::tiny()).unwrap()
     }
 
     fn tiny_options() -> SeverityOptions {
@@ -402,11 +386,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the legacy shim must stay green
     fn severity_sweep_produces_monotone_ladders_and_bounded_cache() {
         let system = tiny_system();
         let options = tiny_options();
-        let outcome = run_severity_sweep(&system, &options).unwrap();
+        let outcome = severity_sweep(&system, &options).unwrap();
         let report = &outcome.report;
         assert_eq!(report.curves.len(), 3);
         assert_eq!(report.train_distribution, "all-stress");
@@ -442,7 +425,7 @@ mod tests {
         assert_eq!(back.curves.len(), report.curves.len());
 
         // Determinism: the same system + options reproduce the same curves.
-        let again = run_severity_sweep(&system, &options).unwrap();
+        let again = severity_sweep(&system, &options).unwrap();
         for (a, b) in report.curves.iter().zip(&again.report.curves) {
             for (pa, pb) in a.points.iter().zip(&b.points) {
                 assert_eq!(pa.generalist.to_bits(), pb.generalist.to_bits());

@@ -149,6 +149,18 @@ impl SystemConfig {
         }
     }
 
+    /// The unit tests' world: the miniature cut to two hubs, four days and
+    /// two training episodes.
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
+        let mut config = Self::miniature();
+        config.world.num_hubs = 2;
+        config.world.horizon_slots = 24 * 4;
+        config.trainer.episodes = 2;
+        config.test_episodes = 1;
+        config
+    }
+
     /// Validates cross-component consistency.
     ///
     /// # Errors

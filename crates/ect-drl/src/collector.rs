@@ -7,8 +7,8 @@
 //! forward pass runs once per slot over all lanes
 //! ([`collect_shared_policy_episode`]). [`train_fleet`] trains one policy
 //! per lane through the episode loop of [`crate::trainer`];
-//! [`evaluate_fleet_greedy`] and [`evaluate_fleet_scheduler`] share one
-//! per-lane evaluation loop.
+//! [`evaluate_fleet_greedy`], [`evaluate_fleet_scheduler`] and
+//! [`crate::generalist::evaluate_generalist`] share one evaluation loop.
 //!
 //! Lane `i` consumes only `rngs[i]`, so its results do not depend on which
 //! lanes share its fleet. Trained weights are pinned by
@@ -257,37 +257,49 @@ pub fn train_fleet<F: FleetFactory>(
         .collect())
 }
 
-/// The per-lane evaluation loop: `episodes` lockstep test episodes where
-/// `act(fleet, lane)` picks every lane's action; lane `i`'s strata redraws
-/// and initial SoC come from a stream seeded with `seeds[i]`.
-fn evaluate_lanes<F, A>(
+/// One lane's trajectory in one evaluation episode.
+pub(crate) struct Trajectory {
+    /// Sum of the lane's slot rewards.
+    pub total: f64,
+    /// Per-day sums of the lane's slot rewards.
+    pub daily: Vec<f64>,
+}
+
+/// The one evaluation loop: `episodes` lockstep test episodes where
+/// `act(fleet, actions)` fills every lane's action each slot; lane `i`'s
+/// strata redraws and initial SoC come from `rngs[i]`. Returns one
+/// [`Trajectory`] per `(episode, lane)` pair, episode-major.
+///
+/// The chosen actions are tallied locally and published once per call as
+/// the `eval.action.{charge,discharge,idle}` counters.
+pub(crate) fn evaluate_lanes<F, A>(
     mut factory: F,
     episodes: usize,
-    seeds: &[u64],
+    rngs: &mut [EctRng],
     mut act: A,
-) -> ect_types::Result<Vec<EvalSummary>>
+) -> ect_types::Result<Vec<Trajectory>>
 where
     F: FleetFactory,
-    A: FnMut(&FleetEnv, usize) -> BpAction,
+    A: FnMut(&FleetEnv, &mut [BpAction]),
 {
-    let n = seeds.len();
-    let mut rngs: Vec<EctRng> = seeds.iter().map(|&s| EctRng::seed_from(s)).collect();
-    let mut summaries = vec![EvalSummary::default(); n];
-    let mut totals = vec![0.0; n];
+    let n = rngs.len();
+    let mut trajectories = Vec::with_capacity(episodes * n);
     let mut initial_soc = vec![0.0; n];
     let mut actions = vec![BpAction::Idle; n];
+    let mut counts = [0u64; 3];
 
     for episode in 0..episodes {
-        let mut fleet = factory.make(episode, &mut rngs)?;
-        check_lanes("evaluate_fleet lanes", n, fleet.num_lanes())?;
+        let mut fleet = factory.make(episode, rngs)?;
+        check_lanes("evaluation lanes", n, fleet.num_lanes())?;
         for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
             *soc = rng.uniform();
         }
         fleet.reset(&initial_soc);
         let mut slot_rewards: Vec<Vec<f64>> = vec![Vec::with_capacity(fleet.horizon()); n];
         loop {
-            for (lane, action) in actions.iter_mut().enumerate() {
-                *action = act(&fleet, lane);
+            act(&fleet, &mut actions);
+            for action in &actions {
+                counts[action.index()] += 1;
             }
             let step = fleet.step_batch_soa(&actions);
             for (lane_rewards, &reward) in slot_rewards.iter_mut().zip(step.rewards) {
@@ -297,19 +309,71 @@ where
                 break;
             }
         }
-        for lane in 0..n {
-            totals[lane] += slot_rewards[lane].iter().sum::<f64>();
-            let daily = slot_rewards[lane].chunks(SLOTS_PER_DAY);
-            let daily = daily.map(|chunk| chunk.iter().sum()).collect();
-            summaries[lane].daily_rewards.push(daily);
-        }
+        trajectories.extend(slot_rewards.iter().map(|rewards| {
+            Trajectory {
+                total: rewards.iter().sum(),
+                daily: rewards
+                    .chunks(SLOTS_PER_DAY)
+                    .map(|chunk| chunk.iter().sum())
+                    .collect(),
+            }
+        }));
     }
-    for (summary, total) in summaries.iter_mut().zip(totals) {
-        let days: usize = summary.daily_rewards.iter().map(Vec::len).sum();
-        summary.avg_episode_profit = total / episodes.max(1) as f64;
-        summary.avg_daily_reward = total / days.max(1) as f64;
+    for (name, count) in ACTION_COUNTERS.iter().zip(counts) {
+        ect_obs::counter_add(name, count);
     }
-    Ok(summaries)
+    Ok(trajectories)
+}
+
+/// The telemetry counter of each evaluated action, by action index.
+const ACTION_COUNTERS: [&str; 3] = [
+    "eval.action.charge",
+    "eval.action.discharge",
+    "eval.action.idle",
+];
+
+/// Sums trajectories, in the given order, into one summary:
+/// `avg_episode_profit` is the total over `count` trajectories and
+/// `avg_daily_reward` the total over all days.
+pub(crate) fn summarise(
+    trajectories: impl IntoIterator<Item = Trajectory>,
+    count: usize,
+) -> EvalSummary {
+    let mut summary = EvalSummary::default();
+    let mut total = 0.0;
+    let mut days = 0;
+    for trajectory in trajectories {
+        total += trajectory.total;
+        days += trajectory.daily.len();
+        summary.daily_rewards.push(trajectory.daily);
+    }
+    summary.avg_episode_profit = total / count.max(1) as f64;
+    summary.avg_daily_reward = total / days.max(1) as f64;
+    summary
+}
+
+/// Evaluates on the one loop and summarises each lane over its episodes.
+fn evaluate_per_lane<F, A>(
+    factory: F,
+    episodes: usize,
+    seeds: &[u64],
+    act: A,
+) -> ect_types::Result<Vec<EvalSummary>>
+where
+    F: FleetFactory,
+    A: FnMut(&FleetEnv, &mut [BpAction]),
+{
+    let n = seeds.len();
+    let mut rngs: Vec<EctRng> = seeds.iter().map(|&s| EctRng::seed_from(s)).collect();
+    let mut lanes: Vec<Vec<Trajectory>> = (0..n).map(|_| Vec::with_capacity(episodes)).collect();
+    let trajectories = evaluate_lanes(factory, episodes, &mut rngs, act)?;
+    for (i, trajectory) in trajectories.into_iter().enumerate() {
+        lanes[i % n].push(trajectory);
+    }
+    Ok(lanes
+        .into_iter()
+        .map(|lane| summarise(lane, episodes))
+        .collect())
 }
 
 /// Evaluates per-lane policies greedily over lockstep test episodes.
@@ -327,10 +391,12 @@ pub fn evaluate_fleet_greedy<F: FleetFactory>(
 ) -> ect_types::Result<Vec<EvalSummary>> {
     check_lanes("evaluate_fleet seeds", policies.len(), seeds.len())?;
     let mut state = Vec::new();
-    evaluate_lanes(factory, episodes, seeds, |fleet, lane| {
+    evaluate_per_lane(factory, episodes, seeds, |fleet, actions| {
         state.resize(fleet.state_dim(), 0.0);
-        fleet.observe_into(lane, &mut state);
-        policies[lane].greedy_action(&state)
+        for (lane, action) in actions.iter_mut().enumerate() {
+            fleet.observe_into(lane, &mut state);
+            *action = policies[lane].greedy_action(&state);
+        }
     })
 }
 
@@ -347,8 +413,10 @@ pub fn evaluate_fleet_scheduler<F: FleetFactory, S: Scheduler + ?Sized>(
     episodes: usize,
     seeds: &[u64],
 ) -> ect_types::Result<Vec<EvalSummary>> {
-    evaluate_lanes(factory, episodes, seeds, |fleet, lane| {
-        scheduler.act(fleet, lane)
+    evaluate_per_lane(factory, episodes, seeds, |fleet, actions| {
+        for (lane, action) in actions.iter_mut().enumerate() {
+            *action = scheduler.act(fleet, lane);
+        }
     })
 }
 

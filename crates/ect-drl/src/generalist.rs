@@ -1,6 +1,6 @@
 //! Generalist training: one policy across a *mixture* of scenario worlds.
 //!
-//! The per-scenario grid (`run_scenario_grid` in `ect-core`) trains a
+//! The per-scenario grid (`Session::scenario_grid` in `ect-core`) trains a
 //! specialist policy inside each stress world. This module trains a single
 //! **generalist** instead: [`train_generalist_source`] reassigns each lane
 //! of a batched [`FleetEnv`] a scenario every episode — drawn from a
@@ -22,19 +22,16 @@
 //! fixed seed reproduces the same curriculum bit for bit.
 
 use crate::actor_critic::ActorCritic;
-use crate::collector::collect_shared_policy_episode;
+use crate::collector::{collect_shared_policy_episode, evaluate_lanes, summarise};
 use crate::ppo::Ppo;
 use crate::rollout::RolloutBuffer;
 use crate::scenario_source::ScenarioSource;
-use crate::trainer::{
-    check_lanes, train_lanes, EvalSummary, Learner, TrainerConfig, TrainingHistory,
-};
+use crate::trainer::{train_lanes, EvalSummary, Learner, TrainerConfig, TrainingHistory};
 use ect_data::scenario::{scenario_library, ScenarioSpec};
 use ect_env::battery::BpAction;
 use ect_env::vec_env::FleetEnv;
 use ect_nn::matrix::Matrix;
 use ect_types::rng::EctRng;
-use ect_types::time::SLOTS_PER_DAY;
 use serde::{Deserialize, Serialize};
 
 /// Seed-stream separator for mixture assignments (decorrelated from lane
@@ -372,23 +369,15 @@ where
     }
     let mut rngs = lane_rngs(seed, lanes);
     let specs: Vec<&ScenarioSpec> = vec![spec; lanes];
-    let mut summary = EvalSummary::default();
-    let mut total = 0.0;
-    let mut total_days = 0usize;
-    let mut initial_soc = vec![0.0; lanes];
-    let mut actions = vec![BpAction::Idle; lanes];
-
-    for episode in 0..episodes {
-        let mut fleet = factory(episode, &specs, &mut rngs)?;
-        check_lanes("generalist evaluation lanes", lanes, fleet.num_lanes())?;
-        let dim = fleet.state_dim();
-        for (soc, rng) in initial_soc.iter_mut().zip(rngs.iter_mut()) {
-            *soc = rng.uniform();
-        }
-        fleet.reset(&initial_soc);
-        let mut slot_rewards: Vec<Vec<f64>> = vec![Vec::with_capacity(fleet.horizon()); lanes];
-        let mut states = Matrix::zeros(lanes, dim);
-        loop {
+    let mut states = Matrix::zeros(lanes, 0);
+    let trajectories = evaluate_lanes(
+        |episode, rngs: &mut [EctRng]| factory(episode, &specs, rngs),
+        episodes,
+        &mut rngs,
+        |fleet, actions| {
+            if states.cols() != fleet.state_dim() {
+                states = Matrix::zeros(lanes, fleet.state_dim());
+            }
             fleet.observe_all_into(states.as_mut_slice());
             // One batched greedy forward pass for every lane.
             let (prob_rows, _) = policy.infer(&states);
@@ -403,27 +392,9 @@ where
                     .expect("three actions");
                 *action = BpAction::from_index(idx);
             }
-            let step = fleet.step_batch_soa(&actions);
-            for (lane_rewards, &reward) in slot_rewards.iter_mut().zip(step.rewards) {
-                lane_rewards.push(reward);
-            }
-            if step.done {
-                break;
-            }
-        }
-        for lane_rewards in &slot_rewards {
-            total += lane_rewards.iter().sum::<f64>();
-            let daily: Vec<f64> = lane_rewards
-                .chunks(SLOTS_PER_DAY)
-                .map(|chunk| chunk.iter().sum())
-                .collect();
-            total_days += daily.len();
-            summary.daily_rewards.push(daily);
-        }
-    }
-    summary.avg_episode_profit = total / (episodes * lanes) as f64;
-    summary.avg_daily_reward = total / total_days.max(1) as f64;
-    Ok(summary)
+        },
+    )?;
+    Ok(summarise(trajectories, episodes * lanes))
 }
 
 #[cfg(test)]

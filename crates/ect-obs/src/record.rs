@@ -134,6 +134,22 @@ impl Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Characters a fuzzed line is drawn from: JSON structure, the record
+    /// tags, digits, escapes and multi-byte scalars.
+    const ALPHABET: &[&str] = &[
+        "{", "}", "[", "]", "\"", ":", ",", " ", "\\", "\\u", "-", ".", "e", "0", "1", "9", "null",
+        "true", "Manifest", "Span", "Counter", "name", "value", "é", "🦀", "\n",
+    ];
+
+    fn sample_counter_line() -> String {
+        serde_json::to_string(&Record::Counter(CounterRecord {
+            name: "cache.evictions".into(),
+            value: 12,
+        }))
+        .unwrap()
+    }
 
     #[test]
     fn every_record_kind_round_trips_through_serde() {
@@ -193,5 +209,41 @@ mod tests {
             .name(),
             Some("cache.evictions")
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary lines never panic the JSONL decoder and never decode
+        /// into a record.
+        #[test]
+        fn arbitrary_lines_are_rejected_without_panicking(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..64),
+        ) {
+            let line: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            prop_assert!(serde_json::from_str::<Record>(&line).is_err(), "{line}");
+        }
+
+        /// Arbitrary bytes, read as a line, are rejected the same way.
+        #[test]
+        fn arbitrary_bytes_are_rejected_without_panicking(
+            bytes in proptest::collection::vec(0u16..256, 0..128),
+        ) {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let line = String::from_utf8_lossy(&bytes);
+            prop_assert!(serde_json::from_str::<Record>(&line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn truncated_record_lines_are_rejected() {
+        let line = sample_counter_line();
+        for cut in 0..line.len() {
+            assert!(
+                serde_json::from_str::<Record>(&line[..cut]).is_err(),
+                "{}",
+                &line[..cut]
+            );
+        }
     }
 }

@@ -1,26 +1,29 @@
 //! End-to-end pipeline: world → pricing engines → discount schedules →
-//! DRL scheduling → fleet report.
-//!
-//! Deliberately rides the legacy free-function shims (`run_fleet`,
-//! `pricing_table`): this suite pins that the deprecated surface stays
-//! green next to the Session path (`tests/session_equivalence.rs`).
-#![allow(deprecated)]
+//! DRL scheduling → fleet report, through the [`Session`] entry points.
 
 use ect_core::prelude::*;
 use ect_core::report::FleetReport;
 use ect_price::engine::NeverDiscount;
 
-fn miniature() -> EctHubSystem {
+fn miniature_config() -> SystemConfig {
     let mut config = SystemConfig::miniature();
     config.world.num_hubs = 2;
     config.trainer.episodes = 2;
     config.test_episodes = 2;
-    EctHubSystem::new(config).unwrap()
+    config
+}
+
+fn session() -> Session {
+    SessionBuilder::new(miniature_config())
+        .threads(2)
+        .build()
+        .unwrap()
 }
 
 #[test]
 fn full_pipeline_produces_a_consistent_report() {
-    let system = miniature();
+    let session = session();
+    let system = session.system().unwrap();
     let (train, test) = system.pricing_datasets();
     assert!(!train.is_empty() && !test.is_empty());
 
@@ -31,7 +34,7 @@ fn full_pipeline_produces_a_consistent_report() {
         ("Ours".into(), ours),
         ("NoDiscount".into(), Box::new(NeverDiscount)),
     ];
-    let cells = ect_core::run_fleet(&system, &engines, 2).unwrap();
+    let cells = session.fleet(&engines).unwrap();
     assert_eq!(cells.len(), 2 * 2); // hubs × engines
 
     let report = FleetReport::new(cells);
@@ -50,10 +53,7 @@ fn full_pipeline_produces_a_consistent_report() {
 
 #[test]
 fn pricing_table_reproduces_table2_shape() {
-    let system = miniature();
-    let (train, test) = system.pricing_datasets();
-    let mut rng = EctRng::seed_from(2);
-    let table = ect_core::pricing_table(&system, &train, &test, &[0.1, 0.2], &mut rng).unwrap();
+    let table = session().pricing_table(&[0.1, 0.2]).unwrap();
     // Four methods + oracle, each evaluated at both discounts.
     assert_eq!(table.methods.len(), 5);
     for m in &table.methods {
@@ -74,7 +74,7 @@ fn pricing_table_reproduces_table2_shape() {
 
 #[test]
 fn discount_schedules_flow_into_the_environment() {
-    let system = miniature();
+    let system = session().system().unwrap();
     let schedule =
         ect_core::schedule_for_hub(&system, &ect_price::engine::AlwaysDiscount, HubId::new(0))
             .unwrap();

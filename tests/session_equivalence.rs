@@ -1,100 +1,112 @@
-//! Acceptance pins of the unified experiment API (PR 5).
+//! Acceptance pins of the unified experiment API.
 //!
 //! Two contracts:
 //!
-//! 1. **Bit-identity** — routing an experiment through the [`Session`] /
-//!    artifact-store path must not move a single bit relative to the legacy
-//!    free-function path (`run_with_config`, which rides the deprecated
-//!    shims). Pinned here by comparing the serialised smoke JSON of the
-//!    `generalization`, `severity_sweep` and `scenario_sweep` experiments.
+//! 1. **Golden results** — the smoke-session JSON of the `generalization`,
+//!    `severity_sweep`, `scenario_sweep` and `coordination` experiments
+//!    hashes to checksums captured while a second, free-function path still
+//!    produced the same bytes. A change that moves any of them is wrong (or
+//!    intentionally re-seeds, which needs saying).
 //! 2. **Work sharing** — a combined run of `generalization` and
 //!    `severity_sweep` inside one session trains each distinct generalist
 //!    exactly once, and *repeating* both experiments trains nothing at all:
 //!    every lookup is an artifact-store hit (asserted through the store's
 //!    build counters).
 
-use ect_bench::experiments::{generalization, scenario_sweep, severity_sweep};
+use ect_bench::experiments::{coordination, generalization, scenario_sweep, severity_sweep};
 use ect_bench::Scale;
 use ect_core::prelude::*;
 
-/// One session at the smoke scale with a fixed thread budget (the thread
-/// count participates in `GeneralistOptions`, so both paths must agree).
-const THREADS: usize = 4;
-
+/// One session at the smoke scale with a fixed thread budget.
 fn smoke_session() -> Session {
     SessionBuilder::new(ect_bench::experiments::system_config(Scale::Smoke))
         .scale(Scale::Smoke)
-        .threads(THREADS)
+        .threads(4)
         .build()
         .expect("smoke session builds")
 }
 
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("result serialises")
+/// FNV-1a 64 over the bytes of the pretty-printed result JSON.
+fn checksum<T: serde::Serialize>(value: &T) -> u64 {
+    let json = serde_json::to_string_pretty(value).expect("result serialises");
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in json.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
 }
 
 #[test]
-fn generalization_smoke_json_is_bit_identical_through_the_session() {
-    let legacy = generalization::run_with_config(generalization::smoke_config(), THREADS).unwrap();
+fn generalization_smoke_json_matches_golden_checksum() {
     let session = smoke_session();
-    let via_session =
-        generalization::run_in_session(&session, generalization::smoke_config()).unwrap();
+    let result =
+        generalization::run_in_session(&session, generalization::experiment_config(Scale::Smoke))
+            .unwrap();
     assert_eq!(
-        json(&legacy),
-        json(&via_session),
-        "generalization smoke JSON must be bit-identical through the Session path"
+        checksum(&result),
+        0x34e2_84fd_b244_408c,
+        "generalization moved"
     );
-    // The session path actually produced artifacts (it did not silently
-    // fall back to the legacy path).
+    // The session path actually produced artifacts.
     assert_eq!(session.store().kind_stats("generalist").builds, 2);
     assert_eq!(session.store().kind_stats("heldout-baselines").builds, 1);
 }
 
 #[test]
-fn severity_smoke_json_is_bit_identical_through_the_session() {
-    let legacy = severity_sweep::run_with_config(
-        severity_sweep::smoke_config(),
-        severity_sweep::smoke_options(),
-    )
-    .unwrap();
+fn severity_smoke_json_matches_golden_checksum() {
     let session = smoke_session();
-    let via_session = severity_sweep::run_in_session(
+    let result = severity_sweep::run_in_session(
         &session,
-        severity_sweep::smoke_config(),
-        severity_sweep::smoke_options(),
+        severity_sweep::experiment_config(Scale::Smoke),
+        severity_sweep::options_for(Scale::Smoke),
     )
     .unwrap();
     assert_eq!(
-        json(&legacy),
-        json(&via_session),
-        "severity smoke JSON must be bit-identical through the Session path"
+        checksum(&result),
+        0x2403_0020_0f12_6397,
+        "severity sweep moved"
     );
     assert_eq!(session.store().kind_stats("severity").builds, 1);
 }
 
 #[test]
-fn scenario_sweep_smoke_json_is_bit_identical_through_the_session() {
-    let legacy = scenario_sweep::run_with_config(scenario_sweep::smoke_config(), THREADS).unwrap();
-    let session = smoke_session();
-    let via_session =
-        scenario_sweep::run_in_session(&session, scenario_sweep::smoke_config()).unwrap();
+fn scenario_sweep_smoke_json_matches_golden_checksum() {
+    let result = scenario_sweep::run_in_session(
+        &smoke_session(),
+        scenario_sweep::experiment_config(Scale::Smoke),
+    )
+    .unwrap();
     assert_eq!(
-        json(&legacy),
-        json(&via_session),
-        "scenario sweep smoke JSON must be bit-identical through the Session path"
+        checksum(&result),
+        0xdea4_7f4d_f8f3_a0c4,
+        "scenario sweep moved"
     );
+}
+
+#[test]
+fn coordination_smoke_json_matches_golden_checksum() {
+    let session = smoke_session();
+    let result = coordination::run_in_session(
+        &session,
+        coordination::experiment_config(Scale::Smoke),
+        coordination::options_for(Scale::Smoke),
+    )
+    .unwrap();
+    assert_eq!(
+        checksum(&result),
+        0x4c48_892c_39f8_78c4,
+        "coordination moved"
+    );
+    assert_eq!(session.store().kind_stats("coordination").builds, 1);
 }
 
 #[test]
 fn combined_run_trains_each_generalist_exactly_once() {
     let session = smoke_session();
-    let config = generalization::experiment_config(Scale::Smoke);
-    // Both experiments bring the same smoke system configuration, which is
+    // `severity_sweep` runs on `generalization`'s configuration, which is
     // exactly what makes the sharing observable below.
-    assert_eq!(
-        serde_json::to_string(&config).unwrap(),
-        serde_json::to_string(&severity_sweep::experiment_config(Scale::Smoke)).unwrap(),
-    );
+    let config = generalization::experiment_config(Scale::Smoke);
 
     // Combined run: generalization (two mixture-generalist arms) plus the
     // severity sweep (one domain-randomised generalist).

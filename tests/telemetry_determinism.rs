@@ -279,6 +279,47 @@ fn parallel_progress_reports_never_interleave() {
     assert_eq!(progress_events, jobs);
 }
 
+/// The evaluation loop tallies every chosen action into the
+/// `eval.action.*` counters, and counting moves no result bit.
+#[test]
+fn evaluation_counts_every_chosen_action() {
+    let _guard = serial();
+    ect_obs::uninstall();
+    let mut config = mini(2);
+    config.test_episodes = 2;
+    let system = EctHubSystem::new(config).expect("mini system builds");
+    let hubs: Vec<HubId> = (0..2).map(HubId::new).collect();
+    let evaluate = |scheduler: &mut dyn Scheduler| {
+        let cells = run_hubs_scheduler_batched(
+            &system,
+            &hubs,
+            &ect_price::engine::NeverDiscount,
+            scheduler,
+        )
+        .expect("evaluation runs");
+        serde_json::to_string(&cells).expect("cells serialise")
+    };
+    let off = evaluate(&mut NoBattery);
+
+    let counts = |scheduler: &mut dyn Scheduler| {
+        let telemetry = Arc::new(Telemetry::to_memory(RunManifest::default()));
+        ect_obs::install(Arc::clone(&telemetry));
+        let cells = evaluate(scheduler);
+        ect_obs::uninstall();
+        let counts = ["charge", "discharge", "idle"]
+            .map(|action| telemetry.counter_value(&format!("eval.action.{action}")));
+        (cells, counts)
+    };
+    let lane_slots = (hubs.len() * system.world().horizon() * 2) as u64;
+
+    let (on, [charge, discharge, idle]) = counts(&mut NoBattery);
+    assert_eq!(off, on, "counting actions must not move a result bit");
+    assert_eq!((charge, discharge, idle), (0, 0, lane_slots));
+
+    let (_, greedy) = counts(&mut GreedyPrice::default_thresholds());
+    assert_eq!(greedy.iter().sum::<u64>(), lane_slots);
+}
+
 /// One timed 12-hub fleet pass: the PPO training + stepping workload the
 /// overhead contract is pinned on.
 fn fleet_pass(system: &EctHubSystem, hubs: &[HubId]) -> std::time::Duration {
