@@ -9,11 +9,12 @@
 //! 4. **Actor-init ablation** — idle-biased "safe init" vs a uniform
 //!    initial policy.
 
-use super::PricingArtifacts;
+use super::{pricing_artifacts, system_config, PricingArtifacts, ABLATIONS_VERSION};
 use ect_core::prelude::*;
 use ect_core::scheduling::{run_hubs_method_batched, run_hubs_scheduler_batched};
 use ect_price::engine::NeverDiscount;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One ablation row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -145,6 +146,29 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<AblationResult> {
     Ok(AblationResult { rows })
 }
 
+/// Artifact kind of the memoised ablation rows.
+pub const KIND: &str = "ablations";
+
+/// Store key of the ablations over `config`: every family derives its
+/// variants from it (the ECT-Price model is not used).
+pub fn cache_key(config: &SystemConfig) -> ArtifactKey {
+    ArtifactKey::versioned(KIND, ABLATIONS_VERSION, config)
+}
+
+/// The ablations at the session's scale, memoised in its artifact store
+/// and served from the disk cache when one is attached: [`run`] trains the
+/// ablation cells once per distinct key.
+///
+/// # Errors
+///
+/// Propagates environment/training failures.
+pub fn cached(session: &Session) -> ect_types::Result<Arc<AblationResult>> {
+    let key = cache_key(&system_config(session.scale()));
+    session
+        .store()
+        .get_or_insert_cached(key, || run(&*pricing_artifacts(session)?))
+}
+
 /// Prints the ablation table.
 pub fn print(result: &AblationResult) {
     println!("== Ablations ==");
@@ -179,10 +203,9 @@ impl ect_core::Experiment for AblationsExperiment {
         &["pricing"]
     }
     fn run(&self, session: &ect_core::Session) -> ect_types::Result<ect_core::ExperimentOutput> {
-        let artifacts = super::pricing_artifacts(session)?;
-        let result = run(&artifacts)?;
+        let result = cached(session)?;
         print(&result);
-        crate::output::save_json(self.id(), &result);
+        crate::output::save_json(self.id(), &*result);
         Ok(
             ect_core::ExperimentOutput::new(self.id(), "rows", result.rows.len() as f64)
                 .with_artifact(self.id()),

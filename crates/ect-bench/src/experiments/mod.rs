@@ -140,6 +140,22 @@ pub struct PricingBuild {
 /// silently serving the old model.
 const PRICING_MODEL_VERSION: u32 = 1;
 
+// Code versions of the experiment-result kinds, under the same bump rule as
+// `ect_core::session::kind_versions`: bump a constant whenever its
+// experiment's body changes what it computes (not just its inputs), so warm
+// caches stop serving results of the older code.
+
+/// `table2` — Table II ([`table2::cached`]).
+pub const TABLE2_VERSION: u32 = 1;
+/// `fleet` — the hub × method fleet behind Fig. 13 and Table III
+/// ([`fleet::cached`]).
+pub const FLEET_VERSION: u32 = 1;
+/// `ablations` — the four ablation families ([`ablations::cached`]).
+pub const ABLATIONS_VERSION: u32 = 1;
+/// `scenario-sweep` — the stress library × pricing methods
+/// ([`scenario_sweep::cached`]).
+pub const SCENARIO_SWEEP_VERSION: u32 = 1;
+
 fn pricing_build_key(config: &SystemConfig) -> ArtifactKey {
     ArtifactKey::of("pricing-artifacts-build", config)
 }

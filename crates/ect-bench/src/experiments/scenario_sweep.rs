@@ -9,9 +9,11 @@
 //! traffic flash crowd) and reports per-scenario reward, cost-exposure and
 //! blackout-endurance numbers. JSON lands in `results/scenario_sweep.json`.
 
+use super::SCENARIO_SWEEP_VERSION;
 use ect_core::prelude::*;
 use ect_price::engine::{AlwaysDiscount, NeverDiscount, PricingEngine};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Aggregated view of one scenario for the report table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,16 +68,16 @@ pub fn experiment_config(scale: crate::Scale) -> SystemConfig {
     config
 }
 
-fn engines(_system: &EctHubSystem) -> ect_types::Result<Vec<(String, Box<dyn PricingEngine>)>> {
+fn engines() -> NamedEngines {
     // Training-free engines keep the sweep about the *worlds*: the two
     // discount extremes bracket every uplift policy's schedule.
-    Ok(vec![
+    vec![
         (
             "NoDiscount".into(),
             Box::new(NeverDiscount) as Box<dyn PricingEngine>,
         ),
         ("AlwaysDiscount".into(), Box::new(AlwaysDiscount)),
-    ])
+    ]
 }
 
 fn summarise(grid: &[ScenarioGridResult]) -> Vec<ScenarioSummary> {
@@ -118,9 +120,45 @@ pub fn run_in_session(
     config: SystemConfig,
 ) -> ect_types::Result<ScenarioSweepResult> {
     let scenarios = scenario_library(config.world.horizon_slots);
-    let grid = session.scenario_grid_for(&config, &scenarios, &engines)?;
+    let grid = session.scenario_grid_for(&config, &scenarios, &|_| Ok(engines()))?;
     let summaries = summarise(&grid);
     Ok(ScenarioSweepResult { grid, summaries })
+}
+
+/// Artifact kind of the memoised sweep.
+pub const KIND: &str = "scenario-sweep";
+
+/// Store key of the sweep over `config`, its scenarios and the labels of
+/// the engines it prices with.
+pub fn cache_key(
+    config: &SystemConfig,
+    scenarios: &[ScenarioSpec],
+    engine_labels: &[String],
+) -> ArtifactKey {
+    ArtifactKey::versioned(
+        KIND,
+        SCENARIO_SWEEP_VERSION,
+        &(config, scenarios, engine_labels),
+    )
+}
+
+/// [`run_in_session`] memoised in the session's artifact store and served
+/// from the disk cache when one is attached: the grid trains once per
+/// distinct key.
+///
+/// # Errors
+///
+/// Propagates system construction and grid failures.
+pub fn cached(
+    session: &Session,
+    config: SystemConfig,
+) -> ect_types::Result<Arc<ScenarioSweepResult>> {
+    let scenarios = scenario_library(config.world.horizon_slots);
+    let labels: Vec<String> = engines().into_iter().map(|(label, _)| label).collect();
+    let key = cache_key(&config, &scenarios, &labels);
+    session
+        .store()
+        .get_or_insert_cached(key, || run_in_session(session, config))
 }
 
 /// Prints the sweep as a scenario × metric table.
@@ -180,9 +218,9 @@ impl ect_core::Experiment for ScenarioSweepExperiment {
     }
     fn run(&self, session: &ect_core::Session) -> ect_types::Result<ect_core::ExperimentOutput> {
         session.report("sweeping the stress library …");
-        let result = run_in_session(session, experiment_config(session.scale()))?;
+        let result = cached(session, experiment_config(session.scale()))?;
         print(&result);
-        crate::output::save_json(self.id(), &result);
+        crate::output::save_json(self.id(), &*result);
         Ok(
             ect_core::ExperimentOutput::new(self.id(), "scenarios", result.summaries.len() as f64)
                 .with_artifact(self.id()),

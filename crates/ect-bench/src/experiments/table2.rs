@@ -1,9 +1,12 @@
 //! Table II — ECT-Price vs OR/IPS/DR across discount levels.
 
-use super::PricingArtifacts;
+use super::{
+    pricing_artifacts, system_config, PricingArtifacts, PRICING_MODEL_VERSION, TABLE2_VERSION,
+};
+use ect_core::prelude::*;
 use ect_price::engine::EctPriceEngine;
 use ect_price::eval::evaluate_engine;
-use ect_types::rng::EctRng;
+use std::sync::Arc;
 
 /// Re-exported result type: the core crate's table is already the right
 /// shape for this experiment.
@@ -43,6 +46,34 @@ pub fn run(artifacts: &PricingArtifacts) -> ect_types::Result<Table2Result> {
     Ok(table)
 }
 
+/// Artifact kind of the memoised Table II.
+pub const KIND: &str = "table2";
+
+/// Store key of Table II over `config` and a discount sweep. The shared
+/// ECT-Price model's code version is part of it, since the "Ours" row
+/// reports that model.
+pub fn cache_key(config: &SystemConfig, discounts: &[f64]) -> ArtifactKey {
+    ArtifactKey::versioned(
+        KIND,
+        TABLE2_VERSION,
+        &(config, discounts, PRICING_MODEL_VERSION),
+    )
+}
+
+/// Table II at the session's scale, memoised in its artifact store and
+/// served from the disk cache when one is attached: [`run`] over the shared
+/// pricing artifacts runs once per distinct key.
+///
+/// # Errors
+///
+/// Propagates pricing-artifact and baseline-training failures.
+pub fn cached(session: &Session) -> ect_types::Result<Arc<Table2Result>> {
+    let key = cache_key(&system_config(session.scale()), &DISCOUNTS);
+    session
+        .store()
+        .get_or_insert_cached(key, || run(&*pricing_artifacts(session)?))
+}
+
 /// Prints the table in the paper's layout.
 pub fn print(table: &Table2Result) {
     println!("== Table II: pricing evaluation across discount levels ==");
@@ -70,10 +101,9 @@ impl ect_core::Experiment for Table2Experiment {
         &["pricing"]
     }
     fn run(&self, session: &ect_core::Session) -> ect_types::Result<ect_core::ExperimentOutput> {
-        let artifacts = super::pricing_artifacts(session)?;
-        let table = run(&artifacts)?;
+        let table = cached(session)?;
         print(&table);
-        crate::output::save_json(self.id(), &table);
+        crate::output::save_json(self.id(), &*table);
         Ok(
             ect_core::ExperimentOutput::new(self.id(), "methods", table.methods.len() as f64)
                 .with_artifact(self.id()),

@@ -292,6 +292,10 @@ pub const EXPENSIVE_KINDS: &[&str] = &[
     "pricing-model",
     "coordination",
     "microsim-demand",
+    crate::experiments::table2::KIND,
+    crate::experiments::fleet::KIND,
+    crate::experiments::ablations::KIND,
+    crate::experiments::scenario_sweep::KIND,
 ];
 
 /// Prints the per-kind memory/disk/build breakdown of the session's
@@ -626,6 +630,10 @@ mod tests {
             "pricing-model",
             "coordination",
             "microsim-demand",
+            "table2",
+            "fleet",
+            "ablations",
+            "scenario-sweep",
         ] {
             assert!(EXPENSIVE_KINDS.contains(&kind), "{kind}");
         }

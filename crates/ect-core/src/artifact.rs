@@ -23,9 +23,11 @@
 //! over one session), and serialisable artifacts can additionally spill to
 //! a persistent [`DiskCache`] so repeated *processes* skip the build too.
 //! Concurrent requests for one key serialise on a per-key slot: exactly one
-//! caller builds, everyone else blocks briefly and then hits. Builders must
-//! not recursively request artifacts from the same store — resolve
-//! dependencies *before* entering the builder (every session method does).
+//! caller builds, everyone else blocks briefly and then hits. A builder may
+//! request artifacts of *other* keys from the same store (the bench layer's
+//! experiment results build on the shared pricing artifacts this way) as
+//! long as kinds request each other acyclically; a builder that requests
+//! its own key deadlocks on its slot.
 //!
 //! [`WorldDataset`]: ect_data::dataset::WorldDataset
 

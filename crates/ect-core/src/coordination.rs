@@ -6,7 +6,7 @@
 //! (proportional-fairness curtailment), EV demand spillover to topology
 //! neighbours, and a mutual-observation block exposing neighbour SoC, load
 //! and curtailment pressure.
-//! [`Session::coordination`](crate::session::Session::coordination) turns
+//! [`Session::coordination_for`](crate::session::Session::coordination_for) turns
 //! that machinery into
 //! the repo's first *multi-agent* headline number:
 //!
@@ -335,7 +335,7 @@ fn eval_joint(
 
 /// Runs the coordination study on an assembled system — see the module
 /// docs for the full protocol. The engine behind
-/// [`Session::coordination`](crate::session::Session::coordination), which
+/// [`Session::coordination_for`](crate::session::Session::coordination_for), which
 /// memoises the trained arms.
 ///
 /// # Errors

@@ -8,7 +8,7 @@
 //! 1. split the stress library into training and held-out specs
 //!    ([`ect_drl::generalist::train_holdout_split`]);
 //! 2. score the held-out **baselines**
-//!    ([`Session::heldout_baselines`](crate::session::Session::heldout_baselines)): the
+//!    ([`Session::heldout_baselines_for`](crate::session::Session::heldout_baselines_for)): the
 //!    per-scenario specialists that the batched scenario grid trains inside
 //!    each held-out world, plus the rule-based schedulers
 //!    (NoBattery, GreedyPrice, TimeOfUse) — these are independent of any

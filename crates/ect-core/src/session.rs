@@ -281,9 +281,9 @@ impl std::fmt::Debug for SessionBuilder {
 
 /// A configured handle over the pipeline, owning the artifact store.
 ///
-/// Methods come in pairs: `*_for` takes an explicit [`SystemConfig`] (the
-/// bench experiments each bring their own scale-derived configuration),
-/// while the short names use the session's base configuration. Both routes
+/// `*_for` methods take an explicit [`SystemConfig`] (the bench
+/// experiments each bring their own scale-derived configuration); where a
+/// short name exists it uses the session's base configuration. Both routes
 /// share one store, so any two calls with identical inputs share one
 /// computation — including calls racing on scheduler threads, which
 /// serialise per key inside the store.
@@ -446,15 +446,6 @@ impl Session {
             .get_or_insert_cached(key, || heldout_baselines(&system, threads))
     }
 
-    /// Held-out baselines of the session's base configuration, memoised.
-    ///
-    /// # Errors
-    ///
-    /// Propagates world-generation, training and evaluation failures.
-    pub fn heldout_baselines(&self) -> ect_types::Result<Arc<Vec<HeldOutBaseline>>> {
-        self.heldout_baselines_for(&self.config)
-    }
-
     /// The scenario-mixture generalist of `(configuration, options)`,
     /// memoised: trained once, scored against the (memoised) held-out
     /// baselines. Any experiment requesting the same pair reuses the
@@ -548,19 +539,6 @@ impl Session {
             .get_or_insert_cached(key, || run_coordination(&system, options))
     }
 
-    /// The coordination study of the session's base configuration,
-    /// memoised.
-    ///
-    /// # Errors
-    ///
-    /// Propagates option validation, training and evaluation failures.
-    pub fn coordination(
-        &self,
-        options: &CoordinationOptions,
-    ) -> ect_types::Result<Arc<CoordinationOutcome>> {
-        self.coordination_for(&self.config, options)
-    }
-
     /// The UE-microsimulation demand of `options`, memoised: the particle
     /// engine runs once per distinct option set (shards fanned over the
     /// session's thread pool — the output is thread-count invariant, so
@@ -620,7 +598,9 @@ impl Session {
 
     // ------------------------------------------------------------------
     // Fan-out stages (pass-through: pricing engines are opaque trait
-    // objects, not content-addressable inputs)
+    // objects, not content-addressable inputs; the bench layer memoises
+    // its fleet and scenario-sweep results under keys that name the
+    // engines it builds)
     // ------------------------------------------------------------------
 
     /// Runs the full hub × engine fleet of an explicit configuration on the

@@ -13,8 +13,19 @@
 //! 3. **`--no-cache` semantics** — a session without a cache attached
 //!    behaves exactly like the pre-cache store (pure in-memory
 //!    memoisation), so the cache is strictly opt-in at the session layer.
+//! 4. **Experiment results are served whole** — Table II, the fleet, the
+//!    ablations and the scenario sweep come off disk in a warm session at
+//!    another thread count, byte-identical and without a build; their keys
+//!    move with the training budget, the seed and the method list.
+//! 5. **No stale cache** — each of those kinds' code versions is pinned
+//!    together with the smoke goldens of the files it produces, so a
+//!    re-captured golden without a version bump fails here.
 
-use ect_bench::experiments::{generalization, pricing_artifacts, severity_sweep};
+use ect_bench::experiments::{
+    ablations, fleet, generalization, pricing_artifacts, scenario_sweep, severity_sweep,
+    system_config, table2, ABLATIONS_VERSION, FLEET_VERSION, SCENARIO_SWEEP_VERSION,
+    TABLE2_VERSION,
+};
 use ect_bench::registry::EXPENSIVE_KINDS;
 use ect_bench::Scale;
 use ect_core::prelude::*;
@@ -30,9 +41,13 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn cached_smoke_session(dir: &std::path::Path, label: &str) -> Session {
-    SessionBuilder::new(ect_bench::experiments::system_config(Scale::Smoke))
+    cached_smoke_session_on(dir, label, 4)
+}
+
+fn cached_smoke_session_on(dir: &std::path::Path, label: &str, threads: usize) -> Session {
+    SessionBuilder::new(system_config(Scale::Smoke))
         .scale(Scale::Smoke)
-        .threads(4)
+        .threads(threads)
         .label(label)
         .persistent_cache(dir)
         .build()
@@ -152,7 +167,7 @@ fn corrupted_and_truncated_entries_rebuild_cleanly() {
 
 #[test]
 fn sessions_without_a_cache_stay_memory_only() {
-    let session = SessionBuilder::new(ect_bench::experiments::system_config(Scale::Smoke))
+    let session = SessionBuilder::new(system_config(Scale::Smoke))
         .scale(Scale::Smoke)
         .threads(4)
         .build()
@@ -164,4 +179,184 @@ fn sessions_without_a_cache_stay_memory_only() {
     assert_eq!(stats.builds, 1);
     assert_eq!(stats.memory_hits, 1);
     assert_eq!(stats.disk_hits, 0, "no disk tier without a cache");
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("result serialises")
+}
+
+/// The four memoised experiment results of a smoke session, serialised, by
+/// artifact kind.
+fn experiment_results(session: &Session) -> Vec<(&'static str, String)> {
+    let sweep = scenario_sweep::experiment_config(Scale::Smoke);
+    vec![
+        (table2::KIND, json(&*table2::cached(session).unwrap())),
+        (fleet::KIND, json(&*fleet::cached(session).unwrap())),
+        (ablations::KIND, json(&*ablations::cached(session).unwrap())),
+        (
+            scenario_sweep::KIND,
+            json(&*scenario_sweep::cached(session, sweep).unwrap()),
+        ),
+    ]
+}
+
+#[test]
+fn warm_session_serves_experiment_results_from_disk_at_any_thread_count() {
+    let dir = scratch("warm-experiments");
+
+    let cold = cached_smoke_session_on(&dir, "cold", 4);
+    let cold_results = experiment_results(&cold);
+    for (kind, _) in &cold_results {
+        let stats = cold.store().kind_stats(kind);
+        assert_eq!(stats.builds, 1, "cold pass must build {kind}");
+        assert_eq!(stats.disk_hits, 0, "cold pass cannot disk-hit {kind}");
+    }
+
+    // The thread count stays out of every key: a warm session on another
+    // budget reads the same entries.
+    let warm = cached_smoke_session_on(&dir, "warm", 1);
+    let warm_results = experiment_results(&warm);
+    for ((kind, cold_json), (_, warm_json)) in cold_results.iter().zip(&warm_results) {
+        let stats = warm.store().kind_stats(kind);
+        assert_eq!(stats.builds, 0, "warm pass must not rebuild {kind}");
+        assert_eq!(stats.disk_hits, 1, "warm pass must read {kind} from disk");
+        assert_eq!(cold_json, warm_json, "{kind} moved through the disk cache");
+    }
+    // Served whole: the warm session never trained the pricing model the
+    // results were built on.
+    assert_eq!(
+        warm.store().kind_stats("pricing-model"),
+        KindStats::default()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiment_result_keys_track_budget_seed_and_methods() {
+    let base = system_config(Scale::Smoke);
+    let mut episodes = base.clone();
+    episodes.trainer.episodes += 1;
+    let mut seed = base.clone();
+    seed.seed ^= 1;
+    let variants = [("trainer.episodes", &episodes), ("seed", &seed)];
+
+    let methods = PricingMethod::PAPER_SET.map(PricingMethod::label);
+    let sweep = scenario_sweep::experiment_config(Scale::Smoke);
+    let scenarios = scenario_library(sweep.world.horizon_slots);
+    let engines = ["NoDiscount".to_string(), "AlwaysDiscount".to_string()];
+    let keys = |config: &SystemConfig| {
+        [
+            table2::cache_key(config, &table2::DISCOUNTS),
+            fleet::cache_key(config, &methods),
+            ablations::cache_key(config),
+        ]
+    };
+    for (knob, config) in variants {
+        for (moved, base_key) in keys(config).iter().zip(keys(&base)) {
+            assert_ne!(*moved, base_key, "{} key ignores {knob}", base_key.kind);
+            assert_eq!(moved.kind, base_key.kind);
+        }
+    }
+    let mut sweep_episodes = sweep.clone();
+    sweep_episodes.trainer.episodes += 1;
+    let mut sweep_seed = sweep.clone();
+    sweep_seed.seed ^= 1;
+    let sweep_key = scenario_sweep::cache_key(&sweep, &scenarios, &engines);
+    for config in [&sweep_episodes, &sweep_seed] {
+        assert_ne!(
+            scenario_sweep::cache_key(config, &scenarios, &engines),
+            sweep_key
+        );
+    }
+
+    // The method / engine list is part of each key that has one.
+    assert_ne!(
+        table2::cache_key(&base, &table2::DISCOUNTS[..3]),
+        table2::cache_key(&base, &table2::DISCOUNTS)
+    );
+    assert_ne!(
+        fleet::cache_key(&base, &methods[..3]),
+        fleet::cache_key(&base, &methods)
+    );
+    assert_ne!(
+        scenario_sweep::cache_key(&sweep, &scenarios, &engines[..1]),
+        sweep_key
+    );
+
+    // And the keys are pure: recomputing gives the same digest.
+    assert_eq!(keys(&base), keys(&base.clone()));
+}
+
+/// A memoised experiment kind's code version, pinned together with the
+/// `tests/golden/results_smoke.sha256` lines of the files it produces.
+struct VersionPin {
+    constant: &'static str,
+    current: u32,
+    pinned: u32,
+    golden: &'static [&'static str],
+}
+
+const VERSION_PINS: &[VersionPin] = &[
+    VersionPin {
+        constant: "TABLE2_VERSION",
+        current: TABLE2_VERSION,
+        pinned: 1,
+        golden: &["2d244fcc6bbebf2c6d07e374a428d53e3754286a557ec749ced4a76a5ce980b4  table2_price.json"],
+    },
+    VersionPin {
+        constant: "FLEET_VERSION",
+        current: FLEET_VERSION,
+        pinned: 1,
+        golden: &[
+            "2fbe6e2557d7a6b82b6dd92bdadf6f58587dc492a228d4a1eb2501528a608f39  fig13_hub_rewards.json",
+            "2fbe6e2557d7a6b82b6dd92bdadf6f58587dc492a228d4a1eb2501528a608f39  table3_hub_rewards.json",
+        ],
+    },
+    VersionPin {
+        constant: "ABLATIONS_VERSION",
+        current: ABLATIONS_VERSION,
+        pinned: 1,
+        golden: &["c80d8c44a190d12fdc8ef6a2e5879106a1e7684b49e1e86f897e38354551da86  ablations.json"],
+    },
+    VersionPin {
+        constant: "SCENARIO_SWEEP_VERSION",
+        current: SCENARIO_SWEEP_VERSION,
+        pinned: 1,
+        golden: &["220ef154424fe6b5de5b4d746a3512397d3e9a9eef54546fb52008fd7e5639e2  scenario_sweep.json"],
+    },
+];
+
+#[test]
+fn re_captured_goldens_come_with_a_version_bump() {
+    let golden = include_str!("golden/results_smoke.sha256");
+    for pin in VERSION_PINS {
+        let constant = pin.constant;
+        for line in pin.golden {
+            let file = line.split_whitespace().last().unwrap();
+            let now = golden
+                .lines()
+                .find(|l| l.split_whitespace().last() == Some(file));
+            if now != Some(*line) {
+                assert_ne!(
+                    pin.current, pin.pinned,
+                    "results_smoke.sha256 re-captured {file} but \
+                     ect_bench::experiments::{constant} is still {}: bump it so warm \
+                     caches stop serving results of the old code, then pin the new \
+                     line and version here",
+                    pin.pinned
+                );
+                panic!(
+                    "ect_bench::experiments::{constant} is now {}: pin it here with \
+                     the re-captured {file} line",
+                    pin.current
+                );
+            }
+        }
+        assert_eq!(
+            pin.current, pin.pinned,
+            "ect_bench::experiments::{constant} moved without a new golden: pin the new \
+             version here"
+        );
+    }
 }
