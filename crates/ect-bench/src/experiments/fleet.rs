@@ -8,12 +8,11 @@
 //! system and the trained ECT-Price model come from the session's artifact store, so
 //! the fleet shares them with Table II and the Fig. 11/12 experiments.
 
-use super::{pricing_artifacts, system_config, FLEET_VERSION, PRICING_MODEL_VERSION};
+use super::{pricing_artifacts, system_config};
 use ect_core::prelude::*;
 use ect_core::report::FleetReport;
 use ect_price::engine::{EctPriceEngine, PricingEngine};
 use ect_types::rng::EctRng;
-use std::sync::Arc;
 
 /// Trains the four paper engines (reusing the session's shared ECT-Price
 /// model) and runs the full hub × method fleet on the batched engine.
@@ -27,49 +26,24 @@ pub fn run(session: &Session) -> ect_types::Result<FleetReport> {
     let mut rng = EctRng::seed_from(system.config().seed ^ 0xF1EE7);
 
     let mut engines: Vec<(String, Box<dyn PricingEngine>)> = Vec::new();
-    for method in PricingMethod::PAPER_SET {
-        let engine: Box<dyn PricingEngine> = match method {
-            PricingMethod::EctPrice => Box::new(EctPriceEngine::new(artifacts.model.clone())),
-            _ => ect_core::train_engine(system, method, &artifacts.train, &mut rng)?,
-        };
-        engines.push((method.label().to_string(), engine));
+    for method in [
+        PricingMethod::OutcomeRegression,
+        PricingMethod::InversePropensity,
+        PricingMethod::DoublyRobust,
+    ] {
+        engines.push((
+            method.label().to_string(),
+            ect_core::train_engine(system, method, &artifacts.train, &mut rng)?,
+        ));
     }
+    engines.push((
+        "Ours".to_string(),
+        Box::new(EctPriceEngine::new(artifacts.model.clone())),
+    ));
 
     let config = system_config(session.scale());
     let cells = session.fleet_for(&config, &engines)?;
     Ok(FleetReport::new(cells))
-}
-
-/// Artifact kind of the memoised fleet report.
-pub const KIND: &str = "fleet";
-
-/// Store key of the fleet over `config` and the method labels it trains.
-/// The shared ECT-Price model's code version is part of it, since the
-/// "Ours" cells price with that model.
-pub fn cache_key(config: &SystemConfig, methods: &[&str]) -> ArtifactKey {
-    ArtifactKey::versioned(
-        KIND,
-        FLEET_VERSION,
-        &(config, methods, PRICING_MODEL_VERSION),
-    )
-}
-
-fn session_key(session: &Session) -> ArtifactKey {
-    let methods = PricingMethod::PAPER_SET.map(PricingMethod::label);
-    cache_key(&system_config(session.scale()), &methods)
-}
-
-/// The fleet report at the session's scale, memoised in its artifact store
-/// and served from the disk cache when one is attached: [`run`] trains the
-/// fleet once per distinct key.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn cached(session: &Session) -> ect_types::Result<Arc<FleetReport>> {
-    session
-        .store()
-        .get_or_insert_cached(session_key(session), || run(session))
 }
 
 /// Prints the Fig. 13 view: daily reward series of four example hubs.
@@ -132,17 +106,12 @@ impl ect_core::Experiment for FleetExperiment {
         &["pricing"]
     }
     fn run(&self, session: &ect_core::Session) -> ect_types::Result<ect_core::ExperimentOutput> {
-        if !session
-            .store()
-            .available_without_build(&session_key(session))
-        {
-            session.report("training the hub fleet (this is the long stage) …");
-        }
-        let report = cached(session)?;
+        session.report("training the hub fleet (this is the long stage) …");
+        let report = run(session)?;
         print_fig13(&report);
         print_table3(&report);
-        crate::output::save_json("fig13_hub_rewards", &*report);
-        crate::output::save_json("table3_hub_rewards", &*report);
+        crate::output::save_json("fig13_hub_rewards", &report);
+        crate::output::save_json("table3_hub_rewards", &report);
         Ok(ect_core::ExperimentOutput::new(
             self.id(),
             "mean_avg_daily_reward",

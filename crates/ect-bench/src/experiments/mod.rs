@@ -147,9 +147,6 @@ const PRICING_MODEL_VERSION: u32 = 1;
 
 /// `table2` — Table II ([`table2::cached`]).
 pub const TABLE2_VERSION: u32 = 1;
-/// `fleet` — the hub × method fleet behind Fig. 13 and Table III
-/// ([`fleet::cached`]).
-pub const FLEET_VERSION: u32 = 1;
 /// `ablations` — the four ablation families ([`ablations::cached`]).
 pub const ABLATIONS_VERSION: u32 = 1;
 /// `scenario-sweep` — the stress library × pricing methods

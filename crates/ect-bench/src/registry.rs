@@ -293,7 +293,6 @@ pub const EXPENSIVE_KINDS: &[&str] = &[
     "coordination",
     "microsim-demand",
     crate::experiments::table2::KIND,
-    crate::experiments::fleet::KIND,
     crate::experiments::ablations::KIND,
     crate::experiments::scenario_sweep::KIND,
 ];
@@ -631,7 +630,6 @@ mod tests {
             "coordination",
             "microsim-demand",
             "table2",
-            "fleet",
             "ablations",
             "scenario-sweep",
         ] {

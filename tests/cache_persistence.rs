@@ -13,8 +13,8 @@
 //! 3. **`--no-cache` semantics** — a session without a cache attached
 //!    behaves exactly like the pre-cache store (pure in-memory
 //!    memoisation), so the cache is strictly opt-in at the session layer.
-//! 4. **Experiment results are served whole** — Table II, the fleet, the
-//!    ablations and the scenario sweep come off disk in a warm session at
+//! 4. **Experiment results are served whole** — Table II, the ablations
+//!    and the scenario sweep come off disk in a warm session at
 //!    another thread count, byte-identical and without a build; their keys
 //!    move with the training budget, the seed and the method list.
 //! 5. **No stale cache** — each of those kinds' code versions is pinned
@@ -22,9 +22,8 @@
 //!    re-captured golden without a version bump fails here.
 
 use ect_bench::experiments::{
-    ablations, fleet, generalization, pricing_artifacts, scenario_sweep, severity_sweep,
-    system_config, table2, ABLATIONS_VERSION, FLEET_VERSION, SCENARIO_SWEEP_VERSION,
-    TABLE2_VERSION,
+    ablations, generalization, pricing_artifacts, scenario_sweep, severity_sweep, system_config,
+    table2, ABLATIONS_VERSION, SCENARIO_SWEEP_VERSION, TABLE2_VERSION,
 };
 use ect_bench::registry::EXPENSIVE_KINDS;
 use ect_bench::Scale;
@@ -185,13 +184,12 @@ fn json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("result serialises")
 }
 
-/// The four memoised experiment results of a smoke session, serialised, by
+/// The three memoised experiment results of a smoke session, serialised, by
 /// artifact kind.
 fn experiment_results(session: &Session) -> Vec<(&'static str, String)> {
     let sweep = scenario_sweep::experiment_config(Scale::Smoke);
     vec![
         (table2::KIND, json(&*table2::cached(session).unwrap())),
-        (fleet::KIND, json(&*fleet::cached(session).unwrap())),
         (ablations::KIND, json(&*ablations::cached(session).unwrap())),
         (
             scenario_sweep::KIND,
@@ -240,13 +238,11 @@ fn experiment_result_keys_track_budget_seed_and_methods() {
     let mut seed = base.clone();
     seed.seed ^= 1;
 
-    let methods = PricingMethod::PAPER_SET.map(PricingMethod::label);
     let scenarios = scenario_library(base.world.horizon_slots);
     let engines = ["NoDiscount".to_string(), "AlwaysDiscount".to_string()];
     let keys = |config: &SystemConfig| {
         [
             table2::cache_key(config, &table2::DISCOUNTS),
-            fleet::cache_key(config, &methods),
             ablations::cache_key(config),
             scenario_sweep::cache_key(config, &scenarios, &engines),
         ]
@@ -259,15 +255,14 @@ fn experiment_result_keys_track_budget_seed_and_methods() {
         }
     }
 
-    // The method / discount / engine list is part of each key that has one.
+    // The discount / engine list is part of each key that has one.
     assert_ne!(
         table2::cache_key(&base, &table2::DISCOUNTS[..3]),
         base_keys[0]
     );
-    assert_ne!(fleet::cache_key(&base, &methods[..3]), base_keys[1]);
     assert_ne!(
         scenario_sweep::cache_key(&base, &scenarios, &engines[..1]),
-        base_keys[3]
+        base_keys[2]
     );
 }
 
@@ -285,28 +280,25 @@ const VERSION_PINS: &[VersionPin] = &[
         constant: "TABLE2_VERSION",
         current: TABLE2_VERSION,
         pinned: 1,
-        golden: &["2d244fcc6bbebf2c6d07e374a428d53e3754286a557ec749ced4a76a5ce980b4  table2_price.json"],
-    },
-    VersionPin {
-        constant: "FLEET_VERSION",
-        current: FLEET_VERSION,
-        pinned: 1,
         golden: &[
-            "2fbe6e2557d7a6b82b6dd92bdadf6f58587dc492a228d4a1eb2501528a608f39  fig13_hub_rewards.json",
-            "2fbe6e2557d7a6b82b6dd92bdadf6f58587dc492a228d4a1eb2501528a608f39  table3_hub_rewards.json",
+            "2d244fcc6bbebf2c6d07e374a428d53e3754286a557ec749ced4a76a5ce980b4  table2_price.json",
         ],
     },
     VersionPin {
         constant: "ABLATIONS_VERSION",
         current: ABLATIONS_VERSION,
         pinned: 1,
-        golden: &["c80d8c44a190d12fdc8ef6a2e5879106a1e7684b49e1e86f897e38354551da86  ablations.json"],
+        golden: &[
+            "c80d8c44a190d12fdc8ef6a2e5879106a1e7684b49e1e86f897e38354551da86  ablations.json",
+        ],
     },
     VersionPin {
         constant: "SCENARIO_SWEEP_VERSION",
         current: SCENARIO_SWEEP_VERSION,
         pinned: 1,
-        golden: &["220ef154424fe6b5de5b4d746a3512397d3e9a9eef54546fb52008fd7e5639e2  scenario_sweep.json"],
+        golden: &[
+            "220ef154424fe6b5de5b4d746a3512397d3e9a9eef54546fb52008fd7e5639e2  scenario_sweep.json",
+        ],
     },
 ];
 
