@@ -123,15 +123,18 @@ pub fn build_pricing_artifacts(scale: Scale) -> ect_types::Result<PricingArtifac
 /// Build provenance of the shared pricing artifacts: how long the one
 /// ECT-Price training of a session took and how much data it saw. Stored
 /// next to the artifacts so `run_all` can keep the historical
-/// `pricing_artifacts` row of `results/BENCH_summary.json` (wall time would
-/// otherwise be silently folded into whichever pricing experiment runs
-/// first).
+/// `pricing_artifacts` row of `results/BENCH_summary.json` and take its
+/// wall time out of the row of the experiment that hosted the build
+/// ([`crate::registry::attribute_pricing_build`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PricingBuild {
     /// Wall-clock seconds spent generating the history and training.
     pub wall_time_s: f64,
     /// Training records the model saw (the row's historical metric).
     pub train_records: usize,
+    /// The experiment whose run built the artifacts, and whose wall time
+    /// therefore holds `wall_time_s` (`None` outside an experiment).
+    pub host: Option<&'static str>,
 }
 
 /// Code version of the `pricing-model` disk artifact. Bump whenever the
@@ -175,8 +178,7 @@ pub fn pricing_artifacts(session: &Session) -> ect_types::Result<Arc<PricingArti
     let config = system_config(session.scale());
     let key = ArtifactKey::of("pricing-artifacts", &config);
     let model_key = ArtifactKey::versioned("pricing-model", PRICING_MODEL_VERSION, &config);
-    let first_build = !session.store().contains(&key);
-    if first_build && !session.store().available_without_build(&model_key) {
+    if !session.store().contains(&key) && !session.store().available_without_build(&model_key) {
         session.report("training pricing models …");
     }
     let system = session.system_for(&config)?;
@@ -185,7 +187,9 @@ pub fn pricing_artifacts(session: &Session) -> ect_types::Result<Arc<PricingArti
         let (train, _) = system.pricing_datasets();
         train_pricing_model(&system, &train)
     })?;
+    let mut built = false;
     let artifacts = session.store().get_or_insert(key, || {
+        built = true;
         let (train, test) = system.pricing_datasets();
         Ok(PricingArtifacts {
             system: (*system).clone(),
@@ -194,10 +198,13 @@ pub fn pricing_artifacts(session: &Session) -> ect_types::Result<Arc<PricingArti
             model: (*model).clone(),
         })
     })?;
-    if first_build {
+    // Only one caller builds the artifacts; callers that waited for it
+    // record nothing, so the build names exactly one host.
+    if built {
         let build = PricingBuild {
             wall_time_s: t0.elapsed().as_secs_f64(),
             train_records: artifacts.train.len(),
+            host: ect_core::running_experiment(),
         };
         session
             .store()

@@ -328,6 +328,40 @@ fn print_cache_breakdown(session: &Session) {
     println!("expensive builds this pass: {expensive}");
 }
 
+/// Keeps the historical `pricing_artifacts` row of a pass's summary: the
+/// shared ECT-Price build runs inside whichever pricing experiment builds
+/// the artifacts first (its [`PricingBuild::host`]), so its wall time moves
+/// from that experiment's row to its own, inserted at the row's historical
+/// position (just before `table2_price`). Per-experiment walls then stay
+/// comparable across passes: on a warm pass Table II comes off disk and a
+/// Fig. 11/12 run hosts the build instead.
+///
+/// [`PricingBuild::host`]: crate::experiments::PricingBuild::host
+pub fn attribute_pricing_build(
+    summary: &mut Vec<BenchSummaryEntry>,
+    build: crate::experiments::PricingBuild,
+) {
+    if let Some(host) = summary
+        .iter_mut()
+        .find(|entry| Some(entry.experiment.as_str()) == build.host)
+    {
+        host.wall_time_s = (host.wall_time_s - build.wall_time_s).max(0.0);
+    }
+    let at = summary
+        .iter()
+        .position(|entry| entry.experiment == "table2_price")
+        .unwrap_or(summary.len());
+    summary.insert(
+        at,
+        BenchSummaryEntry {
+            experiment: "pricing_artifacts".into(),
+            wall_time_s: build.wall_time_s,
+            metric_name: "train_records".into(),
+            metric_value: build.train_records as f64,
+        },
+    );
+}
+
 /// The `run_all` entry point: runs the (filtered) catalog over one shared
 /// session and writes `results/BENCH_summary.json` for full passes.
 ///
@@ -345,39 +379,8 @@ pub fn run_all_main() -> ect_types::Result<()> {
     let session = args.session("run_all")?;
     let telemetry = args.install_telemetry(&session);
     let mut summary = registry.run_filtered(&session, &args)?;
-    // Keep the historical `pricing_artifacts` row: the shared ECT-Price
-    // training happens inside whichever pricing experiment touches the
-    // store first, so its wall time is re-attributed to its own row at the
-    // row's historical position (just before table2_price).
     if let Some(build) = crate::experiments::pricing_build(&session) {
-        let row = BenchSummaryEntry {
-            experiment: "pricing_artifacts".into(),
-            wall_time_s: build.wall_time_s,
-            metric_name: "train_records".into(),
-            metric_value: build.train_records as f64,
-        };
-        // Experiments run in registry order, so the *first* executed
-        // pricing-dependent experiment is the one that hosted the build;
-        // subtract the shared cost from its wall so per-experiment numbers
-        // stay comparable across passes.
-        const PRICING_DEPENDENT: &[&str] = &[
-            "table2_price",
-            "fig11_strata_stations",
-            "fig12_strata_periods",
-            "fleet",
-            "ablations",
-        ];
-        if let Some(host) = summary
-            .iter_mut()
-            .find(|entry| PRICING_DEPENDENT.contains(&entry.experiment.as_str()))
-        {
-            host.wall_time_s = (host.wall_time_s - build.wall_time_s).max(0.0);
-        }
-        let at = summary
-            .iter()
-            .position(|entry| entry.experiment == "table2_price")
-            .unwrap_or(summary.len());
-        summary.insert(at, row);
+        attribute_pricing_build(&mut summary, build);
     }
     let wall = t0.elapsed().as_secs_f64();
     // Telemetry teardown before the summary is written: flush the metric

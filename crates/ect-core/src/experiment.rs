@@ -14,7 +14,19 @@
 
 use crate::session::Session;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::time::Instant;
+
+thread_local! {
+    static RUNNING: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// The id of the experiment [`run_timed`] is running on the calling
+/// thread, if any, so a shared build can name the experiment whose wall
+/// time holds it.
+pub fn running_experiment() -> Option<&'static str> {
+    RUNNING.with(Cell::get)
+}
 
 /// The typed result envelope of one experiment run.
 ///
@@ -113,7 +125,10 @@ pub fn run_timed(
 ) -> ect_types::Result<ExperimentOutput> {
     let _span = ect_obs::span("experiment.run").field("id", experiment.id());
     let t0 = Instant::now();
-    let mut output = experiment.run(session)?;
+    let outer = RUNNING.replace(Some(experiment.id()));
+    let result = experiment.run(session);
+    RUNNING.set(outer);
+    let mut output = result?;
     output.wall_time_s = t0.elapsed().as_secs_f64();
     Ok(output)
 }
@@ -137,6 +152,7 @@ mod tests {
             &["probe"]
         }
         fn run(&self, session: &Session) -> ect_types::Result<ExperimentOutput> {
+            assert_eq!(running_experiment(), Some("probe"));
             let world = session.world()?;
             Ok(
                 ExperimentOutput::new("probe", "hubs", world.num_hubs() as f64)
@@ -155,6 +171,7 @@ mod tests {
             "independent by default"
         );
         let output = run_timed(&Probe, &session).unwrap();
+        assert_eq!(running_experiment(), None, "cleared after the run");
         assert_eq!(output.id, "probe");
         assert_eq!(output.metric_name, "hubs");
         assert_eq!(output.metric_value, 3.0);

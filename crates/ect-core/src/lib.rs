@@ -65,7 +65,7 @@ pub use coordination::{
     CoordinationArm, CoordinationOptions, CoordinationOutcome, RoadGraphTopology, TopologySource,
 };
 pub use dispatch::{run_dag, run_indexed};
-pub use experiment::{run_timed, Experiment, ExperimentOutput};
+pub use experiment::{run_timed, running_experiment, Experiment, ExperimentOutput};
 pub use generalist::{
     GeneralistOptions, GeneralistOutcome, GeneralistReport, HeldOutBaseline, HeldOutComparison,
 };

@@ -262,25 +262,47 @@ impl SlotLanes {
 
         let groups = reps.len();
         let mut cells = vec![SlotCell::default(); groups * horizon];
+        // The renewables depend only on the plant and the weather series,
+        // and groups that differ in traffic or discounts often share both
+        // (the metro fleet's 2,000 groups hold 12 such pairs): the first
+        // group of each pair computes them, later ones copy its cells.
+        let mut plant_groups: HashMap<usize, Vec<usize>> = HashMap::new();
         for (g, &rep) in reps.iter().enumerate() {
             let (config, s) = (&configs[rep], &series[rep]);
+            let sharers = plant_groups.entry(s.weather.as_ptr() as usize).or_default();
+            let source = sharers
+                .iter()
+                .copied()
+                .find(|&src| configs[reps[src]].plant == config.plant);
+            if source.is_none() {
+                sharers.push(g);
+            }
             let levels = s.discounts.as_slice();
             let slots = (s.traffic.iter().zip(s.weather.iter()))
                 .zip(s.strata.iter().zip(s.outages.iter()))
                 .zip(levels.iter().zip(s.rtp.iter()));
-            for (cell, (((traffic, weather), (stratum, &outage)), (&level, rtp))) in
-                cells[g..].iter_mut().step_by(groups).zip(slots)
+            for (t, (((traffic, weather), (stratum, &outage)), (&level, rtp))) in slots.enumerate()
             {
+                let (wt, pv) = match source {
+                    Some(src) => {
+                        let shared = &cells[src + t * groups];
+                        (shared.wt, shared.pv)
+                    }
+                    None => (
+                        config.plant.wt_power(weather).as_f64(),
+                        config.plant.pv_power(weather).as_f64(),
+                    ),
+                };
                 let willing = !outage && stratum.outcome(level > 0.0);
                 let p_bs = config.base_station.power(traffic.load_rate).as_f64();
                 let p_cs = config.charging_station.power(willing).as_f64();
                 let srtp = config.tariff.price_with_discount(level).as_f64();
-                *cell = SlotCell {
+                cells[g + t * groups] = SlotCell {
                     p_bs,
                     load: p_bs + p_cs,
                     revenue: p_cs * srtp,
-                    wt: config.plant.wt_power(weather).as_f64(),
-                    pv: config.plant.pv_power(weather).as_f64(),
+                    wt,
+                    pv,
                     rtp: rtp.as_f64(),
                     srtp,
                     willing,

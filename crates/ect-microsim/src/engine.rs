@@ -72,6 +72,32 @@ fn jitter(init: u64) -> f64 {
     0.75 + 0.5 * unit(mix64(init ^ 1))
 }
 
+/// `x.rem_euclid(2.0)`, bit for bit, without the out-of-line `fmod` call
+/// behind `%`.
+///
+/// For `|x| < 2^52`, `q = trunc(x / 2)` is `(x · 0.5) as i64` exactly
+/// (halving is exact for `|x| ≥ 2`, and for `|x| < 2` the quotient is
+/// 0 either way), and `x − 2q` is exact: it is `x` itself when `q = 0`,
+/// and otherwise `2q` lies within a factor two of `x` (Sterbenz). So it
+/// equals `fmod(x, 2)`, an exact operation too, except that an exact
+/// zero must carry the sign of `x` (`fmod(−4, 2)` is `−0.0`), which the
+/// `copysign` restores. Larger and non-finite `x` take `%`. The last line
+/// is `rem_euclid`'s own fix-up.
+#[inline]
+fn rem_euclid_2(x: f64) -> f64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    let r = if x.abs() < EXACT_BELOW {
+        (x - 2.0 * ((x * 0.5) as i64 as f64)).copysign(x)
+    } else {
+        x % 2.0
+    };
+    if r < 0.0 {
+        r + 2.0
+    } else {
+        r
+    }
+}
+
 /// Decorrelates a UE index before mixing (consecutive integers would
 /// otherwise share most of their bits).
 #[inline]
@@ -478,9 +504,13 @@ impl MicrosimEngine {
         let mut tested = 0;
         // Three passes per block of UEs — mobility, association, pathloss —
         // so each pass's per-UE chains are independent and overlap in the
-        // out-of-order core (about 9% less step time than one fused loop on
-        // the metro geometry); every UE sees the same operations as in the
-        // fused loop.
+        // out-of-order core; every UE sees the same operations as in one
+        // fused loop. The passes keep branches off the per-UE path: the
+        // wrap into [0, 2) is inline arithmetic (`rem_euclid_2`, exact, no
+        // `fmod` call), the endpoint reflection, taken for about half the
+        // UEs, is a pair of selects that pick the very values the branch
+        // would, and `nearest` settles a bin's first two candidates by a
+        // select. The rewire branch stays: its rare hop is predicted.
         for start in (0..chunk.len()).step_by(STEP_BLOCK) {
             let ues = start..(start + STEP_BLOCK).min(chunk.len());
             for i in ues.clone() {
@@ -499,13 +529,10 @@ impl MicrosimEngine {
                 // is km/slot), reflecting at the endpoints.
                 let seg = chunk.seg[i] as usize;
                 let advance = chunk.speed[i] * commute / self.roads.len_km[seg];
-                let pos = (chunk.t[i] + f64::from(chunk.dir[i]) * advance).rem_euclid(2.0);
-                if pos > 1.0 {
-                    chunk.t[i] = 2.0 - pos;
-                    chunk.dir[i] = -chunk.dir[i];
-                } else {
-                    chunk.t[i] = pos;
-                }
+                let pos = rem_euclid_2(chunk.t[i] + f64::from(chunk.dir[i]) * advance);
+                let back = pos > 1.0;
+                chunk.t[i] = if back { 2.0 - pos } else { pos };
+                chunk.dir[i] *= 1 - 2 * i8::from(back);
             }
             // Associate; `demand` holds the hub distance until the last pass.
             for i in ues.clone() {
@@ -670,6 +697,7 @@ mod tests {
     use crate::config::FlashCrowd;
     use ect_data::spatial::RegionConfig;
     use ect_types::rng::EctRng;
+    use proptest::prelude::*;
 
     fn small_region(seed: u64) -> Region {
         Region::generate(
@@ -829,5 +857,89 @@ mod tests {
             size_km: region.size_km,
         };
         assert!(MicrosimEngine::new(&config, &bare, 2, 24, 1).is_err());
+    }
+
+    /// `rem_euclid_2(x)` has the bits of `x.rem_euclid(2.0)`; a NaN only
+    /// has to stay a NaN.
+    fn assert_rem_exact(x: f64) {
+        let (got, want) = (rem_euclid_2(x), x.rem_euclid(2.0));
+        if want.is_nan() {
+            assert!(got.is_nan(), "rem_euclid_2({x}) = {got}, not NaN");
+        } else {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "rem_euclid_2({x:e}) = {got:e}, std gives {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rem_euclid_2_is_exact_at_zeros_even_multiples_and_the_fallback() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Exact even multiples of both signs and the floats one ulp either
+        // side, from 2 up to beyond 2^52 where `%` takes over.
+        for k in [
+            1u64,
+            2,
+            3,
+            7,
+            1 << 20,
+            (1 << 51) - 1,
+            1 << 51,
+            1 << 52,
+            1 << 60,
+        ] {
+            let even = 2.0 * k as f64;
+            for x in [even, -even] {
+                xs.extend([x, x.next_up(), x.next_down()]);
+            }
+        }
+        // `|x|` in [1, 2) and right at 2^52.
+        for x in [
+            1.0,
+            1.5,
+            2.0f64.next_down(),
+            two_52,
+            two_52.next_down(),
+            two_52.next_up(),
+        ] {
+            xs.extend([x, -x]);
+        }
+        for x in xs {
+            assert_rem_exact(x);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern: all magnitudes, subnormals, infinities, NaNs.
+        #[test]
+        fn rem_euclid_2_matches_std_on_any_bits(bits in 0..u64::MAX) {
+            assert_rem_exact(f64::from_bits(bits));
+        }
+
+        /// The range the mobility step feeds it: a position in [0, 1]
+        /// plus or minus an advance of up to a few hundred segment lengths.
+        #[test]
+        fn rem_euclid_2_matches_std_on_positions(x in -1e3f64..1e3, small in -2.0f64..2.0) {
+            assert_rem_exact(x);
+            assert_rem_exact(small);
+        }
     }
 }

@@ -36,7 +36,9 @@
 //! candidates, never drop one.
 //!
 //! Site ids ascend within each list, so a query that keeps the first
-//! strictly smaller distance returns the lowest index on exact ties. It
+//! strictly smaller distance returns the lowest index on exact ties
+//! (`SegmentIndex::nearest` does so with a select over a bin's first two
+//! candidates and a loop over the rest). It
 //! computes the point as [`RoadSegment::point_at`] does and uses the same
 //! `dist` as [`nearest_brute_force`], so it returns the same index and the
 //! same distance bits.
@@ -145,6 +147,14 @@ impl SegmentIndex {
     /// shows. Index and distance are identical to [`nearest_brute_force`]
     /// at the point [`RoadSegment::point_at`] yields.
     ///
+    /// Most bins list one or two sites, so the first two are compared by
+    /// a select rather than a loop whose exit mispredicts: a one-site bin
+    /// compares its site with itself. Ids ascend, so keeping the first on
+    /// a tie (`db < da` picks the second only when strictly nearer), and
+    /// then the first strict minimum over the rest of the list, is the
+    /// brute-force scan's lowest-index tie-break. The tested count stays
+    /// the list length: no site is counted twice.
+    ///
     /// # Panics
     ///
     /// Panics when `seg` is out of range.
@@ -154,16 +164,19 @@ impl SegmentIndex {
         let p = segment.point_at(t);
         let bin = ((t * segment.bins) as usize).min(segment.starts.len() - 2);
         let ids = &segment.ids[segment.starts[bin] as usize..segment.starts[bin + 1] as usize];
-        let mut best: (u32, f64) = (u32::MAX, f64::INFINITY);
-        for &idx in ids {
+        debug_assert!(!ids.is_empty(), "every bin lists a site");
+        let (a, b) = (ids[0], ids[ids.len().min(2) - 1]);
+        let (da, db) = (
+            dist(p, self.sites[a as usize]),
+            dist(p, self.sites[b as usize]),
+        );
+        let mut best = if db < da { (b, db) } else { (a, da) };
+        for &idx in ids.get(2..).unwrap_or_default() {
             let d = dist(p, self.sites[idx as usize]);
-            // Ids ascend, so keeping the first strict minimum is the
-            // lowest-index tie-break.
             if d < best.1 {
                 best = (idx, d);
             }
         }
-        debug_assert!(best.0 != u32::MAX, "every bin lists a site");
         (best.0 as usize, best.1, ids.len())
     }
 }
@@ -334,6 +347,55 @@ mod tests {
         let (idx, d, tested) = index.nearest(0, 0.0);
         assert_eq!((idx, tested), (0, 1));
         assert!((d - (40.0f64.powi(2) + 60.0f64.powi(2)).sqrt()).abs() < 1e-12);
+    }
+
+    /// The candidate count of the bin `t` falls in on segment `seg`.
+    fn bin_len(index: &SegmentIndex, seg: usize, t: f64) -> usize {
+        let segment = &index.segments[seg];
+        let bin = ((t * segment.bins) as usize).min(segment.starts.len() - 2);
+        (segment.starts[bin + 1] - segment.starts[bin]) as usize
+    }
+
+    /// Each form of the query — a one-site bin comparing its site with
+    /// itself, a two-site bin settled by one select, and a longer list
+    /// whose tail runs the loop — against brute force on a short road
+    /// through the origin, ties included.
+    #[test]
+    fn nearest_matches_brute_force_on_one_two_and_longer_lists() {
+        let roads = [road((-0.1, 0.0), (0.1, 0.0))];
+        let ring = |n: usize| -> Vec<Point> {
+            (0..n)
+                .map(|k| {
+                    let angle = std::f64::consts::TAU * k as f64 / n as f64;
+                    (5.0 * angle.cos(), 5.0 * angle.sin())
+                })
+                .collect()
+        };
+        for (sites, candidates) in [
+            // One site close by, one far beyond every bin's bound.
+            (vec![(0.0, 0.1), (0.0, 50.0)], 1),
+            // Mirror images across the road: tied at t = 0.5.
+            (vec![(0.0, 5.0), (0.0, -5.0), (50.0, 50.0)], 2),
+            // Mirror images listed high-index first: still the lower index.
+            (vec![(50.0, 50.0), (0.0, -5.0), (0.0, 5.0)], 2),
+            (ring(3), 3),
+            (ring(8), 8),
+        ] {
+            let index = SegmentIndex::new(&sites, &roads).unwrap();
+            let mut ts = edge_ts(&index, 0);
+            ts.extend([0.25, 0.5, 0.75]);
+            for t in ts {
+                assert_eq!(bin_len(&index, 0, t), candidates, "{sites:?} at t = {t}");
+                check(&index, &roads, 0, t);
+                assert_eq!(index.nearest(0, t).2, candidates, "each tested once");
+            }
+        }
+        let mirrored = SegmentIndex::new(&[(0.0, 5.0), (0.0, -5.0)], &roads).unwrap();
+        assert_eq!(
+            mirrored.nearest(0, 0.5).0,
+            0,
+            "exact tie takes the lower index"
+        );
     }
 
     #[test]

@@ -20,12 +20,17 @@
 //! 5. **No stale cache** — each of those kinds' code versions is pinned
 //!    together with the smoke goldens of the files it produces, so a
 //!    re-captured golden without a version bump fails here.
+//! 6. **The shared ECT-Price build is charged to its host** — the
+//!    experiment whose run built the pricing artifacts, which on a warm
+//!    pass is Fig. 11 or 12, not the Table II served from disk.
 
+use ect_bench::cli::BenchArgs;
 use ect_bench::experiments::{
-    ablations, generalization, pricing_artifacts, scenario_sweep, severity_sweep, system_config,
-    table2, ABLATIONS_VERSION, SCENARIO_SWEEP_VERSION, TABLE2_VERSION,
+    ablations, generalization, pricing_artifacts, pricing_build, scenario_sweep, severity_sweep,
+    system_config, table2, ABLATIONS_VERSION, SCENARIO_SWEEP_VERSION, TABLE2_VERSION,
 };
-use ect_bench::registry::EXPENSIVE_KINDS;
+use ect_bench::output::BenchSummaryEntry;
+use ect_bench::registry::{attribute_pricing_build, ExperimentRegistry, EXPENSIVE_KINDS};
 use ect_bench::Scale;
 use ect_core::prelude::*;
 use std::path::PathBuf;
@@ -334,4 +339,65 @@ fn re_captured_goldens_come_with_a_version_bump() {
              version here"
         );
     }
+}
+
+/// The summary rows of a registry pass over the three experiments that
+/// share the ECT-Price build (it writes their smoke `results/*.json`, as
+/// `run_all --smoke` does).
+fn pricing_pass(session: &Session) -> Vec<BenchSummaryEntry> {
+    let args = BenchArgs {
+        scale: Scale::Smoke,
+        only: [
+            "table2_price",
+            "fig11_strata_stations",
+            "fig12_strata_periods",
+        ]
+        .map(String::from)
+        .to_vec(),
+        ..BenchArgs::default()
+    };
+    ExperimentRegistry::standard()
+        .run_filtered(session, &args)
+        .expect("pricing experiments run")
+}
+
+fn wall(rows: &[BenchSummaryEntry], id: &str) -> f64 {
+    rows.iter()
+        .find(|row| row.experiment == id)
+        .unwrap_or_else(|| panic!("no {id} row"))
+        .wall_time_s
+}
+
+#[test]
+fn a_warm_pass_charges_the_pricing_build_to_the_experiment_that_ran_it() {
+    let dir = scratch("pricing-host");
+    let cold = cached_smoke_session_on(&dir, "cold", 2);
+    pricing_pass(&cold);
+    assert_eq!(
+        pricing_build(&cold).expect("the cold pass builds").host,
+        Some("table2_price"),
+        "Table II runs first and trains the model"
+    );
+
+    let warm = cached_smoke_session_on(&dir, "warm", 2);
+    let rows = pricing_pass(&warm);
+    let build = pricing_build(&warm).expect("a warm pass still assembles the artifacts");
+    let host = build.host.expect("built inside an experiment");
+    assert!(
+        ["fig11_strata_stations", "fig12_strata_periods"].contains(&host),
+        "Table II came off disk, so {host} cannot have hosted the build"
+    );
+    assert!(wall(&rows, host) >= build.wall_time_s);
+
+    let mut summary = rows.clone();
+    attribute_pricing_build(&mut summary, build);
+    assert!(
+        wall(&summary, "table2_price") > 0.0,
+        "Table II keeps the wall of its own disk read"
+    );
+    assert_eq!(wall(&summary, "table2_price"), wall(&rows, "table2_price"));
+    assert_eq!(wall(&summary, host), wall(&rows, host) - build.wall_time_s);
+    assert_eq!(wall(&summary, "pricing_artifacts"), build.wall_time_s);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

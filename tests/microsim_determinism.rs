@@ -20,6 +20,11 @@
 //!    area (200 km square, 3,000 base stations, 2,000 hubs). A change to
 //!    the association search, the mobility kernel or the fold order that
 //!    moves one bit changes a checksum.
+//! 5. **Pinned work counts** — the `microsim.candidates` and
+//!    `microsim.associations` counters of a traced synthesis on both
+//!    option sets are exact numbers: a change to the association kernel
+//!    that tests a candidate twice, or skips one, moves them. Counts, not
+//!    timings, so the gate cannot flake on a loaded host.
 
 use ect_data::spatial::RegionConfig;
 use ect_env::battery::BpAction;
@@ -28,11 +33,30 @@ use ect_env::tariff::DiscountSchedule;
 use ect_env::vec_env::FleetEnv;
 use ect_hub::microsim::{FlashCrowd, MicrosimConfig, MicrosimDemand};
 use ect_hub::prelude::*;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 const HUBS: usize = 3;
 const SLOTS: usize = 24 * 2;
 const WINDOW: usize = 6;
 const SEED: u64 = 0x0DE7_E1A1;
+
+/// The telemetry registry is process-global: every test that synthesizes
+/// demand holds this lock shared, and the one that installs a registry to
+/// count holds it exclusively, so no other test's synthesis lands in its
+/// counters.
+static TELEMETRY: RwLock<()> = RwLock::new(());
+
+fn untraced() -> RwLockReadGuard<'static, ()> {
+    TELEMETRY
+        .read()
+        .unwrap_or_else(|poison| poison.into_inner())
+}
+
+fn traced() -> RwLockWriteGuard<'static, ()> {
+    TELEMETRY
+        .write()
+        .unwrap_or_else(|poison| poison.into_inner())
+}
 
 fn options() -> MicrosimDemandOptions {
     MicrosimDemandOptions {
@@ -57,6 +81,7 @@ fn options() -> MicrosimDemandOptions {
 
 #[test]
 fn parallel_synthesis_is_thread_count_invariant() {
+    let _serial = untraced();
     let opts = options();
     let baseline = opts.build(1).unwrap();
     for threads in [0, 2, 3, 8] {
@@ -72,6 +97,7 @@ fn parallel_synthesis_is_thread_count_invariant() {
 
 #[test]
 fn demand_is_pure_in_config_and_seed() {
+    let _serial = untraced();
     let opts = options();
     let a = opts.build(4).unwrap();
     let b = opts.build(4).unwrap();
@@ -94,6 +120,7 @@ fn demand_is_pure_in_config_and_seed() {
 
 #[test]
 fn flash_crowds_add_load_without_breaking_purity() {
+    let _serial = untraced();
     let baseline = options().build(4).unwrap();
     let mut crowded = options();
     crowded.microsim.flash_crowds.push(FlashCrowd {
@@ -132,6 +159,7 @@ fn flash_crowds_add_load_without_breaking_purity() {
 
 #[test]
 fn session_memoises_the_demand_synthesis() {
+    let _serial = untraced();
     let session = SessionBuilder::new(SystemConfig::miniature())
         .threads(4)
         .build()
@@ -195,6 +223,7 @@ fn metro_options() -> MicrosimDemandOptions {
 
 #[test]
 fn demand_bits_match_golden_checksums() {
+    let _serial = untraced();
     let small = options().build(2).unwrap();
     let metro = metro_options().build(2).unwrap();
     assert_eq!(metro.total_associations, 9_000 * 12);
@@ -260,6 +289,7 @@ fn trajectory(fleet: &mut FleetEnv) -> Vec<f64> {
 
 #[test]
 fn microsim_traffic_drives_the_fleet_env() {
+    let _serial = untraced();
     let world = world();
     let demand = options().build(4).unwrap();
 
@@ -277,4 +307,32 @@ fn microsim_traffic_drives_the_fleet_env() {
         micro_a.iter().zip(&aggregate).any(|(m, a)| m != a),
         "microsim demand must shift the episode economics"
     );
+}
+
+/// Candidate distance tests and associations of a traced synthesis at
+/// two workers.
+fn work_counts(opts: &MicrosimDemandOptions) -> (u64, u64) {
+    let telemetry = Arc::new(ect_obs::Telemetry::to_memory(Default::default()));
+    ect_obs::install(Arc::clone(&telemetry));
+    let demand = opts.build(2);
+    ect_obs::uninstall();
+    demand.unwrap();
+    (
+        telemetry.counter_value("microsim.candidates"),
+        telemetry.counter_value("microsim.associations"),
+    )
+}
+
+#[test]
+fn association_work_counts_match_pinned_values() {
+    let _serial = traced();
+    let (candidates, associations) = work_counts(&options());
+    assert_eq!(associations, 3_000 * SLOTS as u64, "small options");
+    let (metro_candidates, metro_associations) = work_counts(&metro_options());
+    assert_eq!(metro_associations, 9_000 * 12, "metro area");
+    // Distance tests: the candidate-list length of each UE's bin, summed
+    // over every UE-slot (about 1.002 per association on the small area
+    // and 1.57 on the metro one).
+    assert_eq!(candidates, 144_315, "small options");
+    assert_eq!(metro_candidates, 169_558, "metro area");
 }
